@@ -23,7 +23,7 @@ from .totals import (Classification, RateSet, StationaryResult, TotalsState,
                      classify, integrate_totals, stationary_point, totals_rhs)
 from .macro import (MacroState, SolverConfig, coupled_full_run, integrate,
                     integrate_normalized, rhs_general, suggest_dt)
-from .ibm import (BufferedRng, IbmParams, IbmTrajectory, Individual,
+from .ibm import (BufferedRng, IbmParams, IbmTrajectory,
                   ScaledPopulation, Sex, event_rates, simulate, step)
 from .stability import (ConvergenceReport, FixedPointResult, LlnErrorTable,
                         convergence_report, fixed_point, limiting_mean, lln_compare)

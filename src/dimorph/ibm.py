@@ -6,14 +6,22 @@ partner with probability proportional to the partner's capability; each
 birth is male or female with a fair coin; individuals die naturally and
 through pairwise competition rescaled by the population scale N.
 
-Constant rates take an O(1)-per-event path; trait-dependent rates fall
-back to vectorized categorical sampling with incrementally maintained
-per-individual competition loads.
+`simulate` runs constant rates through a specialised loop on local state
+only: the rates as floats, one `array("d")` of traits per sex with
+swap-remove and the incremental capability sum of each sex, with no
+per-event objects or method dispatch. Every other rate set runs the direct engine
+(`_simulate_direct`): a `ScaledPopulation` with vectorized categorical
+sampling and incrementally maintained per-individual competition loads,
+advanced by the same event code as `step`. The direct engine also accepts
+constant rates and is the reference for the specialised loop: both draw
+the same variates in the same order and evaluate the same float
+expressions, so a seeded run gives a bit-identical trajectory on either.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +33,6 @@ from .totals import RateSet
 
 __all__ = [
     "Sex",
-    "Individual",
     "BufferedRng",
     "IbmParams",
     "ScaledPopulation",
@@ -45,53 +52,53 @@ class Sex(enum.Enum):
     MALE = "male"
 
 
-@dataclass(frozen=True)
-class Individual:
-    trait: float
-    sex: Sex
-
-
 class BufferedRng:
     """Scalar draws served from refilled numpy batches.
 
     Mirrors the Generator methods the kernels use, so it can stand in for
     numpy Generator wherever single variates are consumed in a tight loop.
-    Fully deterministic for a fixed seed.
+    Batches are copied into `array("d")` buffers, whose items index as
+    plain floats: no numpy scalar is boxed per draw, and a batch keeps the
+    8 bytes per double of the numpy array. Fully deterministic for a fixed
+    seed.
     """
 
     def __init__(self, seed: int, batch: int = 8192):
         self._gen = np.random.default_rng(seed)
         self._batch = batch
-        self._uni = self._gen.random(batch)
-        self._nrm = self._gen.standard_normal(batch)
-        self._exp = self._gen.standard_exponential(batch)
+        self._uni = self._refill(self._gen.random)
+        self._nrm = self._refill(self._gen.standard_normal)
+        self._exp = self._refill(self._gen.standard_exponential)
         self._iu = 0
         self._in = 0
         self._ie = 0
 
+    def _refill(self, draw) -> array:
+        return array("d", draw(self._batch).tobytes())
+
     def random(self) -> float:
         i = self._iu
         if i == self._batch:
-            self._uni = self._gen.random(self._batch)
+            self._uni = self._refill(self._gen.random)
             i = 0
         self._iu = i + 1
-        return float(self._uni[i])
+        return self._uni[i]
 
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
         i = self._in
         if i == self._batch:
-            self._nrm = self._gen.standard_normal(self._batch)
+            self._nrm = self._refill(self._gen.standard_normal)
             i = 0
         self._in = i + 1
-        return loc + scale * float(self._nrm[i])
+        return loc + scale * self._nrm[i]
 
     def exponential(self, scale: float = 1.0) -> float:
         i = self._ie
         if i == self._batch:
-            self._exp = self._gen.standard_exponential(self._batch)
+            self._exp = self._refill(self._gen.standard_exponential)
             i = 0
         self._ie = i + 1
-        return scale * float(self._exp[i])
+        return scale * self._exp[i]
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * self.random()
@@ -239,11 +246,6 @@ class ScaledPopulation:
     @property
     def size(self) -> int:
         return self.f.n + self.m.n
-
-    def individuals(self) -> list[Individual]:
-        out = [Individual(float(t), Sex.FEMALE) for t in self.f.active(self.f.traits)]
-        out += [Individual(float(t), Sex.MALE) for t in self.m.active(self.m.traits)]
-        return out
 
     def empirical_measures(self) -> tuple[GridMeasure, GridMeasure]:
         """(male, female) empirical measures, one atom of mass 1/N each."""
@@ -557,10 +559,18 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     Deterministic for a fixed seed. If the population dies out the
     remaining snapshots are empty and the extinction time is recorded;
     a population with zero total rate but surviving members simply stops
-    changing.
+    changing. Constant rates take the specialised loop, which gives the
+    same trajectory as the direct engine.
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
+    if params.rates.is_constant:
+        return _simulate_constant(params)
+    return _simulate_direct(params)
+
+
+def _simulate_direct(params: IbmParams) -> IbmTrajectory:
+    """The direct engine: any rate set, one `_apply_event` per jump."""
     pop = ScaledPopulation(params.initial_female, params.initial_male,
                            params.N, params.rates, params.grid)
     rng = BufferedRng(params.seed)
@@ -601,6 +611,113 @@ def simulate(params: IbmParams) -> IbmTrajectory:
         births_male=pop.births_male,
         deaths=pop.deaths,
         clamped_births=pop.clamped_births,
+        n_events=n_events,
+        extinction_time=extinction_time,
+        seed=params.seed,
+    )
+
+
+def _simulate_constant(params: IbmParams) -> IbmTrajectory:
+    """The direct engine's jump chain for constant rates, on local state.
+
+    With constant rates every pick within a sex is uniform and the death
+    totals are closed forms in the class sizes. Each jump draws, in the
+    direct engine's order: the waiting time, the category uniform, the two
+    actor uniforms (initiator first), the offspring variates and the sex
+    uniform, or on a death the victim uniform. The rate sums are the same
+    float expressions, the capability sums are updated incrementally as in
+    `ScaledPopulation`, and the trait buffers swap-remove like its arrays,
+    so the trajectory is bit-identical to `_simulate_direct`.
+    """
+    r = params.rates
+    p_f, p_m, D_f, D_m = float(r.p_f), float(r.p_m), float(r.D_f), float(r.D_m)
+    U_ff, U_fm, U_mf, U_mm = float(r.U_ff), float(r.U_fm), float(r.U_mf), float(r.U_mm)
+    N, t_end, grid = params.N, params.t_end, params.grid
+    x_min, x_max = grid.x_min, grid.x_max
+    rng = BufferedRng(params.seed)
+    random, exponential = rng.random, rng.exponential
+    sample_offspring = params.kernel.sample_offspring
+    females = array("d", params.initial_female.tobytes())
+    males = array("d", params.initial_male.tobytes())
+    nf, nm = len(females), len(males)
+    sum_pf, sum_pm = p_f * nf, p_m * nm
+
+    pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
+    next_due = next(pending, np.inf)
+    snapshots: list[IbmSnapshot] = []
+
+    def take_snapshots(up_to: float) -> None:
+        nonlocal next_due
+        while next_due <= up_to + 1e-12:
+            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, males, 1.0 / N),
+                                         measure_from_samples(grid, females, 1.0 / N), nm, nf))
+            next_due = next(pending, np.inf)
+
+    t = 0.0
+    n_events = births_f = births_m = deaths = clamped = 0
+    extinction_time = None
+    while True:
+        mating = sum_pf + sum_pm if nf and nm else 0.0
+        death_f = nf * (D_f + (U_ff * nf + U_fm * nm) / N)
+        death_m = nm * (D_m + (U_mm * nm + U_mf * nf) / N)
+        total = mating + (death_f + death_m)
+        if total <= 0.0:
+            if nf + nm == 0:
+                extinction_time = t
+            break
+        t_next = t + exponential(1.0 / total)
+        if t_next >= t_end:
+            break
+        if next_due <= (t_next - 1e-15) + 1e-12:
+            take_snapshots(t_next - 1e-15)
+        u = random() * total
+        if u < mating:
+            if u < sum_pf:
+                mother = int(random() * nf)
+                father = int(random() * nm)
+            else:
+                father = int(random() * nm)
+                mother = int(random() * nf)
+            child = sample_offspring(females[mother], males[father], rng)
+            if child < x_min:
+                child = x_min
+                clamped += 1
+            elif child > x_max:
+                child = x_max
+                clamped += 1
+            if random() < 0.5:
+                females.append(child)
+                nf += 1
+                sum_pf += p_f
+                births_f += 1
+            else:
+                males.append(child)
+                nm += 1
+                sum_pm += p_m
+                births_m += 1
+        else:
+            if u - mating < death_f:
+                victim = int(random() * nf)
+                females[victim] = females[-1]
+                females.pop()
+                nf -= 1
+                sum_pf -= p_f
+            else:
+                victim = int(random() * nm)
+                males[victim] = males[-1]
+                males.pop()
+                nm -= 1
+                sum_pm -= p_m
+            deaths += 1
+        t = t_next
+        n_events += 1
+    take_snapshots(t_end)
+    return IbmTrajectory(
+        snapshots=tuple(snapshots),
+        births_female=births_f,
+        births_male=births_m,
+        deaths=deaths,
+        clamped_births=clamped,
         n_events=n_events,
         extinction_time=extinction_time,
         seed=params.seed,

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from dimorph import config, ibm
 from dimorph.errors import ExtinctPopulation
 from dimorph.ibm import (BufferedRng, IbmParams, DeathEvent, MatingEvent,
                          ScaledPopulation, Sex, event_rates, simulate, step)
-from dimorph.kernels import AdditiveNoiseKernel, GaussianNoise
+from dimorph.kernels import (AdditiveNoiseKernel, GaussianNoise,
+                             MultiplicativeNoiseKernel, UniformNoise)
 from dimorph.measures import TraitGrid
 from dimorph.totals import RateSet
 
@@ -224,3 +228,167 @@ def test_params_validation():
         IbmParams(grid=GRID, rates=PERSIST, kernel=KERNEL, N=1, t_end=1.0,
                   sample_times=(0.5,), seed=0,
                   initial_female=np.array([99.0]), initial_male=np.array([0.0]))
+
+
+# -- generator conformance ------------------------------------------------------
+
+LAW_FEMALES = (-0.5, 0.5)
+LAW_MALES = (-1.0, 0.0, 1.0)
+LAW_N = 2
+LAW_DRAWS = 20_000
+
+UNEQUAL = RateSet(p_f=0.7, p_m=1.3, D_f=0.45, D_m=0.6,
+                  U_ff=0.15, U_fm=0.35, U_mf=0.2, U_mm=0.3)
+CRITERION_9 = RateSet(
+    p_f=lambda x: 2.0 + 0.2 * np.tanh(x), p_m=2.0,
+    D_f=1.0, D_m=lambda x: 1.0 + 0.05 * x**2,
+    U_ff=lambda x, y: 0.2 + 0.02 * np.abs(x - y), U_fm=0.25,
+    U_mf=0.25, U_mm=lambda x, y: 0.25 + 0.01 * np.cos(x - y))
+# capabilities spread by a factor 2.3 (females) and 7.4 (males), so a
+# partner picked uniformly instead of by capability moves whole cells
+STEEP = RateSet(
+    p_f=lambda x: 1.0 + 0.8 * x, p_m=lambda y: np.exp(y),
+    D_f=0.5, D_m=lambda y: 0.5 + 0.5 * y**2,
+    U_ff=lambda x, z: 0.3 + 0.2 * (x - z) ** 2, U_fm=0.2,
+    U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)
+
+
+def _val(entry, *traits) -> float:
+    return float(entry(*traits)) if callable(entry) else float(entry)
+
+
+def _one_step_law(rates: RateSet, females, males, n_scale: int) -> dict:
+    """Rate of every possible next jump, written from the model definition.
+
+    Female i initiates at p_f(x_i) and picks male j with probability
+    proportional to p_m(y_j), and the other way round; the child's sex is
+    a fair coin. Individual k dies at D(x_k) + (1/N) sum_l U(x_k, z_l),
+    self included.
+    """
+    pf = [_val(rates.p_f, x) for x in females]
+    pm = [_val(rates.p_m, y) for y in males]
+    law = {}
+    for i, x in enumerate(females):
+        for j, y in enumerate(males):
+            pair = pf[i] * pm[j] / sum(pm) + pm[j] * pf[i] / sum(pf)
+            for sex in Sex:
+                law[("birth", x, y, sex)] = 0.5 * pair
+    for x in females:
+        law[("death", Sex.FEMALE, x)] = _val(rates.D_f, x) + (
+            sum(_val(rates.U_ff, x, z) for z in females)
+            + sum(_val(rates.U_fm, x, z) for z in males)) / n_scale
+    for y in males:
+        law[("death", Sex.MALE, y)] = _val(rates.D_m, y) + (
+            sum(_val(rates.U_mm, y, z) for z in males)
+            + sum(_val(rates.U_mf, y, z) for z in females)) / n_scale
+    return law
+
+
+def _cell(event) -> tuple:
+    if isinstance(event, MatingEvent):
+        return ("birth", event.mother_trait, event.father_trait, event.child_sex)
+    return ("death", event.sex, event.trait)
+
+
+@pytest.mark.parametrize("rates", [UNEQUAL, CRITERION_9, STEEP],
+                         ids=["unequal-constant", "criterion-9", "steep-capability"])
+def test_one_step_law_matches_generator(rates):
+    # 2 * 3 * 2 birth cells plus 5 death cells; each draw is one step() of
+    # a fresh copy of the same population
+    law = _one_step_law(rates, LAW_FEMALES, LAW_MALES, LAW_N)
+    total = sum(law.values())
+    cells = {key: k for k, key in enumerate(law)}
+    counts = np.zeros(len(law))
+    waits = np.empty(LAW_DRAWS)
+    females, males = np.array(LAW_FEMALES), np.array(LAW_MALES)
+    rng = BufferedRng(2024)
+    for k in range(LAW_DRAWS):
+        pop = ScaledPopulation(females, males, LAW_N, rates, GRID)
+        waits[k], event = step(pop, rates, KERNEL, rng)
+        counts[cells[_cell(event)]] += 1
+    expected = LAW_DRAWS * np.array(list(law.values())) / total
+    assert expected.min() > 100
+    assert stats.chisquare(counts, expected).pvalue > 1e-3
+    assert stats.kstest(waits, "expon", args=(0.0, 1.0 / total)).pvalue > 1e-3
+
+
+# -- the constant-rate loop against the direct engine ---------------------------
+
+def _lln_config_replicas():
+    # the replicas `dimorph lln` runs for configs/lln.json at its smallest N,
+    # plus the first replica at the next N
+    cfg = config.load_config(Path(__file__).resolve().parent.parent / "configs" / "lln.json")
+    grid = config.parse_grid(cfg["grid"])
+    rates = config.parse_rates(cfg["rates"])
+    kernel = config.parse_kernel(cfg["kernel"], sample_grid=grid)
+    checkpoints = tuple(float(t) for t in cfg["checkpoints"])
+    runs = [(0, cfg["N_list"][0], r) for r in range(cfg["replicas"])] + [(1, cfg["N_list"][1], 0)]
+    out = []
+    for i, n, r in runs:
+        seed = cfg["seed"] + 10_000 * (i + 1) + r
+        rng = np.random.default_rng(seed)
+        out.append(IbmParams(
+            grid=grid, rates=rates, kernel=kernel, N=n, t_end=max(checkpoints) + 1e-3,
+            sample_times=checkpoints, seed=seed,
+            initial_female=config.sample_traits(cfg["initial_female"], n, grid, rng, ""),
+            initial_male=config.sample_traits(cfg["initial_male"], n, grid, rng, "")))
+    return out
+
+
+def _case(rates, n_females, n_males, N, t_end, sample_times, kernel=KERNEL, grid=GRID,
+          mean=0.0):
+    out = []
+    for seed in range(3):
+        rng0 = np.random.default_rng(seed)
+        traits = [np.clip(rng0.normal(mean, 0.5, n), grid.x_min, grid.x_max)
+                  for n in (n_females, n_males)]
+        out.append(IbmParams(grid=grid, rates=rates, kernel=kernel, N=N, t_end=t_end,
+                             sample_times=sample_times, seed=seed,
+                             initial_female=traits[0], initial_male=traits[1]))
+    return out
+
+
+_TIGHT = TraitGrid(-0.5, 0.5, 16)
+PINNED_CASES = {
+    "lln-config": _lln_config_replicas,
+    "subcritical-extinct": lambda: _case(
+        RateSet.constant(p_f=0.2, p_m=0.2, D_f=2.0, D_m=2.0, U=0.25), 20, 20, 20, 50.0, (1.0, 50.0)),
+    "clamped-births": lambda: _case(
+        RateSet.constant(p_f=5.0, p_m=5.0, D_f=0.1, D_m=0.1, U=0.01), 50, 50, 50, 1.0, (0.5, 1.0),
+        kernel=AdditiveNoiseKernel(GaussianNoise(2.0)), grid=_TIGHT),
+    "one-male": lambda: _case(PERSIST, 50, 1, 50, 2.0, (0.0, 2.0)),
+    "uniform-noise": lambda: _case(PERSIST, 100, 100, 100, 2.0, (1.0, 2.0),
+                                   kernel=AdditiveNoiseKernel(UniformNoise(-0.4, 0.4))),
+    "multiplicative": lambda: _case(PERSIST, 100, 100, 100, 2.0, (1.0, 2.0),
+                                    kernel=MultiplicativeNoiseKernel(UniformNoise(0.25, 0.75)),
+                                    grid=TraitGrid(0.0, 4.0, 64), mean=1.0),
+    # p_f = 0.3 and U_fm = 0.3 are not dyadic: the incremental capability
+    # sums drift from p * n, and both engines must drift alike; the run dies
+    # out, so the extinction time pins every waiting time to the last bit
+    "unequal-rates": lambda: _case(
+        RateSet(p_f=0.3, p_m=2.1, D_f=1.3, D_m=1.7, U_ff=0.1, U_fm=0.3, U_mf=0.2, U_mm=0.15),
+        150, 120, 150, 50.0, (0.7, 2.0, 50.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CASES))
+def test_constant_loop_matches_direct_engine(case):
+    trajs = []
+    for params in PINNED_CASES[case]():
+        assert params.rates.is_constant
+        fast, ref = simulate(params), ibm._simulate_direct(params)
+        assert (fast.births_female, fast.births_male, fast.deaths, fast.clamped_births,
+                fast.n_events, fast.extinction_time) == \
+            (ref.births_female, ref.births_male, ref.deaths, ref.clamped_births,
+             ref.n_events, ref.extinction_time)
+        assert len(fast.snapshots) == len(ref.snapshots)
+        for a, b in zip(fast.snapshots, ref.snapshots):
+            assert (a.time, a.n_female, a.n_male) == (b.time, b.n_female, b.n_male)
+            np.testing.assert_array_equal(a.female.weights, b.female.weights)
+            np.testing.assert_array_equal(a.male.weights, b.male.weights)
+        trajs.append(fast)
+    # each case must reach the regime it is named for
+    if case in ("subcritical-extinct", "unequal-rates"):
+        assert all(t.extinction_time is not None for t in trajs)
+    if case == "clamped-births":
+        assert all(t.clamped_births > 0 for t in trajs)
