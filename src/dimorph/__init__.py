@@ -7,11 +7,10 @@ limiting trait distribution of males and females.
 """
 
 from .errors import (ConfigError, ConvergenceFailure, DegenerateRow, DimorphError,
-                     EmptySexClass, ExtinctionDetected, ExtinctPopulation,
-                     GridMismatch, InsufficientReplicas, IoError, MassMismatch,
-                     MeanConditionError, NoConvergence, StepRejected,
-                     UnsupportedKernel, ZeroMass)
-from .measures import (GridMeasure, SignedCdf, TraitGrid, gaussian_measure,
+                     ExtinctionDetected, ExtinctPopulation, GridMismatch,
+                     InsufficientReplicas, IoError, MassMismatch, MeanConditionError,
+                     NoConvergence, StepRejected, UnsupportedKernel, ZeroMass)
+from .measures import (GridMeasure, TraitGrid, gaussian_measure,
                        measure_from_samples, moment, normalize, point_mass,
                        total_mass, total_variation, uniform_measure, wasserstein1)
 from .kernels import (AdditiveNoiseKernel, CustomDensityKernel, GaussianNoise,

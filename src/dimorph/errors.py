@@ -33,15 +33,6 @@ class ExtinctPopulation(DimorphError):
     """No event can occur: the total event rate is zero."""
 
 
-class EmptySexClass(DimorphError):
-    """A mating denominator vanished.
-
-    Raised only by callers that demand an active birth term; the solvers
-    themselves switch to pure-death dynamics and record the condition in
-    their diagnostics instead of raising.
-    """
-
-
 class StepRejected(DimorphError):
     """Step-rejection positivity control exhausted its retry budget."""
 

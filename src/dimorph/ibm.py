@@ -255,9 +255,6 @@ class ScaledPopulation:
 
     # -- trait-dependent machinery -------------------------------------------
 
-    def _rate_fn(self, entry, x):
-        return entry(x) if callable(entry) else np.full_like(np.asarray(x, dtype=float), entry)
-
     def _u(self, name: str, x, y):
         entry = getattr(self.rates, name)
         if callable(entry):
@@ -267,10 +264,10 @@ class ScaledPopulation:
 
     def _init_general(self) -> None:
         r = self.rates
-        for cls, p_entry, d_entry in ((self.f, r.p_f, r.D_f), (self.m, r.p_m, r.D_m)):
+        for cls, p_name, d_name in ((self.f, "p_f", "D_f"), (self.m, "p_m", "D_m")):
             t = cls.active(cls.traits)
-            cls.p[: cls.n] = self._rate_fn(p_entry, t)
-            cls.d[: cls.n] = self._rate_fn(d_entry, t)
+            cls.p[: cls.n] = r.at(p_name, t)
+            cls.d[: cls.n] = r.at(d_name, t)
         tf = self.f.active(self.f.traits)
         tm = self.m.active(self.m.traits)
         # load_i = (1/N) sum_j U(x_i, w_j) over the whole population, self included
@@ -311,16 +308,16 @@ class ScaledPopulation:
                    + np.asarray(self._u("U_fm", trait, tm)).sum()) / self.N
             inc_f = np.asarray(self._u("U_ff", tf, trait)) / self.N
             inc_m = np.asarray(self._u("U_mf", tm, trait)) / self.N
-            p_new, d_new = float(self._rate_fn(r.p_f, np.array([trait]))[0]), \
-                float(self._rate_fn(r.D_f, np.array([trait]))[0])
+            p_new, d_new = float(r.at("p_f", np.array([trait]))[0]), \
+                float(r.at("D_f", np.array([trait]))[0])
             self.births_female += 1
         else:
             own = (np.asarray(self._u("U_mm", trait, tm)).sum() + self._u("U_mm", trait, trait)
                    + np.asarray(self._u("U_mf", trait, tf)).sum()) / self.N
             inc_f = np.asarray(self._u("U_fm", tf, trait)) / self.N
             inc_m = np.asarray(self._u("U_mm", tm, trait)) / self.N
-            p_new, d_new = float(self._rate_fn(r.p_m, np.array([trait]))[0]), \
-                float(self._rate_fn(r.D_m, np.array([trait]))[0])
+            p_new, d_new = float(r.at("p_m", np.array([trait]))[0]), \
+                float(r.at("D_m", np.array([trait]))[0])
             self.births_male += 1
         self.f.load[: self.f.n] += inc_f
         self.f.sum_load += float(inc_f.sum())
@@ -392,8 +389,8 @@ class ScaledPopulation:
             if self.f.n:
                 lm = lm + np.asarray(self._u("U_mf", tm[:, None], tf[None, :])).sum(axis=1) / self.N
         return {
-            "sum_p_female": float(self._rate_fn(r.p_f, tf).sum()),
-            "sum_p_male": float(self._rate_fn(r.p_m, tm).sum()),
+            "sum_p_female": float(r.at("p_f", tf).sum()),
+            "sum_p_male": float(r.at("p_m", tm).sum()),
             "sum_load_female": float(lf.sum()),
             "sum_load_male": float(lm.sum()),
         }

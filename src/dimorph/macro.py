@@ -3,20 +3,22 @@
 Covers the raw two-sex system (male and female trait measures with
 mating, inheritance, natural death and competition), and the normalized
 probability-measure system driven by a constant or time-varying sex
-ratio. Explicit Euler and classic RK4 steppers with positivity control.
+ratio. Both are advanced by the shared stepping core in
+``dimorph.stepping``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import stability
-from .errors import ExtinctionDetected, StepRejected
+from .errors import ExtinctionDetected
 from .kernels import InheritanceKernel, birth_weights
 from .measures import GridMeasure, TraitGrid, gaussian_measure, normalize
+from .stepping import SolverConfig, SolverDiagnostics, march
 from .totals import (Classification, RateSet, classify, fit_exponential_tail,
                      stationary_point)
 
@@ -32,10 +34,6 @@ __all__ = [
     "coupled_full_run",
     "suggest_dt",
 ]
-
-# Weights this far below zero (relative to the largest weight) mean the
-# step genuinely overshot; smaller excursions are rounding dust.
-_NEG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,43 +51,6 @@ class MacroState:
     @property
     def masses(self) -> tuple[float, float]:
         return self.m.mass, self.f.mass
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Fixed-step explicit solver settings.
-
-    positivity: "clip" zeroes negative weights, "clip-renormalize" also
-    restores the pre-clip mass (meant for probability systems), "reject"
-    retries the step with halved sub-steps up to 20 times.
-    """
-
-    dt: float
-    t_end: float
-    scheme: str = "rk4"
-    positivity: str = "clip"
-    sample_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if self.scheme not in ("rk4", "euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.positivity not in ("clip", "clip-renormalize", "reject"):
-            raise ValueError(f"unknown positivity mode {self.positivity!r}")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
-
-
-@dataclass
-class SolverDiagnostics:
-    """Positivity interventions and degenerate-denominator bookkeeping."""
-
-    clipped_mass: float = 0.0
-    min_weight_seen: float = 0.0
-    empty_denominator_steps: int = 0
-    max_mass_drift: float = 0.0
-    dt_bound: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -126,15 +87,6 @@ class NormalizedTrajectory:
 # Rate tables on a grid
 
 
-def _as_vector(entry, centers: np.ndarray) -> np.ndarray:
-    if callable(entry):
-        v = np.asarray(entry(centers), dtype=float)
-        if v.shape != centers.shape:
-            raise ValueError("trait-rate functions must map the center vector to itself")
-        return v
-    return np.full(centers.shape, float(entry))
-
-
 class _GridRates:
     """Demographic rates precompiled onto a grid.
 
@@ -144,10 +96,10 @@ class _GridRates:
 
     def __init__(self, rates: RateSet, grid: TraitGrid):
         c = grid.centers
-        self.pf = _as_vector(rates.p_f, c)
-        self.pm = _as_vector(rates.p_m, c)
-        self.df = _as_vector(rates.D_f, c)
-        self.dm = _as_vector(rates.D_m, c)
+        self.pf = rates.at("p_f", c)
+        self.pm = rates.at("p_m", c)
+        self.df = rates.at("D_f", c)
+        self.dm = rates.at("D_m", c)
         self.u = {}
         for name in ("U_ff", "U_fm", "U_mf", "U_mm"):
             entry = getattr(rates, name)
@@ -164,6 +116,17 @@ class _GridRates:
         if isinstance(u, float):
             return u * weights.sum()
         return u @ weights
+
+    def deaths(self, mw: np.ndarray, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-capita (male, female) death fields at the given weights."""
+        return (self.dm + self.competition("U_mm", mw) + self.competition("U_mf", fw),
+                self.df + self.competition("U_fm", mw) + self.competition("U_ff", fw))
+
+    def dt_bound(self, mw: np.ndarray, fw: np.ndarray, safety: float = 0.1) -> float:
+        """Explicit-step bound from the largest per-capita rate."""
+        death_m, death_f = self.deaths(mw, fw)
+        rmax = float(max(np.max(death_m + self.pm), np.max(death_f + self.pf)))
+        return safety / rmax if rmax > 0 else float("inf")
 
 
 def _birth_and_death(gr: _GridRates, kernel: InheritanceKernel, grid: TraitGrid,
@@ -190,9 +153,7 @@ def _birth_and_death(gr: _GridRates, kernel: InheritanceKernel, grid: TraitGrid,
             empty = True
     else:
         empty = True
-    death_m = gr.dm + gr.competition("U_mm", mw) + gr.competition("U_mf", fw)
-    death_f = gr.df + gr.competition("U_fm", mw) + gr.competition("U_ff", fw)
-    return birth, death_m, death_f, empty
+    return (birth, *gr.deaths(mw, fw), empty)
 
 
 def rhs_general(state: MacroState, rates: RateSet, kernel: InheritanceKernel):
@@ -210,66 +171,7 @@ def rhs_general(state: MacroState, rates: RateSet, kernel: InheritanceKernel):
 
 def suggest_dt(state: MacroState, rates: RateSet, safety: float = 0.1) -> float:
     """Explicit-step bound from the largest per-capita rate at the given state."""
-    grid = state.m.grid
-    gr = _GridRates(rates, grid)
-    mw, fw = state.m.weights, state.f.weights
-    rate_m = gr.dm + gr.competition("U_mm", mw) + gr.competition("U_mf", fw) + gr.pm
-    rate_f = gr.df + gr.competition("U_fm", mw) + gr.competition("U_ff", fw) + gr.pf
-    rmax = float(max(np.max(rate_m), np.max(rate_f)))
-    return safety / rmax if rmax > 0 else float("inf")
-
-
-# ---------------------------------------------------------------------------
-# Stepping machinery
-
-
-def _advance(y: np.ndarray, t: float, dt: float, rhs, scheme: str) -> np.ndarray:
-    if scheme == "euler":
-        return y + dt * rhs(t, y)
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_with_positivity(y, t, dt, rhs, cfg: SolverConfig, diag: SolverDiagnostics,
-                          n_components: int):
-    """One accepted step of size dt, honoring the positivity mode.
-
-    y is the stacked weight matrix (n_components, n_cells).
-    """
-    if cfg.positivity == "reject":
-        scale = max(float(np.abs(y).max()), 1e-300)
-        for k in range(21):
-            sub = 2**k
-            h = dt / sub
-            cand = y
-            ok = True
-            for i in range(sub):
-                cand = _advance(cand, t + i * h, h, rhs, cfg.scheme)
-                if cand.min() < -_NEG_TOL * scale:
-                    ok = False
-                    break
-            if ok:
-                diag.min_weight_seen = min(diag.min_weight_seen, float(cand.min()))
-                return np.clip(cand, 0.0, None)
-        raise StepRejected(f"positivity not restored after 20 halvings at t = {t}")
-
-    out = _advance(y, t, dt, rhs, cfg.scheme)
-    mn = float(out.min())
-    diag.min_weight_seen = min(diag.min_weight_seen, mn)
-    if mn < 0.0:
-        diag.clipped_mass += float(-out[out < 0].sum())
-        clipped = np.clip(out, 0.0, None)
-        if cfg.positivity == "clip-renormalize":
-            for i in range(n_components):
-                target = out[i].sum()
-                got = clipped[i].sum()
-                if got > 0 and target > 0:
-                    clipped[i] *= target / got
-        out = clipped
-    return out
+    return _GridRates(rates, state.m.grid).dt_bound(state.m.weights, state.f.weights, safety)
 
 
 # ---------------------------------------------------------------------------
@@ -284,32 +186,21 @@ def integrate(state0: MacroState, rates: RateSet, kernel: InheritanceKernel,
     """
     grid = state0.m.grid
     gr = _GridRates(rates, grid)
-    diag = SolverDiagnostics()
-    diag.dt_bound = suggest_dt(state0, rates)
+    diag = SolverDiagnostics(dt_bound=gr.dt_bound(state0.m.weights, state0.f.weights))
     if config.dt > diag.dt_bound:
         raise ValueError(
             f"dt = {config.dt} exceeds the stability bound {diag.dt_bound:.3e} "
             "from the pre-run rate scan"
         )
 
-    empties = [0]
-
     def rhs(_t, y):
         birth, death_m, death_f, empty = _birth_and_death(gr, kernel, grid, y[0], y[1])
-        if empty:
-            empties[0] += 1
+        diag.empty_denominator_steps += empty
         return np.stack([birth - death_m * y[0], birth - death_f * y[1]])
 
-    y = np.stack([state0.m.weights, state0.f.weights])
-    t = state0.t
-    n_steps = int(round(config.t_end / config.dt))
-    states = [MacroState(state0.m, state0.f, t)]
-    for i in range(n_steps):
-        y = _step_with_positivity(y, t, config.dt, rhs, config, diag, 2)
-        t = state0.t + (i + 1) * config.dt
-        if (i + 1) % config.sample_stride == 0 or i + 1 == n_steps:
-            states.append(MacroState(GridMeasure(grid, y[0]), GridMeasure(grid, y[1]), t))
-    diag.empty_denominator_steps = empties[0]
+    states = [MacroState(GridMeasure(grid, y[0]), GridMeasure(grid, y[1]), t)
+              for t, y in march(np.stack([state0.m.weights, state0.f.weights]),
+                                state0.t, rhs, config, diag)]
     return MacroTrajectory(states, diag)
 
 
@@ -333,13 +224,10 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     a0 = float(a_of(0.0))
     if a0 <= 0:
         raise ValueError(f"sex-ratio constant must be positive, got {a0}")
-    cfg = config if positivity is None else SolverConfig(
-        config.dt, config.t_end, config.scheme, positivity, config.sample_stride)
     if positivity is None and config.positivity == "clip":
-        cfg = SolverConfig(config.dt, config.t_end, config.scheme,
-                           "clip-renormalize", config.sample_stride)
-    diag = SolverDiagnostics()
-    diag.dt_bound = 0.1 / max(1.0, a0)
+        positivity = "clip-renormalize"
+    cfg = config if positivity is None else replace(config, positivity=positivity)
+    diag = SolverDiagnostics(dt_bound=0.1 / max(1.0, a0))
     if cfg.dt > diag.dt_bound:
         raise ValueError(
             f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
@@ -349,25 +237,17 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
         a = float(a_of(t))
         return np.stack([p - y[0], a * (p - y[1])])
 
-    y = np.stack([mu0.weights, nu0.weights])
-    t = 0.0
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    times = [0.0]
-    mus = [mu0]
-    nus = [nu0]
-    for i in range(n_steps):
-        y = _step_with_positivity(y, t, cfg.dt, rhs, cfg, diag, 2)
-        t = (i + 1) * cfg.dt
+    def after_step(y):
         diag.max_mass_drift = max(diag.max_mass_drift,
                                   abs(y[0].sum() - 1.0), abs(y[1].sum() - 1.0))
         if cfg.positivity == "clip-renormalize":
             y[0] /= y[0].sum()
             y[1] /= y[1].sum()
-        if (i + 1) % cfg.sample_stride == 0 or i + 1 == n_steps:
-            times.append(t)
-            mus.append(GridMeasure(grid, y[0]))
-            nus.append(GridMeasure(grid, y[1]))
-    return NormalizedTrajectory(np.array(times), mus, nus, diag)
+
+    times, mus, nus = zip(*[(t, GridMeasure(grid, y[0]), GridMeasure(grid, y[1]))
+                            for t, y in march(np.stack([mu0.weights, nu0.weights]), 0.0,
+                                              rhs, cfg, diag, after_step)])
+    return NormalizedTrajectory(np.array(times), list(mus), list(nus), diag)
 
 
 @dataclass(frozen=True)

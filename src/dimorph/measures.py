@@ -18,7 +18,6 @@ from .errors import GridMismatch, MassMismatch, ZeroMass
 __all__ = [
     "TraitGrid",
     "GridMeasure",
-    "SignedCdf",
     "total_mass",
     "moment",
     "mean",
@@ -26,7 +25,6 @@ __all__ = [
     "wasserstein1",
     "total_variation",
     "normalize",
-    "signed_cdf",
     "point_mass",
     "uniform_measure",
     "gaussian_measure",
@@ -131,26 +129,11 @@ class GridMeasure:
         """Cell-averaged density view (mass per trait unit)."""
         return self.weights / self.grid.dx
 
-    def with_weights(self, weights: np.ndarray) -> "GridMeasure":
-        return GridMeasure(self.grid, weights)
-
     def mean(self) -> float:
         return mean(self)
 
     def variance(self) -> float:
         return variance(self)
-
-
-@dataclass(frozen=True, eq=False)
-class SignedCdf:
-    """Cumulative distribution function of the signed measure a - b.
-
-    values[i] is (a - b) applied to the cells up to and including cell i;
-    the last entry equals mass(a) - mass(b).
-    """
-
-    grid: TraitGrid
-    values: np.ndarray
 
 
 def _require_same_grid(a: GridMeasure, b: GridMeasure) -> None:
@@ -183,11 +166,6 @@ def variance(m: GridMeasure) -> float:
     """Second central moment of the normalized measure."""
     mu = mean(m)
     return moment(m, 2) / m.mass - mu * mu
-
-
-def signed_cdf(a: GridMeasure, b: GridMeasure) -> SignedCdf:
-    _require_same_grid(a, b)
-    return SignedCdf(a.grid, np.cumsum(a.weights - b.weights))
 
 
 def wasserstein1(a: GridMeasure, b: GridMeasure, mass_tol: float = MASS_TOLERANCE) -> float:

@@ -165,13 +165,6 @@ def convergence_report(times: Sequence[float] | np.ndarray,
                              monotone, monotone_floor)
 
 
-def report_trajectory(traj, mu_star: GridMeasure,
-                      monotone_floor: float = 0.0) -> ConvergenceReport:
-    """convergence_report for a NormalizedTrajectory."""
-    return convergence_report(traj.times, traj.mus, traj.nus, mu_star,
-                              monotone_floor=monotone_floor)
-
-
 @dataclass(frozen=True)
 class LlnErrorTable:
     """Wasserstein error of scaled stochastic runs against the solver.

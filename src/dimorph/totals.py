@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceFailure
+from .stepping import SolverConfig, SolverDiagnostics, march
 
 __all__ = [
     "RateSet",
@@ -81,6 +82,24 @@ class RateSet:
         if not self.is_constant:
             raise ValueError("this operation requires constant rates")
         return self
+
+    def at(self, name: str, traits: np.ndarray) -> np.ndarray:
+        """Capability or death rate `name` (p_f, p_m, D_f, D_m) at each trait.
+
+        A callable entry must be non-negative at every trait it is asked
+        for; a zero rate there freezes that event, a negative one has no
+        meaning as an event rate.
+        """
+        entry = getattr(self, name)
+        if not callable(entry):
+            return np.full(traits.shape, float(entry))
+        v = np.asarray(entry(traits), dtype=float)
+        if v.shape != traits.shape:
+            raise ValueError(f"{name} must map a trait vector to a vector of the same shape")
+        if v.size and not v.min() >= 0:
+            i = int(np.argmin(v >= 0))
+            raise ValueError(f"{name} must be non-negative, got {v[i]} at trait {traits[i]}")
+        return v
 
     @classmethod
     def constant(cls, p_f: float, p_m: float, D_f: float, D_m: float, U: float) -> "RateSet":
@@ -274,34 +293,21 @@ class TotalsSeries:
 
 def integrate_totals(state0: TotalsState, rates: RateSet, t_end: float,
                      dt: float = 0.01) -> TotalsSeries:
-    """Classic fourth-order Runge-Kutta integration of the mass system."""
+    """Classic fourth-order Runge-Kutta integration of the mass system,
+    with negative masses clipped to zero after every step."""
     rates.require_constant()
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    n_steps = int(round(t_end / dt))
 
-    def f(y: np.ndarray) -> np.ndarray:
+    def f(_t, y: np.ndarray) -> np.ndarray:
         lam = 0.5 * (rates.p_f * y[1] + rates.p_m * y[0])
         return np.array([
             lam - (rates.D_m + rates.U_mm * y[0] + rates.U_mf * y[1]) * y[0],
             lam - (rates.D_f + rates.U_fm * y[0] + rates.U_ff * y[1]) * y[1],
         ])
 
-    y = np.array([state0.M, state0.F], dtype=float)
-    ts = np.empty(n_steps + 1)
-    out = np.empty((n_steps + 1, 2))
-    ts[0] = 0.0
-    out[0] = y
-    for i in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        y = np.maximum(y, 0.0)
-        ts[i + 1] = (i + 1) * dt
-        out[i + 1] = y
-    return TotalsSeries(ts, out[:, 0], out[:, 1])
+    times, ys = zip(*march(np.array([state0.M, state0.F], dtype=float), 0.0, f,
+                           SolverConfig(dt, t_end), SolverDiagnostics()))
+    out = np.array(ys)
+    return TotalsSeries(np.array(times), out[:, 0], out[:, 1])
 
 
 def fit_exponential_tail(t: np.ndarray, dist: np.ndarray,

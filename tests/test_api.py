@@ -1,0 +1,31 @@
+"""Every exported or re-exported name of the package resolves."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import dimorph
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(dimorph.__path__)
+                 if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"dimorph.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"dimorph.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(dimorph.__file__).read_text())
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    for module, name in imported:
+        source = importlib.import_module(f"dimorph.{module}")
+        assert hasattr(source, name), f"dimorph.{module} has no {name}"
+        assert getattr(dimorph, name) is getattr(source, name)

@@ -54,6 +54,20 @@ def test_event_rates_competition_includes_self():
     assert s.mating_total == 0.0
 
 
+def test_negative_trait_rate_rejected():
+    # p_f(x) = x is negative for the female at -2, D_m(x) = 0.5 - x for a male at 1
+    rates = RateSet(p_f=lambda x: x, p_m=1.0, D_f=1.0, D_m=lambda x: 0.5 - x,
+                    U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    with pytest.raises(ValueError, match=r"p_f must be non-negative, got -2\.0 at trait -2\.0"):
+        ScaledPopulation(np.array([-2.0, 1.0]), np.array([0.0]), 1, rates, GRID)
+    pop = ScaledPopulation(np.array([1.0]), np.array([0.0]), 1, rates, GRID)
+    with pytest.raises(ValueError, match="p_f must be non-negative"):
+        pop.add(-0.5, Sex.FEMALE)
+    with pytest.raises(ValueError, match="D_m must be non-negative"):
+        pop.add(1.0, Sex.MALE)
+    assert pop.size == 2 and pop.births_female == pop.births_male == 0
+
+
 def test_step_single_male_death_only():
     rates = RateSet.constant(p_f=5.0, p_m=5.0, D_f=1.0, D_m=1.0, U=0.25)
     pop = ScaledPopulation(np.array([]), np.array([0.3]), 1, rates, GRID)
@@ -245,9 +259,10 @@ CRITERION_9 = RateSet(
     U_ff=lambda x, y: 0.2 + 0.02 * np.abs(x - y), U_fm=0.25,
     U_mf=0.25, U_mm=lambda x, y: 0.25 + 0.01 * np.cos(x - y))
 # capabilities spread by a factor 2.3 (females) and 7.4 (males), so a
-# partner picked uniformly instead of by capability moves whole cells
+# partner picked uniformly instead of by capability moves whole cells; the
+# female capability is held at zero below -1.25, where newborns can land
 STEEP = RateSet(
-    p_f=lambda x: 1.0 + 0.8 * x, p_m=lambda y: np.exp(y),
+    p_f=lambda x: np.maximum(1.0 + 0.8 * x, 0.0), p_m=lambda y: np.exp(y),
     D_f=0.5, D_m=lambda y: 0.5 + 0.5 * y**2,
     U_ff=lambda x, z: 0.3 + 0.2 * (x - z) ** 2, U_fm=0.2,
     U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)

@@ -3,12 +3,12 @@ import pytest
 
 from dimorph.errors import StepRejected
 from dimorph.kernels import AdditiveNoiseKernel, GaussianNoise
-from dimorph.macro import (MacroState, SolverConfig, SolverDiagnostics,
-                           _step_with_positivity, coupled_full_run, integrate,
+from dimorph.macro import (MacroState, SolverConfig, coupled_full_run, integrate,
                            integrate_normalized, rhs_general, suggest_dt)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                               point_mass, wasserstein1)
 from dimorph.stability import limiting_mean
+from dimorph.stepping import SolverDiagnostics, _step_with_positivity
 from dimorph.totals import RateSet, TotalsState, integrate_totals, stationary_point
 
 GRID = TraitGrid(-8.0, 8.0, 128)
@@ -127,21 +127,87 @@ def test_normalized_mean_gap_and_conservation():
     assert ns[-1] == pytest.approx(target, abs=1e-3)
 
 
-def test_time_step_refinement_order():
+def _time_step_refinement_order(scheme):
     mu0 = gaussian_measure(GRID, 1.0, 0.6)
     nu0 = gaussian_measure(GRID, -0.5, 0.9)
 
     def run(dt):
         traj = integrate_normalized(mu0, nu0, 1.5, KERNEL,
-                                    SolverConfig(dt=dt, t_end=2.0, sample_stride=10**9),
+                                    SolverConfig(dt=dt, t_end=2.0, scheme=scheme,
+                                                 sample_stride=10**9),
                                     positivity="clip")
         return np.concatenate([traj.mus[-1].weights, traj.nus[-1].weights])
 
     y1, y2, y4 = run(0.04), run(0.02), run(0.01)
     e12 = np.abs(y1 - y2).sum()
     e24 = np.abs(y2 - y4).sum()
-    order = np.log2(e12 / e24)
-    assert order >= 3.5
+    return np.log2(e12 / e24)
+
+
+def test_time_step_refinement_order():
+    assert _time_step_refinement_order("rk4") >= 3.5
+
+
+def test_euler_time_step_refinement_order():
+    assert 0.8 <= _time_step_refinement_order("euler") <= 1.5
+
+
+def test_callable_constant_sex_ratio_matches_constant():
+    mu0 = gaussian_measure(GRID, 1.0, 0.5)
+    nu0 = gaussian_measure(GRID, 4.0, 0.5)
+    cfg = SolverConfig(dt=0.01, t_end=2.0, sample_stride=50)
+    const = integrate_normalized(mu0, nu0, 2.0, KERNEL, cfg)
+    called = integrate_normalized(mu0, nu0, lambda _t: 2.0, KERNEL, cfg)
+    np.testing.assert_array_equal(const.times, called.times)
+    for a, b in zip(const.mus + const.nus, called.mus + called.nus):
+        np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_time_varying_sex_ratio_mean_gap():
+    # (m - n)' = -(1 + A(t)) (m - n) / 2 with A(t) = 2 + sin t
+    mu0 = gaussian_measure(GRID, 1.0, 0.5)
+    nu0 = gaussian_measure(GRID, 4.0, 0.5)
+    traj = integrate_normalized(mu0, nu0, lambda t: 2.0 + np.sin(t), KERNEL,
+                                SolverConfig(dt=0.01, t_end=10.0, sample_stride=100))
+    gap = np.abs(np.array([mean(m) - mean(n) for m, n in zip(traj.mus, traj.nus)]))
+    t = traj.times
+    expected = 3.0 * np.exp(-(1.5 * t + 0.5 * (1.0 - np.cos(t))))
+    assert np.max(np.abs(gap - expected)) <= 1e-4
+
+
+def test_last_sample_at_t_end_when_stride_does_not_divide():
+    m0 = gaussian_measure(GRID, 0.0, 1.0)
+    cfg = SolverConfig(dt=0.01, t_end=1.0, sample_stride=30)
+    raw = integrate(MacroState(m0, m0), PERSIST, KERNEL, cfg)
+    norm = integrate_normalized(m0, m0, 1.0, KERNEL, cfg)
+    for times in (raw.times, norm.times):
+        np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-12)
+
+
+def test_reject_without_overshoot_matches_clip():
+    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=0.8)
+    f0 = gaussian_measure(GRID, -0.5, 0.7, mass=1.4)
+
+    def run(mode):
+        return integrate(MacroState(m0, f0), PERSIST, KERNEL,
+                         SolverConfig(dt=0.01, t_end=2.0, positivity=mode,
+                                      sample_stride=20))
+
+    clip, reject = run("clip"), run("reject")
+    assert clip.diagnostics.clipped_mass == 0.0
+    np.testing.assert_array_equal(clip.times, reject.times)
+    for a, b in zip(clip.states, reject.states):
+        np.testing.assert_array_equal(a.m.weights, b.m.weights)
+        np.testing.assert_array_equal(a.f.weights, b.f.weights)
+
+
+def test_negative_trait_rate_rejected():
+    rates = RateSet(p_f=lambda x: x, p_m=1.0, D_f=1.0, D_m=1.0,
+                    U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    m0 = point_mass(GRID, 0.0)
+    f0 = GridMeasure(GRID, point_mass(GRID, -2.0).weights + point_mass(GRID, 1.0).weights)
+    with pytest.raises(ValueError, match="p_f must be non-negative"):
+        integrate(MacroState(m0, f0), rates, KERNEL, SolverConfig(dt=0.01, t_end=1.0))
 
 
 def test_grid_refinement_order():
@@ -185,13 +251,13 @@ def test_positivity_modes_on_synthetic_overshoot():
     y0 = np.full((1, 4), 0.5)
     diag = SolverDiagnostics()
     cfg_clip = SolverConfig(dt=0.1, t_end=1.0, positivity="clip")
-    out = _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_clip, diag, 1)
+    out = _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_clip, diag)
     assert np.all(out >= 0.0)
     assert diag.clipped_mass > 0.0
 
     cfg_reject = SolverConfig(dt=0.1, t_end=1.0, positivity="reject")
     with pytest.raises(StepRejected):
-        _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_reject, SolverDiagnostics(), 1)
+        _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_reject, SolverDiagnostics())
 
 
 def test_coupled_run_detects_mass_floor():

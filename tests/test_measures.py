@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dimorph.errors import GridMismatch, MassMismatch, ZeroMass
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
                               measure_from_samples, moment, normalize,
-                              point_mass, signed_cdf, total_mass,
+                              point_mass, total_mass,
                               total_variation, uniform_measure, wasserstein1)
 
 
@@ -124,13 +124,6 @@ def test_normalize_examples(grid):
 
     with pytest.raises(ZeroMass):
         normalize(GridMeasure(grid, np.zeros(grid.n_cells)))
-
-
-def test_signed_cdf_endpoint(grid):
-    a = gaussian_measure(grid, 3.0, 0.7, mass=1.2)
-    b = uniform_measure(grid, 2.0, 6.0, mass=0.4)
-    cdf = signed_cdf(a, b)
-    assert cdf.values[-1] == pytest.approx(a.mass - b.mass)
 
 
 def test_measure_from_samples(grid):
