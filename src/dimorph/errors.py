@@ -38,12 +38,7 @@ class StepRejected(DimorphError):
 
 
 class ConvergenceFailure(DimorphError):
-    """Root finder could not reach the requested residual."""
-
-    def __init__(self, message, best_point=None, best_residual=None):
-        super().__init__(message)
-        self.best_point = best_point
-        self.best_residual = best_residual
+    """Stationary-point solve found no unique root meeting its residual target."""
 
 
 class NoConvergence(DimorphError):

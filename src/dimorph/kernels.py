@@ -173,7 +173,6 @@ class _SumRowTable:
     matrix: np.ndarray  # (2n-1, n) unit-sum row masses
     valid: np.ndarray  # rows with positive in-grid mass
     tails: np.ndarray  # truncated mass per row, NaN where degenerate
-    max_tail: float
 
 
 class InheritanceKernel:
@@ -224,9 +223,8 @@ class InheritanceKernel:
             sums = 2.0 * grid.x_min + (np.arange(2 * n - 1) + 1.0) * grid.dx
             matrix, tails = self.sum_row_masses(sums, grid)
             valid = ~np.isnan(tails)
-            max_tail = float(np.nanmax(tails)) if valid.any() else float("nan")
             matrix = np.where(valid[:, None], matrix, 0.0)
-            table = _SumRowTable(matrix, valid, tails, max_tail)
+            table = _SumRowTable(matrix, valid, tails)
             self._tables[grid] = table
         return table
 
@@ -447,14 +445,14 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                   grid: TraitGrid, method: str = "auto") -> np.ndarray:
     """Array-level birth operator core; no measure validation.
 
-    method: "auto" picks the parent-sum fast path when available, "fast"
-    requires it, "exact" forces the direct tensor contraction.
+    method: "auto" picks the parent-sum fast path when available, "exact"
+    forces the direct tensor contraction (the reference).
     """
     if not kernel.supports_density:
         raise UnsupportedKernel("birth operator needs density rows")
-    if method not in ("auto", "fast", "exact"):
+    if method not in ("auto", "exact"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "fast") and kernel.sum_structured:
+    if method == "auto" and kernel.sum_structured:
         table = kernel._table(grid)
         conv = np.convolve(wa, wb)
         total = max(conv.sum(), 1e-300)
@@ -475,8 +473,6 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                 stacklevel=2,
             )
         return conv @ table.matrix
-    if method == "fast":
-        raise ValueError(f"{type(kernel).__name__} has no fast path")
     # direct contraction over parent pairs: the reference mode; pairs with
     # negligible joint weight are skipped, matching the fast-path tolerance
     out = np.zeros(grid.n_cells)

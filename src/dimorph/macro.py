@@ -193,14 +193,23 @@ def integrate(state0: MacroState, rates: RateSet, kernel: InheritanceKernel,
             "from the pre-run rate scan"
         )
 
+    # set by any stage (or rejected retry) of the step under way
+    empty_in_step = False
+
     def rhs(_t, y):
+        nonlocal empty_in_step
         birth, death_m, death_f, empty = _birth_and_death(gr, kernel, grid, y[0], y[1])
-        diag.empty_denominator_steps += empty
+        empty_in_step |= empty
         return np.stack([birth - death_m * y[0], birth - death_f * y[1]])
+
+    def after_step(_y):
+        nonlocal empty_in_step
+        diag.empty_denominator_steps += empty_in_step
+        empty_in_step = False
 
     states = [MacroState(GridMeasure(grid, y[0]), GridMeasure(grid, y[1]), t)
               for t, y in march(np.stack([state0.m.weights, state0.f.weights]),
-                                state0.t, rhs, config, diag)]
+                                state0.t, rhs, config, diag, after_step)]
     return MacroTrajectory(states, diag)
 
 

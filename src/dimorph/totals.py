@@ -4,14 +4,16 @@ The male and female total masses follow a planar ODE driven by a shared
 birth rate and sex-specific death and competition losses. Whether the
 population persists or dies out is decided by the threshold
 p_m/D_m + p_f/D_f versus 2; in the persistence regime the masses settle
-at the unique positive root of a polynomial system, found here by damped
-multi-start Newton.
+at the unique positive root of a polynomial system. Writing M = A*F turns
+that system into one cubic in the sex ratio A, so the root has a closed
+form, polished by two Newton steps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "TotalsSeries",
     "totals_rhs",
     "classify",
+    "positive_roots",
     "stationary_point",
     "integrate_totals",
     "fit_exponential_tail",
@@ -71,7 +74,7 @@ class RateSet:
         if self.is_constant and self.p_f + self.p_m <= 0:
             raise ValueError("p_f + p_m must be positive")
 
-    @property
+    @cached_property
     def is_constant(self) -> bool:
         return all(
             isinstance(getattr(self, f), (int, float))
@@ -120,9 +123,6 @@ class TotalsState:
         if self.M < 0 or self.F < 0:
             raise ValueError("masses must be non-negative")
 
-    def birth_rate(self, rates: RateSet) -> float:
-        return 0.5 * (rates.p_f * self.F + rates.p_m * self.M)
-
     @property
     def sex_ratio(self) -> float:
         """Male to female mass ratio; requires F > 0."""
@@ -155,13 +155,17 @@ class StationaryResult:
         return self.classification is Classification.PERSISTENCE
 
 
-def totals_rhs(state: TotalsState, rates: RateSet) -> tuple[float, float]:
-    """Right-hand side of the planar mass system."""
+def totals_rhs(state: TotalsState | np.ndarray, rates: RateSet) -> tuple:
+    """Right-hand side (dM, dF) of the planar mass system.
+
+    state is a TotalsState or an (M, F) pair of scalars or of equal-shape
+    arrays, such as a stacked state of shape (2, k) holding k systems.
+    """
     rates.require_constant()
-    lam = state.birth_rate(rates)
-    dM = lam - (rates.D_m + rates.U_mm * state.M + rates.U_mf * state.F) * state.M
-    dF = lam - (rates.D_f + rates.U_fm * state.M + rates.U_ff * state.F) * state.F
-    return dM, dF
+    M, F = (state.M, state.F) if isinstance(state, TotalsState) else state
+    lam = 0.5 * (rates.p_f * F + rates.p_m * M)
+    return (lam - (rates.D_m + rates.U_mm * M + rates.U_mf * F) * M,
+            lam - (rates.D_f + rates.U_fm * M + rates.U_ff * F) * F)
 
 
 def classify(rates: RateSet) -> Classification:
@@ -203,79 +207,55 @@ def poly_relative_residual(rates: RateSet, M: float, F: float) -> float:
     return max(abs(g[0]) / t1, abs(g[1]) / t2)
 
 
-def _newton_from(rates: RateSet, start: np.ndarray,
-                 tol: float = 1e-13, max_iter: int = 60) -> np.ndarray | None:
-    """Damped Newton kept inside the positive quadrant; None when it stalls.
+def positive_roots(rates: RateSet) -> list[tuple[float, float]]:
+    """Every root (M, F) of the polynomial system with M > 0 and F > 0.
 
-    With the floorless relative residual, iterates collapsing onto the
-    trivial zero root never pass the tolerance (the residual-to-term ratio
-    stays of order one there), so any returned point is the positive root.
-    """
-    x = np.asarray(start, dtype=float)
-    if np.any(x <= 0):
-        return None
-    g = _poly(rates, x[0], x[1])
-    for _ in range(max_iter):
-        res = poly_relative_residual(rates, x[0], x[1])
-        if res < tol:
-            return x
-        jac = _poly_jacobian(rates, x[0], x[1])
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        gn = float(np.linalg.norm(g))
-        while t > 1e-8:
-            cand = x + t * step
-            if np.all(cand > 0):
-                gc = _poly(rates, cand[0], cand[1])
-                if float(np.linalg.norm(gc)) <= (1.0 - 1e-4 * t) * gn or gn == 0.0:
-                    x, g = cand, gc
-                    break
-            t *= 0.5
-        else:
-            return None
-    return None
-
-
-def stationary_point(rates: RateSet, start: tuple[float, float] | None = None) -> StationaryResult:
-    """Unique positive stationary masses in the persistence regime.
-
-    An optional start seeds the first Newton attempt; a deterministic
-    multi-start grid backs it up. Raises ConvergenceFailure when no start
-    reaches the residual target in the persistence regime.
+    Substituting M = A*F and dividing each equation by F leaves one cubic
+    in the sex ratio A,
+    (p_m A + p_f - 2 D_m A)(U_fm A + U_ff) = (p_m A + p_f - 2 D_f) A (U_mm A + U_mf),
+    and F = (p_m A + p_f - 2 D_f) / (2 (U_fm A + U_ff)). A positive root of
+    the system is a real A > 0 giving F > 0, so this lists them all. The
+    roots come straight from np.roots, unpolished.
     """
     rates.require_constant()
-    label = classify(rates)
-    if label is Classification.EXTINCTION:
-        return StationaryResult(Classification.EXTINCTION)
-
-    # p/(2 min U) bounds the positive root per axis, but can overshoot it by
-    # many decades for badly scaled rates; cover the box logarithmically,
-    # large starts first (they converge directly for well-scaled problems)
-    min_u = min(rates.U_ff, rates.U_fm, rates.U_mf, rates.U_mm)
-    scale = (rates.p_f + rates.p_m) / (2.0 * min_u)
-    starts: list[np.ndarray] = []
-    if start is not None:
-        starts.append(np.asarray(start, dtype=float))
-    axis = scale * np.geomspace(1.0, 1e-9, 7)
-    starts.extend(np.array([a, b]) for a in axis for b in axis)
-
-    for s in starts:
-        root = _newton_from(rates, s)
-        if root is None:
+    bm = rates.p_m - 2 * rates.D_m
+    bf = rates.p_f - 2 * rates.D_f
+    cubic = [rates.p_m * rates.U_mm,
+             rates.p_m * rates.U_mf + bf * rates.U_mm - bm * rates.U_fm,
+             bf * rates.U_mf - bm * rates.U_ff - rates.p_f * rates.U_fm,
+             -rates.p_f * rates.U_ff]
+    out = []
+    for a in np.roots(cubic):
+        if a.imag != 0 or a.real <= 0:
             continue
-        res = poly_relative_residual(rates, root[0], root[1])
-        if res < 1e-10:
-            return StationaryResult(Classification.PERSISTENCE,
-                                    M_bar=float(root[0]), F_bar=float(root[1]),
-                                    residual=res)
-    raise ConvergenceFailure(
-        "no Newton start reached the residual target",
-        best_point=None,
-        best_residual=None,
-    )
+        a = float(a.real)
+        F = (rates.p_m * a + bf) / (2 * (rates.U_fm * a + rates.U_ff))
+        if F > 0:
+            out.append((a * F, F))
+    return out
+
+
+def stationary_point(rates: RateSet) -> StationaryResult:
+    """Unique positive stationary masses in the persistence regime.
+
+    The sex-ratio cubic of `positive_roots` gives the root in closed form;
+    two Newton steps on the polynomial system polish it to rounding level.
+    Raises ConvergenceFailure unless persistent rates give exactly one
+    positive root with relative residual below 1e-10.
+    """
+    if classify(rates) is Classification.EXTINCTION:
+        return StationaryResult(Classification.EXTINCTION)
+    roots = positive_roots(rates)
+    if len(roots) != 1:
+        raise ConvergenceFailure(f"{len(roots)} positive roots for persistent rates, expected 1")
+    x = np.array(roots[0])
+    for _ in range(2):
+        x = x - np.linalg.solve(_poly_jacobian(rates, x[0], x[1]), _poly(rates, x[0], x[1]))
+    res = poly_relative_residual(rates, x[0], x[1])
+    if not (res < 1e-10 and x.min() > 0):
+        raise ConvergenceFailure(f"polished root {x} has relative residual {res:.2e}")
+    return StationaryResult(Classification.PERSISTENCE,
+                            M_bar=float(x[0]), F_bar=float(x[1]), residual=res)
 
 
 @dataclass(frozen=True)
@@ -298,11 +278,7 @@ def integrate_totals(state0: TotalsState, rates: RateSet, t_end: float,
     rates.require_constant()
 
     def f(_t, y: np.ndarray) -> np.ndarray:
-        lam = 0.5 * (rates.p_f * y[1] + rates.p_m * y[0])
-        return np.array([
-            lam - (rates.D_m + rates.U_mm * y[0] + rates.U_mf * y[1]) * y[0],
-            lam - (rates.D_f + rates.U_fm * y[0] + rates.U_ff * y[1]) * y[1],
-        ])
+        return np.array(totals_rhs(y, rates))
 
     times, ys = zip(*march(np.array([state0.M, state0.F], dtype=float), 0.0, f,
                            SolverConfig(dt, t_end), SolverDiagnostics()))

@@ -48,10 +48,13 @@ def test_empty_sex_class_means_pure_death():
     dm, df = rhs_general(MacroState(m0, zero), PERSIST, KERNEL)
     assert np.all(dm <= 0.0)
     assert np.all(df == 0.0)
-    traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
-                     SolverConfig(dt=0.01, t_end=2.0, sample_stride=50))
-    assert traj.diagnostics.empty_denominator_steps > 0
-    assert traj.states[-1].m.mass < m0.mass
+    for positivity in ("clip", "reject"):
+        traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
+                         SolverConfig(dt=0.01, t_end=2.0, sample_stride=50,
+                                      positivity=positivity))
+        # each of the 200 steps counted once, not once per RK4 stage
+        assert traj.diagnostics.empty_denominator_steps == 200
+        assert traj.states[-1].m.mass < m0.mass
 
 
 def test_masses_converge_to_stationary_point():

@@ -3,7 +3,8 @@ import pytest
 
 from dimorph.totals import (Classification, RateSet, TotalsState, classify,
                             fit_exponential_tail, integrate_totals,
-                            poly_relative_residual, stationary_point, totals_rhs)
+                            poly_relative_residual, positive_roots, stationary_point,
+                            totals_rhs)
 
 PERSIST = RateSet.constant(p_f=2.0, p_m=2.0, D_f=1.0, D_m=1.0, U=0.25)
 BOUNDARY = RateSet.constant(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U=0.25)
@@ -49,6 +50,11 @@ def test_totals_rhs_examples():
     sp = stationary_point(ASYM)
     dM, dF = totals_rhs(TotalsState(sp.M_bar, sp.F_bar), ASYM)
     assert abs(dM) < 1e-10 and abs(dF) < 1e-10
+    # a stacked (2, k) state gives the k single-state values
+    states = np.array([[0.0, 1.3, sp.M_bar, 0.4], [0.0, 1.3, sp.F_bar, 3.1]])
+    dM, dF = totals_rhs(states, ASYM)
+    for k in range(states.shape[1]):
+        assert (dM[k], dF[k]) == totals_rhs(TotalsState(*states[:, k]), ASYM)
 
 
 def test_stationary_symmetric_value():
@@ -66,15 +72,46 @@ def test_stationary_extinction_regime():
     assert sp.M_bar is None
 
 
-def test_stationary_multi_start_agreement():
-    ref = stationary_point(ASYM)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        start = tuple(rng.uniform(1e-6, 10 * ref.M_bar, size=2))
-        sp = stationary_point(ASYM, start=start)
-        assert sp.M_bar == pytest.approx(ref.M_bar, abs=1e-8)
-        assert sp.F_bar == pytest.approx(ref.F_bar, abs=1e-8)
-        assert poly_relative_residual(ASYM, sp.M_bar, sp.F_bar) < 1e-10
+def test_closed_form_root_exactly_when_persistent():
+    # rates drawn log-uniformly over six decades; the cubic must give one
+    # positive root exactly when classify says persistence
+    rng = np.random.default_rng(11)
+    n_persistent = 0
+    for _ in range(400):
+        rates = RateSet(*(10.0 ** rng.uniform(-3.0, 3.0, size=8)))
+        roots = positive_roots(rates)
+        if classify(rates) is Classification.EXTINCTION:
+            assert roots == []
+            assert not stationary_point(rates).is_persistent
+            continue
+        n_persistent += 1
+        assert len(roots) == 1
+        sp = stationary_point(rates)
+        assert sp.M_bar == pytest.approx(roots[0][0], rel=1e-5)
+        assert sp.F_bar == pytest.approx(roots[0][1], rel=1e-5)
+        assert sp.residual < 1e-10
+        assert poly_relative_residual(rates, sp.M_bar, sp.F_bar) < 1e-10
+        dM, dF = totals_rhs(TotalsState(sp.M_bar, sp.F_bar), rates)
+        scale = rates.p_f * sp.F_bar + rates.p_m * sp.M_bar
+        assert abs(dM) < 1e-10 * scale and abs(dF) < 1e-10 * scale
+    assert 100 < n_persistent < 400
+
+
+@pytest.mark.parametrize("rates", [
+    # p_m = 0: the cubic's leading coefficient vanishes, leaving a quadratic
+    RateSet(p_f=3.0, p_m=0.0, D_f=0.8, D_m=1.2, U_ff=0.3, U_fm=0.2, U_mf=0.15, U_mm=0.4),
+    # p_f = 0: A = 0 is a root of the cubic and must not be taken
+    RateSet(p_f=0.0, p_m=3.0, D_f=0.8, D_m=1.2, U_ff=0.3, U_fm=0.2, U_mf=0.15, U_mm=0.4),
+], ids=["p_m-zero", "p_f-zero"])
+def test_closed_form_edge_cases(rates):
+    assert classify(rates) is Classification.PERSISTENCE
+    assert len(positive_roots(rates)) == 1
+    sp = stationary_point(rates)
+    assert sp.M_bar > 0 and sp.F_bar > 0
+    assert poly_relative_residual(rates, sp.M_bar, sp.F_bar) < 1e-10
+    dM, dF = totals_rhs(TotalsState(sp.M_bar, sp.F_bar), rates)
+    scale = rates.p_f * sp.F_bar + rates.p_m * sp.M_bar
+    assert abs(dM) < 1e-10 * scale and abs(dF) < 1e-10 * scale
 
 
 def test_integrate_fixed_point_is_stationary():
@@ -120,9 +157,13 @@ def test_stationary_handles_badly_scaled_rates():
     nasty = RateSet(p_f=1e6, p_m=1e-6, D_f=1e-3, D_m=1e3,
                     U_ff=1e-6, U_fm=1e3, U_mf=1e-6, U_mm=1e3)
     assert classify(nasty) is Classification.PERSISTENCE
+    assert len(positive_roots(nasty)) == 1
     sp = stationary_point(nasty)
     assert sp.is_persistent
     assert poly_relative_residual(nasty, sp.M_bar, sp.F_bar) < 1e-10
+    dM, dF = totals_rhs(TotalsState(sp.M_bar, sp.F_bar), nasty)
+    scale = nasty.p_f * sp.F_bar + nasty.p_m * sp.M_bar
+    assert abs(dM) < 1e-10 * scale and abs(dF) < 1e-10 * scale
 
 
 def test_require_constant_guards_callables():
