@@ -8,6 +8,7 @@ functions back the test suite and the `dimorph acceptance` subcommand.
 from __future__ import annotations
 
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -420,14 +421,22 @@ ALL_CRITERIA = (
 
 
 def run_all(only=None, jobs: int = 1) -> list[CriterionResult]:
+    """Run the selected criteria in order; one that raises is reported as
+    failed, naming the exception and the line that raised it."""
     results = []
     for cid, fn in ALL_CRITERIA:
         if only and cid not in only:
             continue
-        if fn is criterion_8_law_of_large_numbers:
-            results.append(fn(jobs=jobs))
-        else:
-            results.append(fn())
+        t0 = time.time()
+        try:
+            results.append(fn(jobs=jobs) if fn is criterion_8_law_of_large_numbers else fn())
+        except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            results.append(CriterionResult(
+                cid, fn.__name__, False,
+                f"FAIL: raised {type(exc).__name__}: {exc} "
+                f"(at {where.filename.rsplit('/', 1)[-1]}:{where.lineno})",
+                time.time() - t0))
     return results
 
 

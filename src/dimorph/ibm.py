@@ -255,36 +255,26 @@ class ScaledPopulation:
 
     # -- trait-dependent machinery -------------------------------------------
 
-    def _u(self, name: str, x, y):
-        entry = getattr(self.rates, name)
-        if callable(entry):
-            return entry(x, y)
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, float(entry)) \
-            if np.ndim(x) or np.ndim(y) else float(entry)
-
     def _init_general(self) -> None:
         r = self.rates
         for cls, p_name, d_name in ((self.f, "p_f", "D_f"), (self.m, "p_m", "D_m")):
             t = cls.active(cls.traits)
             cls.p[: cls.n] = r.at(p_name, t)
             cls.d[: cls.n] = r.at(d_name, t)
-        tf = self.f.active(self.f.traits)
-        tm = self.m.active(self.m.traits)
-        # load_i = (1/N) sum_j U(x_i, w_j) over the whole population, self included
-        if self.f.n:
-            self.f.load[: self.f.n] = (
-                np.asarray(self._u("U_ff", tf[:, None], tf[None, :])).sum(axis=1)
-                + (np.asarray(self._u("U_fm", tf[:, None], tm[None, :])).sum(axis=1) if self.m.n else 0.0)
-            ) / self.N
-        if self.m.n:
-            self.m.load[: self.m.n] = (
-                np.asarray(self._u("U_mm", tm[:, None], tm[None, :])).sum(axis=1)
-                + (np.asarray(self._u("U_mf", tm[:, None], tf[None, :])).sum(axis=1) if self.f.n else 0.0)
-            ) / self.N
+        self.f.load[: self.f.n], self.m.load[: self.m.n] = self._loads()
         for cls in (self.f, self.m):
             cls.sum_p = float(cls.active(cls.p).sum())
             cls.sum_d = float(cls.active(cls.d).sum())
             cls.sum_load = float(cls.active(cls.load).sum())
+
+    def _loads(self) -> tuple[np.ndarray, np.ndarray]:
+        """(female, male) loads (1/N) sum_j U(x_i, w_j) over the whole
+        population, self included."""
+        u = self.rates.at
+        tf = self.f.active(self.f.traits)[:, None]
+        tm = self.m.active(self.m.traits)[:, None]
+        return ((u("U_ff", tf, tf.T).sum(axis=1) + u("U_fm", tf, tm.T).sum(axis=1)) / self.N,
+                (u("U_mm", tm, tm.T).sum(axis=1) + u("U_mf", tm, tf.T).sum(axis=1)) / self.N)
 
     # -- event application ----------------------------------------------------
 
@@ -296,41 +286,34 @@ class ScaledPopulation:
             cls.traits[cls.n] = trait
             cls.n += 1
             cls.sum_p += r.p_f if sex is Sex.FEMALE else r.p_m
-            if sex is Sex.FEMALE:
-                self.births_female += 1
-            else:
-                self.births_male += 1
-            return
-        tf = self.f.active(self.f.traits)
-        tm = self.m.active(self.m.traits)
+        else:
+            tf = self.f.active(self.f.traits)
+            tm = self.m.active(self.m.traits)
+            # U_ab is what a sex-a individual suffers from a sex-b one
+            s, o, same, other = ("f", "m", tf, tm) if sex is Sex.FEMALE else ("m", "f", tm, tf)
+            u = r.at
+            own = (u(f"U_{s}{s}", trait, same).sum() + u(f"U_{s}{s}", trait, trait)
+                   + u(f"U_{s}{o}", trait, other).sum()) / self.N
+            inc_f = u(f"U_f{s}", tf, trait) / self.N
+            inc_m = u(f"U_m{s}", tm, trait) / self.N
+            p_new = float(r.at(f"p_{s}", np.array([trait]))[0])
+            d_new = float(r.at(f"D_{s}", np.array([trait]))[0])
+            self.f.load[: self.f.n] += inc_f
+            self.f.sum_load += float(inc_f.sum())
+            self.m.load[: self.m.n] += inc_m
+            self.m.sum_load += float(inc_m.sum())
+            cls.traits[cls.n] = trait
+            cls.p[cls.n] = p_new
+            cls.d[cls.n] = d_new
+            cls.load[cls.n] = own
+            cls.n += 1
+            cls.sum_p += p_new
+            cls.sum_d += d_new
+            cls.sum_load += own
         if sex is Sex.FEMALE:
-            own = (np.asarray(self._u("U_ff", trait, tf)).sum() + self._u("U_ff", trait, trait)
-                   + np.asarray(self._u("U_fm", trait, tm)).sum()) / self.N
-            inc_f = np.asarray(self._u("U_ff", tf, trait)) / self.N
-            inc_m = np.asarray(self._u("U_mf", tm, trait)) / self.N
-            p_new, d_new = float(r.at("p_f", np.array([trait]))[0]), \
-                float(r.at("D_f", np.array([trait]))[0])
             self.births_female += 1
         else:
-            own = (np.asarray(self._u("U_mm", trait, tm)).sum() + self._u("U_mm", trait, trait)
-                   + np.asarray(self._u("U_mf", trait, tf)).sum()) / self.N
-            inc_f = np.asarray(self._u("U_fm", tf, trait)) / self.N
-            inc_m = np.asarray(self._u("U_mm", tm, trait)) / self.N
-            p_new, d_new = float(r.at("p_m", np.array([trait]))[0]), \
-                float(r.at("D_m", np.array([trait]))[0])
             self.births_male += 1
-        self.f.load[: self.f.n] += inc_f
-        self.f.sum_load += float(inc_f.sum())
-        self.m.load[: self.m.n] += inc_m
-        self.m.sum_load += float(inc_m.sum())
-        cls.traits[cls.n] = trait
-        cls.p[cls.n] = p_new
-        cls.d[cls.n] = d_new
-        cls.load[cls.n] = own
-        cls.n += 1
-        cls.sum_p += p_new
-        cls.sum_d += d_new
-        cls.sum_load += own
 
     def remove(self, sex: Sex, index: int) -> float:
         cls = self._sex_class(sex)
@@ -352,12 +335,9 @@ class ScaledPopulation:
         cls.n -= 1
         tf = self.f.active(self.f.traits)
         tm = self.m.active(self.m.traits)
-        if sex is Sex.FEMALE:
-            dec_f = np.asarray(self._u("U_ff", tf, trait)) / self.N
-            dec_m = np.asarray(self._u("U_mf", tm, trait)) / self.N
-        else:
-            dec_f = np.asarray(self._u("U_fm", tf, trait)) / self.N
-            dec_m = np.asarray(self._u("U_mm", tm, trait)) / self.N
+        s = "f" if sex is Sex.FEMALE else "m"
+        dec_f = self.rates.at(f"U_f{s}", tf, trait) / self.N
+        dec_m = self.rates.at(f"U_m{s}", tm, trait) / self.N
         self.f.load[: self.f.n] -= dec_f
         self.f.sum_load -= float(dec_f.sum())
         self.m.load[: self.m.n] -= dec_m
@@ -376,21 +356,10 @@ class ScaledPopulation:
                 "sum_load_female": (r.U_ff * self.f.n + r.U_fm * self.m.n) * self.f.n / self.N,
                 "sum_load_male": (r.U_mm * self.m.n + r.U_mf * self.f.n) * self.m.n / self.N,
             }
-        tf = self.f.active(self.f.traits)
-        tm = self.m.active(self.m.traits)
-        lf = np.zeros(self.f.n)
-        lm = np.zeros(self.m.n)
-        if self.f.n:
-            lf = np.asarray(self._u("U_ff", tf[:, None], tf[None, :])).sum(axis=1) / self.N
-            if self.m.n:
-                lf = lf + np.asarray(self._u("U_fm", tf[:, None], tm[None, :])).sum(axis=1) / self.N
-        if self.m.n:
-            lm = np.asarray(self._u("U_mm", tm[:, None], tm[None, :])).sum(axis=1) / self.N
-            if self.f.n:
-                lm = lm + np.asarray(self._u("U_mf", tm[:, None], tf[None, :])).sum(axis=1) / self.N
+        lf, lm = self._loads()
         return {
-            "sum_p_female": float(r.at("p_f", tf).sum()),
-            "sum_p_male": float(r.at("p_m", tm).sum()),
+            "sum_p_female": float(r.at("p_f", self.f.active(self.f.traits)).sum()),
+            "sum_p_male": float(r.at("p_m", self.m.active(self.m.traits)).sum()),
             "sum_load_female": float(lf.sum()),
             "sum_load_male": float(lm.sum()),
         }

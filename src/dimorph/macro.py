@@ -103,13 +103,8 @@ class _GridRates:
         self.u = {}
         for name in ("U_ff", "U_fm", "U_mf", "U_mm"):
             entry = getattr(rates, name)
-            if callable(entry):
-                mat = np.asarray(entry(c[:, None], c[None, :]), dtype=float)
-                if mat.shape != (grid.n_cells, grid.n_cells):
-                    raise ValueError(f"{name} must map center pairs to a full matrix")
-                self.u[name] = mat
-            else:
-                self.u[name] = float(entry)
+            self.u[name] = rates.at(name, c[:, None], c[None, :]) if callable(entry) \
+                else float(entry)
 
     def competition(self, name: str, weights: np.ndarray) -> np.ndarray | float:
         u = self.u[name]
@@ -215,13 +210,13 @@ def integrate(state0: MacroState, rates: RateSet, kernel: InheritanceKernel,
 
 def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
                          A: float | Callable[[float], float],
-                         kernel: InheritanceKernel, config: SolverConfig,
-                         positivity: str | None = None) -> NormalizedTrajectory:
+                         kernel: InheritanceKernel, config: SolverConfig) -> NormalizedTrajectory:
     """Integrate the normalized system for probability measures mu, nu.
 
     mu relaxes toward the birth image at unit rate, nu at rate A (a
     constant or a function of time). Unit masses are preserved by the
-    dynamics; the default positivity mode also renormalizes drift away.
+    dynamics; a plain "clip" positivity mode runs as "clip-renormalize",
+    which also renormalizes drift away.
     """
     if mu0.grid != nu0.grid:
         raise ValueError("mu0 and nu0 must share one grid")
@@ -233,9 +228,7 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     a0 = float(a_of(0.0))
     if a0 <= 0:
         raise ValueError(f"sex-ratio constant must be positive, got {a0}")
-    if positivity is None and config.positivity == "clip":
-        positivity = "clip-renormalize"
-    cfg = config if positivity is None else replace(config, positivity=positivity)
+    cfg = replace(config, positivity="clip-renormalize") if config.positivity == "clip" else config
     diag = SolverDiagnostics(dt_bound=0.1 / max(1.0, a0))
     if cfg.dt > diag.dt_bound:
         raise ValueError(

@@ -3,15 +3,17 @@
 A measure is stored as a vector of non-negative cell masses. The metric
 used throughout the stability analysis is the 1D Wasserstein distance,
 computed from the cumulative distribution function of the signed
-difference of two equal-mass measures.
+difference of two equal-mass measures. The normal CDF maps math.erf over
+an array: its callers need O(n) points per grid, and scipy stays off the
+import path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GridMismatch, MassMismatch, ZeroMass
 
@@ -40,9 +42,12 @@ MASS_TOLERANCE = 1e-9
 _DUST = 1e-12
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def normal_cdf(x: np.ndarray | float) -> np.ndarray | float:
-    """Standard normal CDF, vectorized."""
-    return 0.5 * (1.0 + erf(np.asarray(x) / np.sqrt(2.0)))
+    """Standard normal CDF, elementwise."""
+    return 0.5 * (1.0 + np.asarray(_erf(np.asarray(x) / math.sqrt(2.0)), dtype=float))
 
 
 @dataclass(frozen=True)

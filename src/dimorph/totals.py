@@ -86,22 +86,28 @@ class RateSet:
             raise ValueError("this operation requires constant rates")
         return self
 
-    def at(self, name: str, traits: np.ndarray) -> np.ndarray:
-        """Capability or death rate `name` (p_f, p_m, D_f, D_m) at each trait.
+    def at(self, name: str, *traits) -> np.ndarray:
+        """Rate `name` at the given traits, in their broadcast shape.
 
-        A callable entry must be non-negative at every trait it is asked
-        for; a zero rate there freezes that event, a negative one has no
-        meaning as an event rate.
+        A capability or death rate (p_*, D_*) takes one trait array, a
+        competition kernel (U_*) a pair (x, y) that broadcasts. A callable
+        entry must return that shape and be non-negative at every point it
+        is asked for; a zero rate there freezes that event, a negative one
+        has no meaning as an event rate.
         """
         entry = getattr(self, name)
+        shape = np.broadcast(*traits).shape
         if not callable(entry):
-            return np.full(traits.shape, float(entry))
-        v = np.asarray(entry(traits), dtype=float)
-        if v.shape != traits.shape:
-            raise ValueError(f"{name} must map a trait vector to a vector of the same shape")
+            return np.full(shape, float(entry))
+        v = np.asarray(entry(*traits), dtype=float)
+        if v.shape != shape:
+            raise ValueError(f"{name} must map its traits to their broadcast shape {shape}, "
+                             f"got {v.shape}")
         if v.size and not v.min() >= 0:
-            i = int(np.argmin(v >= 0))
-            raise ValueError(f"{name} must be non-negative, got {v[i]} at trait {traits[i]}")
+            i = np.unravel_index(np.argmin(v >= 0), shape)
+            where = [float(np.broadcast_to(t, shape)[i]) for t in traits]
+            place = f"trait {where[0]}" if len(where) == 1 else f"traits {tuple(where)}"
+            raise ValueError(f"{name} must be non-negative, got {v[i]} at {place}")
         return v
 
     @classmethod

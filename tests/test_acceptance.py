@@ -60,3 +60,20 @@ def test_criterion_09_ibm_exactness():
 
 def test_criterion_10_cross_module_consistency():
     _check(acc.criterion_10_cross_module_consistency())
+
+
+def test_run_all_reports_a_raising_criterion_and_continues(monkeypatch):
+    def ok():
+        return acc.CriterionResult("ok", "passes", True, "ok: fine", 0.0)
+
+    def raises():
+        raise RuntimeError("no root found")
+
+    monkeypatch.setattr(acc, "ALL_CRITERIA", (("a", ok), ("b", raises), ("c", ok)))
+    results = acc.run_all()
+    assert [r.passed for r in results] == [True, False, True]
+    failed = results[1]
+    assert failed.cid == "b" and failed.elapsed >= 0.0
+    assert "RuntimeError" in failed.details and "no root found" in failed.details
+    assert "test_acceptance.py:" in failed.details
+    assert "FAIL" in acc.format_table(results)

@@ -1,8 +1,12 @@
-"""Every exported or re-exported name of the package resolves."""
+"""Every exported or re-exported name of the package resolves, and the CLI
+imports without scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,14 @@ def test_package_imports_resolve():
         source = importlib.import_module(f"dimorph.{module}")
         assert hasattr(source, name), f"dimorph.{module} has no {name}"
         assert getattr(dimorph, name) is getattr(source, name)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed to read custom kernel tables from CSV
+    src = str(Path(dimorph.__file__).resolve().parents[1])
+    code = ("import sys, dimorph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -68,6 +68,26 @@ def test_negative_trait_rate_rejected():
     assert pop.size == 2 and pop.births_female == pop.births_male == 0
 
 
+def test_negative_competition_kernel_rejected():
+    # U_ff(x, y) = 0.25 - 0.5|x - y| gives the females at -2, 0, 2 the loads
+    # -2, -1, -2; a newborn 3 units from the resident female is rejected too
+    rates = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0,
+                    U_ff=lambda x, y: 0.25 - 0.5 * np.abs(x - y), U_fm=0.25,
+                    U_mf=0.25, U_mm=0.25)
+    with pytest.raises(ValueError, match=r"U_ff must be non-negative, got -0\.75 at traits \(-2\.0, 0\.0\)"):
+        ScaledPopulation(np.array([-2.0, 0.0, 2.0]), np.array([0.0]), 1, rates, GRID)
+    pop = ScaledPopulation(np.array([0.0]), np.array([0.0]), 1, rates, GRID)
+    before = pop.cached_values()
+    with pytest.raises(ValueError, match="U_ff must be non-negative"):
+        pop.add(3.0, Sex.FEMALE)
+    assert pop.size == 2 and pop.births_female == 0 and pop.cached_values() == before
+    # a kernel that ignores its second trait does not give one value per pair
+    flat = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25,
+                   U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)
+    with pytest.raises(ValueError, match="U_mf must map its traits"):
+        ScaledPopulation(np.array([0.0, 1.0]), np.array([0.0]), 1, flat, GRID)
+
+
 def test_step_single_male_death_only():
     rates = RateSet.constant(p_f=5.0, p_m=5.0, D_f=1.0, D_m=1.0, U=0.25)
     pop = ScaledPopulation(np.array([]), np.array([0.3]), 1, rates, GRID)
@@ -265,7 +285,7 @@ STEEP = RateSet(
     p_f=lambda x: np.maximum(1.0 + 0.8 * x, 0.0), p_m=lambda y: np.exp(y),
     D_f=0.5, D_m=lambda y: 0.5 + 0.5 * y**2,
     U_ff=lambda x, z: 0.3 + 0.2 * (x - z) ** 2, U_fm=0.2,
-    U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)
+    U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y) + 0.0 * z, U_mm=0.25)
 
 
 def _val(entry, *traits) -> float:

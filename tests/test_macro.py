@@ -101,9 +101,11 @@ def test_point_mass_start_keeps_mean():
 def test_normalized_masses_stay_unit_without_renormalization():
     mu0 = gaussian_measure(GRID, 1.0, 0.5)
     nu0 = gaussian_measure(GRID, -1.0, 0.5)
+    # "reject" never renormalizes, and no step here overshoots, so this is
+    # the plain flow
     traj = integrate_normalized(mu0, nu0, 2.0, KERNEL,
-                                SolverConfig(dt=0.01, t_end=5.0, sample_stride=50),
-                                positivity="clip")
+                                SolverConfig(dt=0.01, t_end=5.0, sample_stride=50,
+                                             positivity="reject"))
     assert traj.diagnostics.max_mass_drift < 1e-6 * 5.0
 
 
@@ -137,8 +139,7 @@ def _time_step_refinement_order(scheme):
     def run(dt):
         traj = integrate_normalized(mu0, nu0, 1.5, KERNEL,
                                     SolverConfig(dt=dt, t_end=2.0, scheme=scheme,
-                                                 sample_stride=10**9),
-                                    positivity="clip")
+                                                 sample_stride=10**9, positivity="reject"))
         return np.concatenate([traj.mus[-1].weights, traj.nus[-1].weights])
 
     y1, y2, y4 = run(0.04), run(0.02), run(0.01)
@@ -211,6 +212,19 @@ def test_negative_trait_rate_rejected():
     f0 = GridMeasure(GRID, point_mass(GRID, -2.0).weights + point_mass(GRID, 1.0).weights)
     with pytest.raises(ValueError, match="p_f must be non-negative"):
         integrate(MacroState(m0, f0), rates, KERNEL, SolverConfig(dt=0.01, t_end=1.0))
+
+
+def test_negative_competition_kernel_rejected():
+    # U_ff(x, y) = 0.25 - 0.5|x - y| is negative on every center pair more
+    # than half a trait unit apart; a kernel that ignores y has the wrong shape
+    f0 = gaussian_measure(GRID, 0.0, 1.0)
+    bad = [dict(U_ff=lambda x, y: 0.25 - 0.5 * np.abs(x - y)),
+           dict(U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y))]
+    for entry, message in zip(bad, ("U_ff must be non-negative", "U_mf must map its traits")):
+        rates = RateSet(**{**dict(p_f=2.0, p_m=2.0, D_f=1.0, D_m=1.0,
+                                  U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25), **entry})
+        with pytest.raises(ValueError, match=message):
+            integrate(MacroState(f0, f0), rates, KERNEL, SolverConfig(dt=0.01, t_end=1.0))
 
 
 def test_grid_refinement_order():
