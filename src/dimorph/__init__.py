@@ -14,10 +14,9 @@ from .measures import (GridMeasure, TraitGrid, gaussian_measure,
                        measure_from_samples, moment, normalize, point_mass,
                        total_mass, total_variation, uniform_measure, wasserstein1)
 from .kernels import (AdditiveNoiseKernel, CustomDensityKernel, GaussianNoise,
-                      HypothesisCheckConfig, HypothesisReport, InheritanceKernel,
-                      MultiplicativeNoiseKernel, NoiseDensity, SamplerKernel,
-                      TabulatedNoise, UniformNoise, birth_operator, check_hypotheses,
-                      density_row, sample_offspring)
+                      HypothesisReport, InheritanceKernel, MultiplicativeNoiseKernel,
+                      NoiseDensity, SamplerKernel, TabulatedNoise, UniformNoise,
+                      birth_operator, check_hypotheses)
 from .totals import (Classification, RateSet, StationaryResult, TotalsState,
                      classify, integrate_totals, stationary_point, totals_rhs)
 from .macro import (MacroState, SolverConfig, coupled_full_run, integrate,

@@ -16,9 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ibm import BufferedRng, IbmParams, ScaledPopulation, simulate, step
-from .kernels import (AdditiveNoiseKernel, GaussianNoise, HypothesisCheckConfig,
-                      MultiplicativeNoiseKernel, UniformNoise, birth_operator,
-                      check_hypotheses)
+from .kernels import (AdditiveNoiseKernel, GaussianNoise, MultiplicativeNoiseKernel,
+                      UniformNoise, birth_operator, check_hypotheses)
 from .macro import MacroState, SolverConfig, integrate, integrate_normalized
 from .measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                        point_mass, total_mass, wasserstein1)
@@ -255,14 +254,14 @@ def criterion_7_hypothesis_checkers() -> CriterionResult:
     t0 = time.time()
     checks = []
     rep_a = check_hypotheses(AdditiveNoiseKernel(GaussianNoise(1.0)),
-                             TraitGrid(-8.0, 8.0, 256), HypothesisCheckConfig(seed=7))
+                             TraitGrid(-8.0, 8.0, 256), seed=7)
     checks.append((rep_a.condition_i_max < 1.0,
                    f"additive: condition (i) max {rep_a.condition_i_max:.4f} < 1"))
     checks.append((rep_a.condition_ii.l_est <= 0.55,
                    f"additive: L_est {rep_a.condition_ii.l_est:.4f} <= 0.55"))
     checks.append((rep_a.condition_ii.holds, "additive: moment bound holds with L < 1"))
     rep_m = check_hypotheses(MultiplicativeNoiseKernel(UniformNoise(0.0, 1.0)),
-                             TraitGrid(0.0, 6.0, 256), HypothesisCheckConfig(seed=7))
+                             TraitGrid(0.0, 6.0, 256), seed=7)
     checks.append((rep_m.condition_i_max < 1.0,
                    f"multiplicative: condition (i) max {rep_m.condition_i_max:.4f} < 1"))
     checks.append((rep_m.condition_ii.l_est < 1.0,
@@ -343,7 +342,7 @@ def criterion_9_ibm_exactness() -> CriterionResult:
     rng = BufferedRng(91)
     start = pop.size
     for _ in range(10_000):
-        step(pop, _PERSIST, kernel, rng)
+        step(pop, kernel, rng)
     cache_err = pop.cache_consistency()
     checks.append((cache_err <= 1e-6,
                    f"constant rates: cache error {cache_err:.2e} <= 1e-6 after 1e4 events"))
@@ -361,7 +360,7 @@ def criterion_9_ibm_exactness() -> CriterionResult:
     rngg = BufferedRng(92)
     startg = popg.size
     for _ in range(10_000):
-        step(popg, trait_rates, kernel, rngg)
+        step(popg, kernel, rngg)
     cache_err_g = popg.cache_consistency()
     checks.append((cache_err_g <= 1e-6,
                    f"trait rates: cache error {cache_err_g:.2e} <= 1e-6 after 1e4 events"))

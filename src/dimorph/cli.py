@@ -200,8 +200,7 @@ def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             "deaths": traj.deaths,
             "clamped_births": traj.clamped_births,
             "extinction_time": traj.extinction_time,
-            "final_counts": {"male": traj.snapshots[-1].n_male,
-                             "female": traj.snapshots[-1].n_female},
+            "final_counts": {"male": traj.final_n_male, "female": traj.final_n_female},
         }),
     ]
     return files
@@ -295,17 +294,30 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
 
 
 def run_acceptance(cfg: dict | None, out: Path, seed, jobs) -> list[Path]:
+    """Run the gate; a failed criterion raises once the report and manifest are written."""
     only = None
     if cfg:
-        only = cfg.get("only")
-        jobs = cfg.get("jobs", jobs)
+        known = [cid for cid, _ in acc.ALL_CRITERIA]
+        only = _get(cfg, "only", "", expected=list, required=False)
+        if only is not None and (not only or any(c not in known for c in only)):
+            raise ConfigError(f"field only must be a non-empty list of criterion ids "
+                              f"from {known}, got {only!r}")
+        if "jobs" in cfg:
+            jobs = _get(cfg, "jobs", "", expected=int)
+            if isinstance(jobs, bool) or jobs < 1:
+                raise ConfigError(f"field jobs must be a positive integer, got {jobs!r}")
     results = acc.run_all(only=only, jobs=jobs)
     print(acc.format_table(results))
-    return [write_json(out / "acceptance_report.json", {
+    n_failed = sum(not r.passed for r in results)
+    files = [write_json(out / "acceptance_report.json", {
         "results": [{"id": r.cid, "title": r.title, "passed": r.passed,
                      "details": r.details, "elapsed_s": r.elapsed} for r in results],
-        "all_passed": all(r.passed for r in results),
+        "all_passed": n_failed == 0,
     })]
+    if n_failed:
+        write_manifest(out, files)
+        raise DimorphError(f"{n_failed} of {len(results)} criteria failed")
+    return files
 
 
 _RUNNERS = {

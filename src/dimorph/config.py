@@ -34,8 +34,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-KINDS = ("ibm", "macro", "totals", "stationary", "fixed-point", "lln", "acceptance")
-
 
 def _get(d: dict, field: str, ctx: str, expected=None, required: bool = True, default=None):
     if field not in d:

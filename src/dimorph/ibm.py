@@ -46,6 +46,9 @@ __all__ = [
     "simulate",
 ]
 
+# Draws per refill of each BufferedRng stream.
+_BATCH = 8192
+
 
 class Sex(enum.Enum):
     FEMALE = "female"
@@ -63,9 +66,8 @@ class BufferedRng:
     seed.
     """
 
-    def __init__(self, seed: int, batch: int = 8192):
+    def __init__(self, seed: int):
         self._gen = np.random.default_rng(seed)
-        self._batch = batch
         self._uni = self._refill(self._gen.random)
         self._nrm = self._refill(self._gen.standard_normal)
         self._exp = self._refill(self._gen.standard_exponential)
@@ -74,11 +76,11 @@ class BufferedRng:
         self._ie = 0
 
     def _refill(self, draw) -> array:
-        return array("d", draw(self._batch).tobytes())
+        return array("d", draw(_BATCH).tobytes())
 
     def random(self) -> float:
         i = self._iu
-        if i == self._batch:
+        if i == _BATCH:
             self._uni = self._refill(self._gen.random)
             i = 0
         self._iu = i + 1
@@ -86,7 +88,7 @@ class BufferedRng:
 
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
         i = self._in
-        if i == self._batch:
+        if i == _BATCH:
             self._nrm = self._refill(self._gen.standard_normal)
             i = 0
         self._in = i + 1
@@ -94,7 +96,7 @@ class BufferedRng:
 
     def exponential(self, scale: float = 1.0) -> float:
         i = self._ie
-        if i == self._batch:
+        if i == _BATCH:
             self._exp = self._refill(self._gen.standard_exponential)
             i = 0
         self._ie = i + 1
@@ -236,14 +238,6 @@ class ScaledPopulation:
         return self.f if sex is Sex.FEMALE else self.m
 
     @property
-    def n_female(self) -> int:
-        return self.f.n
-
-    @property
-    def n_male(self) -> int:
-        return self.m.n
-
-    @property
     def size(self) -> int:
         return self.f.n + self.m.n
 
@@ -336,8 +330,10 @@ class ScaledPopulation:
         tf = self.f.active(self.f.traits)
         tm = self.m.active(self.m.traits)
         s = "f" if sex is Sex.FEMALE else "m"
-        dec_f = self.rates.at(f"U_f{s}", tf, trait) / self.N
-        dec_m = self.rates.at(f"U_m{s}", tm, trait) / self.N
+        # every pair here was checked, in this argument order, when the
+        # population was built or when one of the two was born
+        dec_f = self.rates._evaluate(f"U_f{s}", tf, trait) / self.N
+        dec_m = self.rates._evaluate(f"U_m{s}", tm, trait) / self.N
         self.f.load[: self.f.n] -= dec_f
         self.f.sum_load -= float(dec_f.sum())
         self.m.load[: self.m.n] -= dec_m
@@ -409,10 +405,8 @@ class ScaledPopulation:
         return max(death_f, 0.0), max(death_m, 0.0)
 
 
-def event_rates(pop: ScaledPopulation, rates: RateSet | None = None) -> RateSummary:
+def event_rates(pop: ScaledPopulation) -> RateSummary:
     """Aggregate jump rates; mating requires both sexes to be present."""
-    if rates is not None and rates is not pop.rates:
-        raise ValueError("rates must match the population's rate set")
     both = pop.f.n > 0 and pop.m.n > 0
     death_f, death_m = pop.death_totals()
     return RateSummary(
@@ -473,12 +467,12 @@ def _apply_event(pop: ScaledPopulation, summary: RateSummary,
     return DeathEvent(sex, trait)
 
 
-def step(pop: ScaledPopulation, rates: RateSet, kernel: InheritanceKernel, rng):
+def step(pop: ScaledPopulation, kernel: InheritanceKernel, rng):
     """Advance the population by one jump; returns (waiting time, event).
 
     Raises ExtinctPopulation when the total rate is zero.
     """
-    summary = event_rates(pop, rates)
+    summary = event_rates(pop)
     if summary.total <= 0.0:
         raise ExtinctPopulation("total event rate is zero")
     dt = rng.exponential(1.0 / summary.total)
@@ -506,6 +500,8 @@ class IbmTrajectory:
     n_events: int
     extinction_time: float | None
     seed: int
+    final_n_female: int  # class sizes at t_end, whatever the sample times
+    final_n_male: int
 
     @property
     def births(self) -> int:
@@ -580,6 +576,8 @@ def _simulate_direct(params: IbmParams) -> IbmTrajectory:
         n_events=n_events,
         extinction_time=extinction_time,
         seed=params.seed,
+        final_n_female=pop.f.n,
+        final_n_male=pop.m.n,
     )
 
 
@@ -687,4 +685,6 @@ def _simulate_constant(params: IbmParams) -> IbmTrajectory:
         n_events=n_events,
         extinction_time=extinction_time,
         seed=params.seed,
+        final_n_female=nf,
+        final_n_male=nm,
     )

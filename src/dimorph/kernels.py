@@ -10,10 +10,11 @@ Rows are discretized by exact cell integrals of the noise CDF, truncated
 to the grid and renormalized to unit mass. The birth operator pushes the
 product of two measures through the kernel; for the built-in families it
 runs in O(n^2) via the parent-sum convolution against a row table cached
-per grid, with a direct tensor contraction kept as the slow reference
-mode. The cell edges of every additive row sit on one half-cell lattice
-of offsets from the row center, so that table is gathered from one
-vector of noise cell masses: the noise CDF at 4n - 1 points.
+per grid. Every other kernel runs the direct tensor contraction, which
+the tests also keep as the slow reference for the fast path. The cell
+edges of every additive row sit on one half-cell lattice of offsets from
+the row center, so that table is gathered from one vector of noise cell
+masses: the noise CDF at 4n - 1 points.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ __all__ = [
     "MultiplicativeNoiseKernel",
     "CustomDensityKernel",
     "SamplerKernel",
-    "density_row",
-    "sample_offspring",
     "birth_operator",
     "birth_weights",
     "check_hypotheses",
     "condition_i_contribution",
-    "HypothesisCheckConfig",
     "HypothesisReport",
     "ConditionTwoFit",
     "tabulated_kernel_from_csv",
@@ -182,8 +180,6 @@ class _SumRowTable:
 class InheritanceKernel:
     """Offspring-trait law k(x, y, dz) with sampling and discretized rows."""
 
-    #: whether discretized density rows are available
-    supports_density: bool = True
     #: rows depend on (x, y) only through x + y, enabling the fast birth path
     sum_structured: bool = False
 
@@ -390,8 +386,6 @@ class CustomDensityKernel(InheritanceKernel):
 class SamplerKernel(InheritanceKernel):
     """Kernel known only through a sampler; density rows are unavailable."""
 
-    supports_density = False
-
     def __init__(self, sampler: Callable[[float, float, object], float]):
         super().__init__()
         self.sampler = sampler
@@ -437,28 +431,14 @@ def tabulated_kernel_from_csv(path, sample_grid: TraitGrid | None = None) -> Cus
 # Spec operations
 
 
-def density_row(kernel: InheritanceKernel, x: float, y: float, grid: TraitGrid) -> np.ndarray:
-    """Discretized density of k(x, y, .): non-negative, sums to 1 times 1/dx."""
-    return kernel.density_row(x, y, grid)
-
-
-def sample_offspring(kernel: InheritanceKernel, x: float, y: float, rng) -> float:
-    """One offspring trait drawn from k(x, y, .)."""
-    return kernel.sample_offspring(x, y, rng)
-
-
 def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
-                  grid: TraitGrid, method: str = "auto") -> np.ndarray:
+                  grid: TraitGrid) -> np.ndarray:
     """Array-level birth operator core; no measure validation.
 
-    method: "auto" picks the parent-sum fast path when available, "exact"
-    forces the direct tensor contraction (the reference).
+    Sum-structured kernels take the parent-sum path against their cached
+    row table, every other kernel the direct contraction.
     """
-    if not kernel.supports_density:
-        raise UnsupportedKernel("birth operator needs density rows")
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and kernel.sum_structured:
+    if kernel.sum_structured:
         table = kernel._table(grid)
         conv = np.convolve(wa, wb)
         total = max(conv.sum(), 1e-300)
@@ -478,8 +458,13 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                 stacklevel=2,
             )
         return conv @ table.matrix
-    # direct contraction over parent pairs: the reference mode; pairs with
-    # negligible joint weight are skipped, matching the fast-path tolerance
+    return _birth_weights_exact(kernel, wa, wb, grid)
+
+
+def _birth_weights_exact(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
+                         grid: TraitGrid) -> np.ndarray:
+    """Direct contraction, one kernel row per parent pair: the reference for
+    the parent-sum path. Pairs below its weight tolerance are skipped."""
     out = np.zeros(grid.n_cells)
     centers = grid.centers
     total = max(wa.sum() * wb.sum(), 1e-300)
@@ -505,8 +490,7 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
     return out
 
 
-def birth_operator(kernel: InheritanceKernel, mu: GridMeasure, nu: GridMeasure,
-                   method: str = "auto") -> GridMeasure:
+def birth_operator(kernel: InheritanceKernel, mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     """Push the product measure mu x nu through the kernel.
 
     The result has mass equal to mass(mu) * mass(nu) and, for probability
@@ -516,7 +500,7 @@ def birth_operator(kernel: InheritanceKernel, mu: GridMeasure, nu: GridMeasure,
         raise GridMismatch("birth operator requires measures on the same grid")
     if mu.mass == 0.0 or nu.mass == 0.0:
         return GridMeasure(mu.grid, np.zeros(mu.grid.n_cells))
-    return GridMeasure(mu.grid, birth_weights(kernel, mu.weights, nu.weights, mu.grid, method))
+    return GridMeasure(mu.grid, birth_weights(kernel, mu.weights, nu.weights, mu.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -551,27 +535,23 @@ class HypothesisReport:
     n_pairs: int
 
 
-@dataclass(frozen=True)
-class HypothesisCheckConfig:
-    n_triples: int = 200
-    n_scale_levels: int = 6
-    pairs_per_level: int = 4
-    parent_window: tuple[float, float] | None = None
-    mean_window: tuple[float, float] | None = None
-    n_mean_checks: int = 64
-    fd_step: float | None = None
-    seed: int = 0
+# Sample sizes of check_hypotheses: parent triples (condition i), parent pairs
+# (mean, symmetry), spread levels and mixture pairs per level (moment bound).
+_N_TRIPLES = 200
+_N_MEAN_CHECKS = 64
+_N_SCALE_LEVELS = 6
+_PAIRS_PER_LEVEL = 4
 
 
 def condition_i_contribution(kernel: InheritanceKernel, a: float, b: float, y: float,
-                             grid: TraitGrid, fd_step: float | None = None) -> float:
+                             grid: TraitGrid) -> float:
     """Integral of |d/dx K(a,y,.) - d/dx K(b,y,.)| by central differences.
 
     The row-CDF derivative in the first parent argument is differenced
-    with step fd_step (default half a cell width). Values below one for
-    all parent triples certify the contraction hypothesis on the sample.
+    with a step of half a cell width. Values below one for all parent
+    triples certify the contraction hypothesis on the sample.
     """
-    delta = fd_step if fd_step is not None else grid.dx / 2.0
+    delta = grid.dx / 2.0
     k_ap = np.cumsum(kernel.row_masses(a + delta, y, grid))
     k_am = np.cumsum(kernel.row_masses(a - delta, y, grid))
     k_bp = np.cumsum(kernel.row_masses(b + delta, y, grid))
@@ -589,53 +569,52 @@ def _mixture_measure(grid, rng, lo, hi, sd):
     return GridMeasure(grid, w * a + (1 - w) * b)
 
 
-def check_hypotheses(kernel: InheritanceKernel, grid: TraitGrid,
-                     config: HypothesisCheckConfig | None = None) -> HypothesisReport:
+def check_hypotheses(kernel: InheritanceKernel, grid: TraitGrid, seed: int = 0,
+                     parent_window: tuple[float, float] | None = None) -> HypothesisReport:
     """Sample-based check of the stability hypotheses on a grid.
 
     The hypotheses guarantee a unique stable trait distribution: the
     derivative-gap integral of the row CDFs stays below one, and second
     moments contract under the birth map up to an additive constant.
 
-    Samples parent triples inside the kernel's safe window, where grid
-    truncation does not distort the rows. The moment bound is fitted on
-    structured equal pairs across geometric spread levels: their second
-    moments grow linearly under the birth map, so the regression slope
-    estimates the tightest admissible contraction factor.
+    Samples parent triples inside parent_window, by default the kernel's
+    safe window, where grid truncation does not distort the rows. The
+    moment bound is fitted on structured equal pairs across geometric
+    spread levels: their second moments grow linearly under the birth map,
+    so the regression slope estimates the tightest admissible contraction
+    factor.
     """
-    if not kernel.supports_density:
-        raise UnsupportedKernel("hypothesis checks need density rows")
-    cfg = config or HypothesisCheckConfig()
-    rng = np.random.default_rng(cfg.seed)
-    delta = cfg.fd_step if cfg.fd_step is not None else grid.dx / 2.0
+    rng = np.random.default_rng(seed)
+    delta = grid.dx / 2.0
 
-    lo, hi = cfg.parent_window or kernel.safe_parent_window(grid)
+    lo, hi = parent_window or kernel.safe_parent_window(grid)
     lo = max(lo, grid.x_min + delta)
     hi = min(hi, grid.x_max - delta)
     if not lo < hi:
-        raise ValueError("parent window is empty; widen the grid or shrink fd_step")
+        raise ValueError("parent window is empty; widen the grid")
 
     # condition (i): finite-difference derivative gap of the row CDFs
     cond_i = 0.0
-    for _ in range(cfg.n_triples):
+    for _ in range(_N_TRIPLES):
         a, b, y = rng.uniform(lo, hi, size=3)
-        cond_i = max(cond_i, condition_i_contribution(kernel, a, b, y, grid, delta))
+        cond_i = max(cond_i, condition_i_contribution(kernel, a, b, y, grid))
 
     # mean condition and row symmetry on sampled parent pairs
     mean_err = 0.0
     sym_err = 0.0
-    for _ in range(cfg.n_mean_checks):
+    for _ in range(_N_MEAN_CHECKS):
         x, y = rng.uniform(lo, hi, size=2)
         row_xy = kernel.row_masses(x, y, grid)
         row_yx = kernel.row_masses(y, x, grid)
         mean_err = max(mean_err, abs(float(grid.centers @ row_xy) - 0.5 * (x + y)))
         sym_err = max(sym_err, float(np.abs(row_xy - row_yx).max()))
 
-    # condition (ii): moment-bound fit on second moments
-    m_lo, m_hi = cfg.mean_window or (lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo))
+    # condition (ii): moment-bound fit on second moments, with the measures
+    # centred in the middle fifth of the parent window
+    m_lo, m_hi = lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo)
     c_mid = 0.5 * (m_lo + m_hi)
     sd_top = min(hi - lo, grid.x_max - grid.x_min) / 6.0
-    levels = sd_top / 2.0 ** np.arange(cfg.n_scale_levels)[::-1]
+    levels = sd_top / 2.0 ** np.arange(_N_SCALE_LEVELS)[::-1]
 
     def m2(w):
         return float(np.sum(grid.centers**2 * w))
@@ -650,7 +629,7 @@ def check_hypotheses(kernel: InheritanceKernel, grid: TraitGrid,
         pts_u.append(structured[-1][0])
         pts_v.append(structured[-1][1])
         n_pairs += 1
-        for _ in range(cfg.pairs_per_level):
+        for _ in range(_PAIRS_PER_LEVEL):
             mu = _mixture_measure(grid, rng, m_lo, m_hi, sd)
             nu = _mixture_measure(grid, rng, m_lo, m_hi, sd)
             img = birth_weights(kernel, mu.weights, nu.weights, grid)
@@ -669,6 +648,6 @@ def check_hypotheses(kernel: InheritanceKernel, grid: TraitGrid,
         condition_ii=ConditionTwoFit(c_est=c_est, l_est=slope, holds=holds),
         mean_condition_max_error=mean_err,
         symmetry_max_error=sym_err,
-        n_triples=cfg.n_triples,
+        n_triples=_N_TRIPLES,
         n_pairs=n_pairs,
     )

@@ -35,6 +35,13 @@ __all__ = [
     "suggest_dt",
 ]
 
+# An explicit step is at most this fraction of 1 / (largest per-capita rate).
+_DT_SAFETY = 0.1
+# coupled_full_run: the fixed-point tolerance, and the mass of either sex
+# below which a persistence run counts as dying out
+_FIXED_POINT_TOL = 1e-8
+_MASS_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class MacroState:
@@ -117,11 +124,11 @@ class _GridRates:
         return (self.dm + self.competition("U_mm", mw) + self.competition("U_mf", fw),
                 self.df + self.competition("U_fm", mw) + self.competition("U_ff", fw))
 
-    def dt_bound(self, mw: np.ndarray, fw: np.ndarray, safety: float = 0.1) -> float:
+    def dt_bound(self, mw: np.ndarray, fw: np.ndarray) -> float:
         """Explicit-step bound from the largest per-capita rate."""
         death_m, death_f = self.deaths(mw, fw)
         rmax = float(max(np.max(death_m + self.pm), np.max(death_f + self.pf)))
-        return safety / rmax if rmax > 0 else float("inf")
+        return _DT_SAFETY / rmax if rmax > 0 else float("inf")
 
 
 def _birth_and_death(gr: _GridRates, kernel: InheritanceKernel, grid: TraitGrid,
@@ -164,9 +171,9 @@ def rhs_general(state: MacroState, rates: RateSet, kernel: InheritanceKernel):
     return birth - death_m * state.m.weights, birth - death_f * state.f.weights
 
 
-def suggest_dt(state: MacroState, rates: RateSet, safety: float = 0.1) -> float:
+def suggest_dt(state: MacroState, rates: RateSet) -> float:
     """Explicit-step bound from the largest per-capita rate at the given state."""
-    return _GridRates(rates, state.m.grid).dt_bound(state.m.weights, state.f.weights, safety)
+    return _GridRates(rates, state.m.grid).dt_bound(state.m.weights, state.f.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,7 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     if a0 <= 0:
         raise ValueError(f"sex-ratio constant must be positive, got {a0}")
     cfg = replace(config, positivity="clip-renormalize") if config.positivity == "clip" else config
-    diag = SolverDiagnostics(dt_bound=0.1 / max(1.0, a0))
+    diag = SolverDiagnostics(dt_bound=_DT_SAFETY / max(1.0, a0))
     if cfg.dt > diag.dt_bound:
         raise ValueError(
             f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
@@ -256,7 +263,6 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
 class CoupledRunResult:
     """Raw constant-rate run with its normalized view and limit diagnostics."""
 
-    raw: MacroTrajectory
     times: np.ndarray
     mus: Sequence[GridMeasure]
     nus: Sequence[GridMeasure]
@@ -268,9 +274,7 @@ class CoupledRunResult:
 
 
 def coupled_full_run(m0: GridMeasure, f0: GridMeasure, rates: RateSet,
-                     kernel: InheritanceKernel, config: SolverConfig,
-                     fixed_point_tol: float = 1e-8,
-                     mass_floor: float = 1e-8) -> CoupledRunResult:
+                     kernel: InheritanceKernel, config: SolverConfig) -> CoupledRunResult:
     """Run the raw constant-rate system and compare its normalized trait
     distributions against the common limiting distribution.
 
@@ -288,9 +292,9 @@ def coupled_full_run(m0: GridMeasure, f0: GridMeasure, rates: RateSet,
     times = raw.times
     mus, nus, ratios = [], [], []
     for s in raw.states:
-        if min(s.m.mass, s.f.mass) < mass_floor:
+        if min(s.m.mass, s.f.mass) < _MASS_FLOOR:
             raise ExtinctionDetected(
-                f"mass fell below {mass_floor} at t = {s.t} in a persistence run")
+                f"mass fell below {_MASS_FLOOR} at t = {s.t} in a persistence run")
         mus.append(normalize(s.m)[0])
         nus.append(normalize(s.f)[0])
         ratios.append(s.m.mass / s.f.mass)
@@ -300,10 +304,10 @@ def coupled_full_run(m0: GridMeasure, f0: GridMeasure, rates: RateSet,
     grid = m0.grid
     span = grid.x_max - grid.x_min
     seed = gaussian_measure(grid, target_mean, span / 16.0)
-    fp = stability.fixed_point(kernel, seed, tol=fixed_point_tol)
+    fp = stability.fixed_point(kernel, seed, tol=_FIXED_POINT_TOL)
     # below ~10x the fixed-point tolerance the distances only resolve the
     # reference measure's own accuracy
     report = stability.convergence_report(times, mus, nus, fp.mu_star,
-                                          monotone_floor=10.0 * fixed_point_tol)
+                                          monotone_floor=10.0 * _FIXED_POINT_TOL)
     a_fit = fit_exponential_tail(times, np.abs(ratios - a_limit))
-    return CoupledRunResult(raw, times, mus, nus, ratios, a_limit, a_fit, fp, report)
+    return CoupledRunResult(times, mus, nus, ratios, a_limit, a_fit, fp, report)

@@ -34,7 +34,7 @@ __all__ = [
     "normal_cdf",
 ]
 
-#: Default absolute tolerance when two masses must agree.
+#: Absolute tolerance when two masses must agree.
 MASS_TOLERANCE = 1e-9
 
 # Negative weights smaller than this (relative to the largest weight) are
@@ -130,10 +130,6 @@ class GridMeasure:
     def mass(self) -> float:
         return self._mass
 
-    def density(self) -> np.ndarray:
-        """Cell-averaged density view (mass per trait unit)."""
-        return self.weights / self.grid.dx
-
     def mean(self) -> float:
         return mean(self)
 
@@ -173,16 +169,17 @@ def variance(m: GridMeasure) -> float:
     return moment(m, 2) / m.mass - mu * mu
 
 
-def wasserstein1(a: GridMeasure, b: GridMeasure, mass_tol: float = MASS_TOLERANCE) -> float:
+def wasserstein1(a: GridMeasure, b: GridMeasure) -> float:
     """Wasserstein-1 distance between two equal-mass measures.
 
     Computed as dx * sum(|cdf of the signed difference|). Defined only when
-    the total masses agree within mass_tol; raises MassMismatch otherwise.
+    the total masses agree within MASS_TOLERANCE; raises MassMismatch
+    otherwise.
     """
     _require_same_grid(a, b)
-    if abs(a.mass - b.mass) > mass_tol:
+    if abs(a.mass - b.mass) > MASS_TOLERANCE:
         raise MassMismatch(
-            f"masses differ by {abs(a.mass - b.mass):.3e} (> {mass_tol:.1e}); "
+            f"masses differ by {abs(a.mass - b.mass):.3e} (> {MASS_TOLERANCE:.1e}); "
             "transport distance undefined"
         )
     phi = np.cumsum(a.weights - b.weights)

@@ -177,7 +177,6 @@ class LlnErrorTable:
     times: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray
-    per_replica: dict[int, np.ndarray]
 
     def errors_decrease(self) -> bool:
         """Strict decrease of the mean error along increasing N at every time."""
@@ -204,7 +203,6 @@ def lln_compare(runs: Mapping[int, Sequence], macro_traj, checkpoints) -> LlnErr
         s = macro_traj.state_at(t)
         macro_pairs.append((normalize(s.m)[0], normalize(s.f)[0]))
 
-    per_replica: dict[int, np.ndarray] = {}
     means = np.empty((len(ns), len(checkpoints)))
     stderrs = np.empty_like(means)
     for i, n in enumerate(ns):
@@ -217,7 +215,6 @@ def lln_compare(runs: Mapping[int, Sequence], macro_traj, checkpoints) -> LlnErr
                 em = wasserstein1(normalize(emp_m)[0], mac_m)
                 ef = wasserstein1(normalize(emp_f)[0], mac_f)
                 errs[r, j] = 0.5 * (em + ef)
-        per_replica[n] = errs
         means[i] = errs.mean(axis=0)
         stderrs[i] = errs.std(axis=0, ddof=1) / np.sqrt(len(reps))
-    return LlnErrorTable(ns, checkpoints, means, stderrs, per_replica)
+    return LlnErrorTable(ns, checkpoints, means, stderrs)

@@ -95,11 +95,10 @@ class RateSet:
         is asked for; a zero rate there freezes that event, a negative one
         has no meaning as an event rate.
         """
-        entry = getattr(self, name)
+        v = self._evaluate(name, *traits)
+        if not callable(getattr(self, name)):
+            return v
         shape = np.broadcast(*traits).shape
-        if not callable(entry):
-            return np.full(shape, float(entry))
-        v = np.asarray(entry(*traits), dtype=float)
         if v.shape != shape:
             raise ValueError(f"{name} must map its traits to their broadcast shape {shape}, "
                              f"got {v.shape}")
@@ -109,6 +108,13 @@ class RateSet:
             place = f"trait {where[0]}" if len(where) == 1 else f"traits {tuple(where)}"
             raise ValueError(f"{name} must be non-negative, got {v[i]} at {place}")
         return v
+
+    def _evaluate(self, name: str, *traits) -> np.ndarray:
+        """Rate `name` at the given traits, without the checks of `at`."""
+        entry = getattr(self, name)
+        if not callable(entry):
+            return np.full(np.broadcast(*traits).shape, float(entry))
+        return np.asarray(entry(*traits), dtype=float)
 
     @classmethod
     def constant(cls, p_f: float, p_m: float, D_f: float, D_m: float, U: float) -> "RateSet":
@@ -128,13 +134,6 @@ class TotalsState:
             raise ValueError("masses must be finite")
         if self.M < 0 or self.F < 0:
             raise ValueError("masses must be non-negative")
-
-    @property
-    def sex_ratio(self) -> float:
-        """Male to female mass ratio; requires F > 0."""
-        if self.F <= 0:
-            raise ZeroDivisionError("sex ratio undefined for F = 0")
-        return self.M / self.F
 
 
 class Classification(enum.Enum):
@@ -271,10 +270,6 @@ class TotalsSeries:
     t: np.ndarray
     M: np.ndarray
     F: np.ndarray
-
-    @property
-    def final(self) -> TotalsState:
-        return TotalsState(float(self.M[-1]), float(self.F[-1]))
 
 
 def integrate_totals(state0: TotalsState, rates: RateSet, t_end: float,

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dimorph import acceptance as acc
+from dimorph import cli
 from dimorph.io import (emit_distribution_csv, read_distribution_csv,
                         trajectory_rows)
 from dimorph.measures import GridMeasure, TraitGrid, gaussian_measure
@@ -319,6 +321,58 @@ def test_acceptance_subcommand_subset(tmp_path):
     report = json.loads((out / "acceptance_report.json").read_text())
     assert [r["id"] for r in report["results"]] == ["1a", "4", "10"]
     assert all(r["passed"] for r in report["results"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("only", "1b2"),      # a string matched criterion ids as substrings
+    ("only", ["99"]),     # no known id left the report empty
+    ("only", []),
+    ("jobs", "2"),
+    ("jobs", 0),
+    ("jobs", True),
+], ids=["only-string", "only-unknown-id", "only-empty", "jobs-string", "jobs-zero",
+        "jobs-bool"])
+def test_acceptance_config_rejected(tmp_path, capsys, field, value):
+    cfg = _write(tmp_path, "acc.json", {"schema_version": 1, "kind": "acceptance",
+                                        field: value})
+    assert cli.main(["acceptance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "acceptance_report.json").exists()
+
+
+def test_acceptance_failed_criterion_exits_one(tmp_path, monkeypatch, capsys):
+    def ok():
+        return acc.CriterionResult("a", "passes", True, "ok: fine", 0.0)
+
+    def fails():
+        return acc.CriterionResult("b", "fails", False, "FAIL: off by one", 0.0)
+
+    monkeypatch.setattr(acc, "ALL_CRITERIA", (("a", ok), ("b", fails)))
+    out = tmp_path / "out"
+    assert cli.main(["acceptance", "--out", str(out)]) == 1
+    assert "1 of 2 criteria failed" in capsys.readouterr().err
+    report = json.loads((out / "acceptance_report.json").read_text())
+    assert [r["passed"] for r in report["results"]] == [True, False]
+    assert not report["all_passed"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["path"] for e in manifest["files"]] == ["acceptance_report.json"]
+
+
+@pytest.mark.parametrize("sample_times", [[0.0, 1.0], []], ids=["last-sample-early", "no-samples"])
+def test_ibm_final_counts_are_taken_at_t_end(tmp_path, sample_times):
+    # configs/ibm.json at N = 100 runs to t_end = 3, past every sample time
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    shipped = json.loads((configs / "ibm.json").read_text())
+    cfg = _write(tmp_path, "ibm.json", shipped | {
+        "N": 100, "sample_times": sample_times,
+        "initial_female": shipped["initial_female"] | {"count": 100},
+        "initial_male": shipped["initial_male"] | {"count": 100}})
+    out = tmp_path / "out"
+    assert cli.main(["ibm", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["extinction_time"] is None and meta["events"] > 0
+    assert meta["births_female"] + meta["births_male"] - meta["deaths"] \
+        == meta["final_counts"]["male"] + meta["final_counts"]["female"] - 200
 
 
 def test_shipped_configs_run(tmp_path):

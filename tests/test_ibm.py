@@ -28,7 +28,7 @@ def test_event_rates_one_pair_unit_rates():
     rates = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0,
                     U_ff=_zero_u, U_fm=_zero_u, U_mf=_zero_u, U_mm=_zero_u)
     pop = ScaledPopulation(np.array([0.0]), np.array([0.5]), 1, rates, GRID)
-    s = event_rates(pop, rates)
+    s = event_rates(pop)
     assert s.mating_total == pytest.approx(2.0)
     assert s.death_total == pytest.approx(2.0)
     assert s.total == pytest.approx(4.0)
@@ -92,11 +92,11 @@ def test_step_single_male_death_only():
     rates = RateSet.constant(p_f=5.0, p_m=5.0, D_f=1.0, D_m=1.0, U=0.25)
     pop = ScaledPopulation(np.array([]), np.array([0.3]), 1, rates, GRID)
     rng = BufferedRng(0)
-    dt, event = step(pop, rates, KERNEL, rng)
+    dt, event = step(pop, KERNEL, rng)
     assert isinstance(event, DeathEvent)
     assert pop.size == 0
     with pytest.raises(ExtinctPopulation):
-        step(pop, rates, KERNEL, rng)
+        step(pop, KERNEL, rng)
 
 
 def test_events_change_count_by_one():
@@ -106,7 +106,7 @@ def test_events_change_count_by_one():
     rng = BufferedRng(5)
     for _ in range(500):
         before = pop.size
-        _dt, event = step(pop, PERSIST, KERNEL, rng)
+        _dt, event = step(pop, KERNEL, rng)
         if isinstance(event, MatingEvent):
             assert pop.size == before + 1
         else:
@@ -135,7 +135,7 @@ def test_interevent_times_are_exponential():
     waits = []
     for _ in range(1000):
         pop = ScaledPopulation(np.array([0.0]), np.array([0.0]), 1, rates, GRID)
-        dt, _event = step(pop, rates, KERNEL, rng)
+        dt, _event = step(pop, KERNEL, rng)
         waits.append(dt)
     # total initiation rate is 3.0
     res = stats.kstest(waits, "expon", args=(0.0, 1.0 / 3.0))
@@ -194,7 +194,7 @@ def test_cache_consistency_both_modes():
                            200, PERSIST, GRID)
     rng = BufferedRng(31)
     for _ in range(2000):
-        step(pop, PERSIST, KERNEL, rng)
+        step(pop, KERNEL, rng)
     assert pop.cache_consistency() < 1e-9
 
     trait_rates = RateSet(p_f=lambda x: 2.0 + 0.1 * np.sin(x), p_m=2.0,
@@ -205,7 +205,7 @@ def test_cache_consistency_both_modes():
                             120, trait_rates, GRID)
     rngg = BufferedRng(32)
     for _ in range(2000):
-        step(popg, trait_rates, KERNEL, rngg)
+        step(popg, KERNEL, rngg)
     assert popg.cache_consistency() < 1e-9
 
 
@@ -339,7 +339,7 @@ def test_one_step_law_matches_generator(rates):
     rng = BufferedRng(2024)
     for k in range(LAW_DRAWS):
         pop = ScaledPopulation(females, males, LAW_N, rates, GRID)
-        waits[k], event = step(pop, rates, KERNEL, rng)
+        waits[k], event = step(pop, KERNEL, rng)
         counts[cells[_cell(event)]] += 1
     expected = LAW_DRAWS * np.array(list(law.values())) / total
     assert expected.min() > 100
@@ -413,9 +413,9 @@ def test_constant_loop_matches_direct_engine(case):
         assert params.rates.is_constant
         fast, ref = simulate(params), ibm._simulate_direct(params)
         assert (fast.births_female, fast.births_male, fast.deaths, fast.clamped_births,
-                fast.n_events, fast.extinction_time) == \
+                fast.n_events, fast.extinction_time, fast.final_n_female, fast.final_n_male) == \
             (ref.births_female, ref.births_male, ref.deaths, ref.clamped_births,
-             ref.n_events, ref.extinction_time)
+             ref.n_events, ref.extinction_time, ref.final_n_female, ref.final_n_male)
         assert len(fast.snapshots) == len(ref.snapshots)
         for a, b in zip(fast.snapshots, ref.snapshots):
             assert (a.time, a.n_female, a.n_male) == (b.time, b.n_female, b.n_male)

@@ -5,12 +5,10 @@ import pytest
 
 from dimorph.errors import DegenerateRow, GridMismatch, UnsupportedKernel
 from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
-                             GaussianNoise, HypothesisCheckConfig,
-                             MultiplicativeNoiseKernel, NoiseDensity, SamplerKernel,
-                             TabulatedNoise, UniformNoise, birth_operator,
-                             check_hypotheses, condition_i_contribution,
-                             density_row, sample_offspring,
-                             tabulated_kernel_from_csv)
+                             GaussianNoise, MultiplicativeNoiseKernel, NoiseDensity,
+                             SamplerKernel, TabulatedNoise, UniformNoise,
+                             _birth_weights_exact, birth_operator, check_hypotheses,
+                             condition_i_contribution, tabulated_kernel_from_csv)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
                               measure_from_samples, point_mass, wasserstein1)
 
@@ -73,7 +71,7 @@ def test_family_constructor_guards():
 
 
 def test_density_row_mean_and_normalization(grid, add_kernel):
-    row = density_row(add_kernel, 1.0, 3.0, grid)
+    row = add_kernel.density_row(1.0, 3.0, grid)
     assert np.all(row >= 0.0)
     assert row.sum() * grid.dx == pytest.approx(1.0, abs=1e-12)
     mean = float(np.sum(grid.centers * row) * grid.dx)
@@ -81,10 +79,10 @@ def test_density_row_mean_and_normalization(grid, add_kernel):
 
 
 def test_density_row_symmetric_in_parents(grid, add_kernel, mult_grid, mult_kernel):
-    np.testing.assert_array_equal(density_row(add_kernel, -1.0, 2.5, grid),
-                                  density_row(add_kernel, 2.5, -1.0, grid))
-    np.testing.assert_array_equal(density_row(mult_kernel, 0.5, 2.0, mult_grid),
-                                  density_row(mult_kernel, 2.0, 0.5, mult_grid))
+    np.testing.assert_array_equal(add_kernel.density_row(-1.0, 2.5, grid),
+                                  add_kernel.density_row(2.5, -1.0, grid))
+    np.testing.assert_array_equal(mult_kernel.density_row(0.5, 2.0, mult_grid),
+                                  mult_kernel.density_row(2.0, 0.5, mult_grid))
 
 
 def test_row_mean_error_bound_inside_safe_window(grid, add_kernel):
@@ -122,8 +120,8 @@ def test_sampler_kernel_has_no_rows():
 
 def test_multiplicative_sampling_support(mult_kernel):
     rng = np.random.default_rng(1)
-    assert all(sample_offspring(mult_kernel, 0.0, 0.0, rng) == 0.0 for _ in range(100))
-    draws = np.array([sample_offspring(mult_kernel, 1.0, 1.0, rng) for _ in range(2000)])
+    assert all(mult_kernel.sample_offspring(0.0, 0.0, rng) == 0.0 for _ in range(100))
+    draws = np.array([mult_kernel.sample_offspring(1.0, 1.0, rng) for _ in range(2000)])
     assert draws.min() >= 0.0 and draws.max() <= 2.0
 
 
@@ -209,7 +207,7 @@ def test_birth_operator_fast_matches_exact():
     mu = gaussian_measure(g, 1.0, 1.0)
     nu = gaussian_measure(g, -1.0, 0.7)
     fast = birth_operator(k, mu, nu).weights
-    exact = birth_operator(k, mu, nu, method="exact").weights
+    exact = _birth_weights_exact(k, mu.weights, nu.weights, g)
     # the reference mode skips pairs below 1e-12 of the product mass, so
     # agreement is absolute at that scale rather than relative in the tails
     np.testing.assert_allclose(fast, exact, rtol=1e-9, atol=1e-11)
@@ -219,7 +217,7 @@ def test_birth_operator_fast_matches_exact():
     mu = gaussian_measure(gm, 1.2, 0.3)
     nu = gaussian_measure(gm, 2.0, 0.4)
     fast = birth_operator(km, mu, nu).weights
-    exact = birth_operator(km, mu, nu, method="exact").weights
+    exact = _birth_weights_exact(km, mu.weights, nu.weights, gm)
     np.testing.assert_allclose(fast, exact, rtol=1e-9, atol=1e-11)
 
 
@@ -331,7 +329,7 @@ def test_condition_i_identical_arguments_zero(grid, add_kernel):
 
 
 def test_check_hypotheses_additive(grid, add_kernel):
-    rep = check_hypotheses(add_kernel, grid, HypothesisCheckConfig(seed=5))
+    rep = check_hypotheses(add_kernel, grid, seed=5)
     assert rep.condition_i_max < 1.0
     # paper-style constants for the Gaussian family: slope 1/2, offset of the
     # form (noise second moment) + (mean bound)^2 / 2
@@ -344,7 +342,7 @@ def test_check_hypotheses_additive(grid, add_kernel):
 
 
 def test_check_hypotheses_multiplicative(mult_grid, mult_kernel):
-    rep = check_hypotheses(mult_kernel, mult_grid, HypothesisCheckConfig(seed=5))
+    rep = check_hypotheses(mult_kernel, mult_grid, seed=5)
     assert rep.condition_i_max < 1.0
     # true slope is twice the noise second moment, 2/3 for uniform h
     assert rep.condition_ii.l_est == pytest.approx(2.0 / 3.0, abs=0.05)
@@ -359,8 +357,7 @@ def test_check_hypotheses_flags_violating_kernel():
         return np.exp(-0.5 * ((z - (x + y)) / 0.5) ** 2)
 
     g = TraitGrid(-8.0, 8.0, 128)
-    rep = check_hypotheses(CustomDensityKernel(dens), g,
-                           HypothesisCheckConfig(seed=2, parent_window=(-3.0, 3.0)))
+    rep = check_hypotheses(CustomDensityKernel(dens), g, seed=2, parent_window=(-3.0, 3.0))
     assert rep.condition_ii.l_est > 1.0
     assert not rep.condition_ii.holds
     assert rep.mean_condition_max_error > 10.0 * g.dx
