@@ -421,10 +421,19 @@ ALL_CRITERIA = (
 
 def run_all(only=None, jobs: int = 1) -> list[CriterionResult]:
     """Run the selected criteria in order; one that raises is reported as
-    failed, naming the exception and the line that raised it."""
+    failed, naming the exception and the line that raised it.
+
+    `only`, when given, must be a non-empty list of criterion ids; anything
+    else raises ValueError before any criterion runs.
+    """
+    known = [cid for cid, _ in ALL_CRITERIA]
+    if only is not None and (not isinstance(only, (list, tuple)) or not only
+                             or any(c not in known for c in only)):
+        raise ValueError(f"only must be a non-empty list of criterion ids from {known}, "
+                         f"got {only!r}")
     results = []
     for cid, fn in ALL_CRITERIA:
-        if only and cid not in only:
+        if only is not None and cid not in only:
             continue
         t0 = time.time()
         try:
@@ -441,7 +450,7 @@ def run_all(only=None, jobs: int = 1) -> list[CriterionResult]:
 
 def format_table(results) -> str:
     lines = []
-    width = max(len(r.title) for r in results) + 2
+    width = max((len(r.title) for r in results), default=0) + 2
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"  [{status}] {r.cid:>3}  {r.title:<{width}} {r.elapsed:7.2f}s")

@@ -6,16 +6,20 @@ partner with probability proportional to the partner's capability; each
 birth is male or female with a fair coin; individuals die naturally and
 through pairwise competition rescaled by the population scale N.
 
-`simulate` runs constant rates through a specialised loop on local state
-only: the rates as floats, one `array("d")` of traits per sex with
-swap-remove and the incremental capability sum of each sex, with no
-per-event objects or method dispatch. Every other rate set runs the direct engine
-(`_simulate_direct`): a `ScaledPopulation` with vectorized categorical
-sampling and incrementally maintained per-individual competition loads,
-advanced by the same event code as `step`. The direct engine also accepts
-constant rates and is the reference for the specialised loop: both draw
-the same variates in the same order and evaluate the same float
-expressions, so a seeded run gives a bit-identical trajectory on either.
+There are three engines. The direct engine (`_simulate_direct`) is the
+reference: a `ScaledPopulation` with vectorized categorical sampling and
+incrementally maintained per-individual competition loads, advanced by
+the same event code as `step`, at O(N) per event. `simulate` does not
+use it; it runs one of two loops on local state only, with one
+`array("d")` of traits per sex and swap-remove:
+
+- constant rates take `_simulate_constant`, which draws the same variates
+  in the same order as the direct engine and evaluates the same float
+  expressions, so a seeded run gives a bit-identical trajectory on either;
+- every other rate set takes `_simulate_thinned`, which draws candidate
+  jumps at a dominating rate and accepts each with the ratio of its true
+  rate to the bound (thinning), at O(1) per candidate. It has the law of
+  the direct engine, not its draws.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ __all__ = [
 
 # Draws per refill of each BufferedRng stream.
 _BATCH = 8192
+# Relative widening of a callable competition kernel's maximum over the grid
+# points, which covers its values between them; a value beyond it raises.
+_U_MARGIN = 0.05
+# Kernel evaluations per row block when bounding it over the grid square.
+_BOUND_BLOCK = 1 << 16
 
 
 class Sex(enum.Enum):
@@ -418,8 +427,13 @@ def event_rates(pop: ScaledPopulation) -> RateSummary:
 
 
 def _pick_weighted(cls: _SexClass, weights: np.ndarray, rng) -> int:
+    """Index drawn with probability proportional to its weight, or uniformly
+    when every weight is zero, as the solver does; one uniform either way."""
     cum = np.cumsum(weights[: cls.n])
-    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), cls.n - 1)
+    u = rng.random()
+    if cum[-1] <= 0.0:
+        return int(u * cls.n)
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), cls.n - 1)
 
 
 def _pick_by_capability(pop: ScaledPopulation, sex: Sex, rng) -> int:
@@ -498,6 +512,7 @@ class IbmTrajectory:
     deaths: int
     clamped_births: int
     n_events: int
+    n_proposals: int  # candidate jumps drawn; above n_events only under thinning
     extinction_time: float | None
     seed: int
     final_n_female: int  # class sizes at t_end, whatever the sample times
@@ -522,13 +537,13 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     remaining snapshots are empty and the extinction time is recorded;
     a population with zero total rate but surviving members simply stops
     changing. Constant rates take the specialised loop, which gives the
-    same trajectory as the direct engine.
+    same trajectory as the direct engine; every other rate set is thinned.
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
     if params.rates.is_constant:
         return _simulate_constant(params)
-    return _simulate_direct(params)
+    return _simulate_thinned(params)
 
 
 def _simulate_direct(params: IbmParams) -> IbmTrajectory:
@@ -574,6 +589,7 @@ def _simulate_direct(params: IbmParams) -> IbmTrajectory:
         deaths=pop.deaths,
         clamped_births=pop.clamped_births,
         n_events=n_events,
+        n_proposals=n_events,
         extinction_time=extinction_time,
         seed=params.seed,
         final_n_female=pop.f.n,
@@ -683,6 +699,242 @@ def _simulate_constant(params: IbmParams) -> IbmTrajectory:
         deaths=deaths,
         clamped_births=clamped,
         n_events=n_events,
+        n_proposals=n_events,
+        extinction_time=extinction_time,
+        seed=params.seed,
+        final_n_female=nf,
+        final_n_male=nm,
+    )
+
+
+def _competition_bound(rates: RateSet, name: str, grid: TraitGrid) -> float:
+    """An upper bound of competition kernel `name` over the grid square.
+
+    A constant is its own bound. A callable is evaluated through
+    `RateSet.at` at every pair of grid centres and edges, in row blocks
+    so that no (2n+1)^2 matrix is held, and its maximum is widened by
+    `_U_MARGIN` for the values between those points.
+    """
+    entry = getattr(rates, name)
+    if not callable(entry):
+        return float(entry)
+    pts = np.concatenate([grid.centers, grid.edges])
+    rows = max(1, _BOUND_BLOCK // len(pts))
+    top = 0.0
+    for lo in range(0, len(pts), rows):
+        top = max(top, float(rates.at(name, pts[lo:lo + rows, None], pts[None, :]).max()))
+    return top * (1.0 + _U_MARGIN)
+
+
+def _newborn_rate(rates: RateSet, name: str):
+    """Scalar evaluator of capability or death rate `name` for one newborn,
+    with the non-negativity check of `RateSet.at`."""
+    entry = getattr(rates, name)
+    if not callable(entry):
+        value = float(entry)
+        return lambda x: value
+
+    def rate(x: float) -> float:
+        v = float(entry(x))
+        if not 0.0 <= v:
+            raise ValueError(f"{name} must be non-negative, got {v} at trait {x}")
+        return v
+    return rate
+
+
+def _competition_value(rates: RateSet, name: str, bound: float):
+    """Scalar evaluator of competition kernel `name` that refuses any value
+    outside [0, bound], or None for a constant, which is its own bound."""
+    entry = getattr(rates, name)
+    if not callable(entry):
+        return None
+
+    def value(x: float, z: float) -> float:
+        v = float(entry(x, z))
+        if not 0.0 <= v <= bound:
+            raise ValueError(f"{name} = {v} at traits ({x}, {z}) lies outside [0, {bound}], "
+                             f"the bound taken from the grid points with margin {_U_MARGIN}")
+        return v
+    return value
+
+
+def _simulate_thinned(params: IbmParams) -> IbmTrajectory:
+    """The jump process for trait-dependent rates by thinning.
+
+    Candidate jumps arrive at a dominating rate R, a function of the class
+    sizes alone, and each is accepted with the ratio of its true rate to
+    its bound (Fournier & Méléard 2004), so every candidate costs O(1).
+    The bounds are the running maxima of the capabilities and death rates
+    cached per individual, and `_competition_bound` for competition. R is
+    split into eight kinds, one uniform picking the kind:
+
+    - a mating initiated by a female, at rate [nf, nm > 0] nf p̄_f: a
+      uniform female is accepted with p_f(x)/p̄_f, then a partner is drawn
+      by rejection, uniform proposals each accepted with p_m(y)/p̄_m
+      (uniformly if no male has positive capability); the mirror for males;
+    - a natural female death, at rate nf D̄_f: a uniform female is
+      accepted with D_f(x)/D̄_f;
+    - a female death from competition with a female, at rate
+      nf nf Ū_ff / N: a uniform victim and a uniform competitor, self
+      included, accepted with U_ff(x, z)/Ū_ff; likewise against a male at
+      rate nf nm Ū_fm / N, and the mirrors for males.
+
+    A rejected candidate advances the clock and changes nothing else.
+    Snapshot timing and extinction follow `_simulate_constant`.
+    """
+    r = params.rates
+    N, t_end, grid = params.N, params.t_end, params.grid
+    x_min, x_max = grid.x_min, grid.x_max
+    rng = BufferedRng(params.seed)
+    random, exponential = rng.random, rng.exponential
+    sample_offspring = params.kernel.sample_offspring
+
+    def cached(name: str, traits: np.ndarray) -> array:
+        return array("d", r.at(name, traits).tobytes())
+
+    females = array("d", params.initial_female.tobytes())
+    males = array("d", params.initial_male.tobytes())
+    pf, Df = cached("p_f", params.initial_female), cached("D_f", params.initial_female)
+    pm, Dm = cached("p_m", params.initial_male), cached("D_m", params.initial_male)
+    nf, nm = len(females), len(males)
+    # exact counts of members with positive capability, for the partner pick
+    pos_f = sum(1 for v in pf if v > 0.0)
+    pos_m = sum(1 for v in pm if v > 0.0)
+    pbar_f, pbar_m = max(pf, default=0.0), max(pm, default=0.0)
+    Dbar_f, Dbar_m = max(Df, default=0.0), max(Dm, default=0.0)
+    Ubar_ff, Ubar_fm, Ubar_mf, Ubar_mm = (_competition_bound(r, name, grid)
+                                          for name in ("U_ff", "U_fm", "U_mf", "U_mm"))
+    U_ff = _competition_value(r, "U_ff", Ubar_ff)
+    U_fm = _competition_value(r, "U_fm", Ubar_fm)
+    U_mf = _competition_value(r, "U_mf", Ubar_mf)
+    U_mm = _competition_value(r, "U_mm", Ubar_mm)
+    p_f_of, D_f_of = _newborn_rate(r, "p_f"), _newborn_rate(r, "D_f")
+    p_m_of, D_m_of = _newborn_rate(r, "p_m"), _newborn_rate(r, "D_m")
+
+    pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
+    next_due = next(pending, np.inf)
+    snapshots: list[IbmSnapshot] = []
+
+    def take_snapshots(up_to: float) -> None:
+        nonlocal next_due
+        while next_due <= up_to + 1e-12:
+            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, males, 1.0 / N),
+                                         measure_from_samples(grid, females, 1.0 / N), nm, nf))
+            next_due = next(pending, np.inf)
+
+    t = 0.0
+    n_events = n_proposals = births_f = births_m = deaths = clamped = 0
+    extinction_time = None
+    while True:
+        # cumulative bounds of the eight kinds of candidate jump
+        c_mate_f = nf * pbar_f if nf and nm else 0.0
+        c_mate = c_mate_f + (nm * pbar_m if nf and nm else 0.0)
+        c_nat_f = c_mate + nf * Dbar_f
+        c_ff = c_nat_f + nf * nf * Ubar_ff / N
+        c_fm = c_ff + nf * nm * Ubar_fm / N
+        c_nat_m = c_fm + nm * Dbar_m
+        c_mm = c_nat_m + nm * nm * Ubar_mm / N
+        total = c_mm + nm * nf * Ubar_mf / N
+        if total <= 0.0:
+            if nf + nm == 0:
+                extinction_time = t
+            break
+        t_next = t + exponential(1.0 / total)
+        if t_next >= t_end:
+            break
+        if next_due <= (t_next - 1e-15) + 1e-12:
+            take_snapshots(t_next - 1e-15)
+        t = t_next
+        n_proposals += 1
+        u = random() * total
+        if u < c_mate:
+            if u < c_mate_f:
+                mother = int(random() * nf)
+                if random() * pbar_f >= pf[mother]:
+                    continue
+                father = int(random() * nm)
+                if pos_m:
+                    while random() * pbar_m >= pm[father]:
+                        father = int(random() * nm)
+            else:
+                father = int(random() * nm)
+                if random() * pbar_m >= pm[father]:
+                    continue
+                mother = int(random() * nf)
+                if pos_f:
+                    while random() * pbar_f >= pf[mother]:
+                        mother = int(random() * nf)
+            child = sample_offspring(females[mother], males[father], rng)
+            if child < x_min:
+                child = x_min
+                clamped += 1
+            elif child > x_max:
+                child = x_max
+                clamped += 1
+            if random() < 0.5:
+                p, d = p_f_of(child), D_f_of(child)
+                females.append(child)
+                pf.append(p)
+                Df.append(d)
+                nf += 1
+                pos_f += p > 0.0
+                pbar_f = max(pbar_f, p)
+                Dbar_f = max(Dbar_f, d)
+                births_f += 1
+            else:
+                p, d = p_m_of(child), D_m_of(child)
+                males.append(child)
+                pm.append(p)
+                Dm.append(d)
+                nm += 1
+                pos_m += p > 0.0
+                pbar_m = max(pbar_m, p)
+                Dbar_m = max(Dbar_m, d)
+                births_m += 1
+        elif u < c_fm:
+            victim = int(random() * nf)
+            x = females[victim]
+            if u < c_nat_f:
+                if random() * Dbar_f >= Df[victim]:
+                    continue
+            elif u < c_ff:
+                if U_ff is not None and random() * Ubar_ff >= U_ff(x, females[int(random() * nf)]):
+                    continue
+            elif U_fm is not None and random() * Ubar_fm >= U_fm(x, males[int(random() * nm)]):
+                continue
+            pos_f -= pf[victim] > 0.0
+            for arr in (females, pf, Df):
+                arr[victim] = arr[-1]
+                arr.pop()
+            nf -= 1
+            deaths += 1
+        else:
+            victim = int(random() * nm)
+            y = males[victim]
+            if u < c_nat_m:
+                if random() * Dbar_m >= Dm[victim]:
+                    continue
+            elif u < c_mm:
+                if U_mm is not None and random() * Ubar_mm >= U_mm(y, males[int(random() * nm)]):
+                    continue
+            elif U_mf is not None and random() * Ubar_mf >= U_mf(y, females[int(random() * nf)]):
+                continue
+            pos_m -= pm[victim] > 0.0
+            for arr in (males, pm, Dm):
+                arr[victim] = arr[-1]
+                arr.pop()
+            nm -= 1
+            deaths += 1
+        n_events += 1
+    take_snapshots(t_end)
+    return IbmTrajectory(
+        snapshots=tuple(snapshots),
+        births_female=births_f,
+        births_male=births_m,
+        deaths=deaths,
+        clamped_births=clamped,
+        n_events=n_events,
+        n_proposals=n_proposals,
         extinction_time=extinction_time,
         seed=params.seed,
         final_n_female=nf,

@@ -56,7 +56,6 @@ class SolverDiagnostics:
     """Positivity interventions and degenerate-denominator bookkeeping."""
 
     clipped_mass: float = 0.0
-    min_weight_seen: float = 0.0
     empty_denominator_steps: int = 0
     max_mass_drift: float = 0.0
     dt_bound: float = float("inf")
@@ -91,14 +90,11 @@ def _step_with_positivity(y: np.ndarray, t: float, dt: float, rhs: Rhs,
                     ok = False
                     break
             if ok:
-                diag.min_weight_seen = min(diag.min_weight_seen, float(cand.min()))
                 return np.clip(cand, 0.0, None)
         raise StepRejected(f"positivity not restored after 20 halvings at t = {t}")
 
     out = _advance(y, t, dt, rhs, cfg.scheme)
-    mn = float(out.min())
-    diag.min_weight_seen = min(diag.min_weight_seen, mn)
-    if mn < 0.0:
+    if out.min() < 0.0:
         diag.clipped_mass += float(-out[out < 0].sum())
         clipped = np.clip(out, 0.0, None)
         if cfg.positivity == "clip-renormalize":

@@ -46,7 +46,9 @@ class RateSet:
     U_ff, U_fm, U_mf, U_mm: competition kernels, where U_ab(x, y) is the
     rate at which a sex-a individual of trait x loses against a sex-b
     individual of trait y. Entries are constants or trait functions;
-    the totals operations require constants.
+    the totals operations require constants. A trait function must accept
+    scalar traits as well as arrays, as every numpy ufunc expression does:
+    the stochastic engine evaluates it for one newborn or one pair at a time.
     """
 
     p_f: RateEntry

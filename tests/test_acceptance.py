@@ -9,6 +9,8 @@ bound of 1e-6 by t = 100, which needs exponential decay, is applied to a
 strictly subcritical run, where the strict inequality provides it.
 """
 
+import pytest
+
 from dimorph import acceptance as acc
 
 
@@ -77,3 +79,18 @@ def test_run_all_reports_a_raising_criterion_and_continues(monkeypatch):
     assert "RuntimeError" in failed.details and "no root found" in failed.details
     assert "test_acceptance.py:" in failed.details
     assert "FAIL" in acc.format_table(results)
+
+
+@pytest.mark.parametrize("only", ["1b2", ["99"], []], ids=["string", "unknown-id", "empty"])
+def test_run_all_rejects_a_bad_selection(monkeypatch, only):
+    # a string used to select 1b and 2 by substring match
+    def ran():
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acc, "ALL_CRITERIA", (("1b", ran), ("2", ran)))
+    with pytest.raises(ValueError, match="only must be a non-empty list of criterion ids"):
+        acc.run_all(only=only)
+
+
+def test_format_table_of_no_results():
+    assert acc.format_table([]) == "  0/0 criteria passed"

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -427,3 +428,173 @@ def test_constant_loop_matches_direct_engine(case):
         assert all(t.extinction_time is not None for t in trajs)
     if case == "clamped-births":
         assert all(t.clamped_births > 0 for t in trajs)
+
+
+# -- the partner pick when the partner sex has no capability --------------------
+
+# one female at 0 mates with one of three males, none of which can initiate
+NO_MALE_CAPABILITY = RateSet(p_f=1.0, p_m=lambda y: 0.0 * y, D_f=lambda x: 0.0 * x,
+                             D_m=lambda y: 0.0 * y, U_ff=_zero_u, U_fm=_zero_u,
+                             U_mf=_zero_u, U_mm=_zero_u)
+FATHERS = (-1.0, 0.5, 1.0)
+_SMALL = TraitGrid(-1.5, 1.5, 12)
+
+
+class _RecordingKernel:
+    """The child takes the mother's trait; every father's trait is kept."""
+
+    def __init__(self):
+        self.fathers = []
+
+    def sample_offspring(self, x_mother, x_father, rng):
+        self.fathers.append(x_father)
+        return x_mother
+
+
+def _uniform_over_fathers(fathers) -> float:
+    counts = np.array([sum(f == y for f in fathers) for y in FATHERS])
+    assert counts.sum() >= 300
+    return stats.chisquare(counts).pvalue
+
+
+def test_zero_capability_partner_is_uniform_in_step():
+    # every jump is a female-initiated mating; the solver picks the father
+    # uniformly when no male has capability, and so must the direct engine
+    rng = BufferedRng(7)
+    fathers = []
+    for _ in range(900):
+        pop = ScaledPopulation(np.array([0.0]), np.array(FATHERS), 1, NO_MALE_CAPABILITY, GRID)
+        _dt, event = step(pop, KERNEL, rng)
+        fathers.append(event.father_trait)
+    assert _uniform_over_fathers(fathers) > 1e-3
+
+
+def test_zero_capability_partner_is_uniform_in_simulate():
+    # no deaths, so the three first males stay and every father among them
+    # is a uniform pick among all males; newborns carry the mother's trait 0
+    fathers = []
+    for seed in range(400):
+        kernel = _RecordingKernel()
+        simulate(IbmParams(grid=_SMALL, rates=NO_MALE_CAPABILITY, kernel=kernel, N=1, t_end=2.0,
+                           sample_times=(2.0,), seed=seed, initial_female=np.array([0.0]),
+                           initial_male=np.array(FATHERS)))
+        fathers += [f for f in kernel.fathers if f in FATHERS]
+    assert _uniform_over_fathers(fathers) > 1e-3
+
+
+# -- the thinning engine ------------------------------------------------------
+
+def test_proposal_counts():
+    const = simulate(PINNED_CASES["one-male"]()[0])
+    assert const.n_proposals == const.n_events > 0
+    trait = IbmParams(grid=GRID, rates=CRITERION_9, kernel=KERNEL, N=100, t_end=1.0,
+                      sample_times=(1.0,), seed=4, initial_female=np.zeros(100),
+                      initial_male=np.zeros(100))
+    ref = ibm._simulate_direct(trait)
+    assert ref.n_proposals == ref.n_events > 0
+    thinned = simulate(trait)
+    assert thinned.n_proposals > thinned.n_events > 0
+
+
+def test_thinned_seed_replay_bit_identical():
+    rng0 = np.random.default_rng(23)
+    params = IbmParams(grid=GRID, rates=STEEP, kernel=KERNEL, N=200, t_end=1.0,
+                       sample_times=(0.0, 0.5, 1.0), seed=23,
+                       initial_female=rng0.normal(0, 0.5, 200),
+                       initial_male=rng0.normal(0, 0.5, 200))
+    a, b = simulate(params), simulate(params)
+    assert a.n_events > 1000
+    assert (a.n_events, a.n_proposals, a.births_female, a.births_male, a.deaths,
+            a.final_n_female, a.final_n_male) == \
+        (b.n_events, b.n_proposals, b.births_female, b.births_male, b.deaths,
+         b.final_n_female, b.final_n_male)
+    for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+        assert sa.male.weights.tobytes() == sb.male.weights.tobytes()
+        assert sa.female.weights.tobytes() == sb.female.weights.tobytes()
+
+
+def test_competition_above_its_grid_bound_raises():
+    # U_ff spikes at trait distance 1/16, which no pair of the grid points
+    # (spaced 1/8 apart) reaches; the two females are that far apart
+    spiky = RateSet(p_f=1.0, p_m=1.0, D_f=0.1, D_m=0.1,
+                    U_ff=lambda x, z: 0.2 + 10.0 * (abs(abs(x - z) - 0.0625) < 1e-3),
+                    U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    params = IbmParams(grid=_SMALL, rates=spiky, kernel=KERNEL, N=1,
+                       t_end=50.0, sample_times=(), seed=1,
+                       initial_female=np.array([0.0, 0.0, 0.0, 0.0625, 0.0625, 0.0625]),
+                       initial_male=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"U_ff = 10\.2 at traits \((0\.0625, 0\.0|0\.0, 0\.0625)\)"
+                                         r" lies outside \[0, 0\.21"):
+        simulate(params)
+
+
+class _PairCells:
+    """Deterministic inheritance: 3 x_mother + x_father, held in [-2.5, 2.5].
+
+    Each (mother, father) pair of the law population has its child in a
+    unit cell of its own, at -2.5, -1.5, -0.5, 0.5, 1.5 or 2.5.
+    """
+
+    def sample_offspring(self, x_mother, x_father, rng):
+        return min(max(3.0 * x_mother + x_father, -2.5), 2.5)
+
+
+def test_negative_newborn_capability_raises_through_simulate():
+    # the pair (0.5, 0) has a child at 1.5, where p_f(1.5) = -0.5
+    rates = RateSet(p_f=lambda x: 1.0 - x, p_m=1.0, D_f=1.0, D_m=1.0,
+                    U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    params = IbmParams(grid=GRID, rates=rates, kernel=_PairCells(), N=1, t_end=50.0,
+                       sample_times=(), seed=2, initial_female=np.array([0.5]),
+                       initial_male=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"p_f must be non-negative, got -0\.5 at trait 1\.5"):
+        simulate(params)
+
+
+LAW_RUNS = 4000
+UNEQUAL_CALLABLE = RateSet(**{name: (lambda *t, v=getattr(UNEQUAL, name): v + 0.0 * sum(t))
+                              for name in ("p_f", "p_m", "D_f", "D_m",
+                                           "U_ff", "U_fm", "U_mf", "U_mm")})
+# (rates, grid, N). Every parent and every first child has a unit cell of
+# its own within its sex. On the wide grid the criterion-9 bound on U_ff
+# is 8.6 times its largest value on the population, and N = 1 weighs
+# competition up, so a wrong competitor pick moves the law.
+LAW_CASES = {
+    "criterion-9": (CRITERION_9, TraitGrid(-40.0, 40.0, 80), 1),
+    "steep-capability": (STEEP, TraitGrid(-6.0, 6.0, 12), LAW_N),
+    "unequal-callable": (UNEQUAL_CALLABLE, TraitGrid(-6.0, 6.0, 12), LAW_N),
+}
+
+
+def _states_at_horizon(engine, case: str, seeds) -> list:
+    rates, grid, n_scale = LAW_CASES[case]
+    tau = 1.0 / sum(_one_step_law(rates, LAW_FEMALES, LAW_MALES, n_scale).values())
+    out = []
+    for seed in seeds:
+        traj = engine(IbmParams(grid=grid, rates=rates, kernel=_PairCells(), N=n_scale,
+                                t_end=tau, sample_times=(tau,), seed=seed,
+                                initial_female=np.array(LAW_FEMALES),
+                                initial_male=np.array(LAW_MALES)))
+        snap = traj.snapshots[-1]
+        out.append((snap.female.weights.tobytes(), snap.male.weights.tobytes()))
+    return out
+
+
+def _two_sample_pvalue(a: list, b: list) -> float:
+    """Chi-square homogeneity of two equal-size categorical samples, with the
+    categories of expected count below 5 pooled into one."""
+    counts = Counter(a), Counter(b)
+    keys = sorted(counts[0].keys() | counts[1].keys())
+    table = np.array([[c[k] for k in keys] for c in counts], dtype=float)
+    rare = table.sum(axis=0) / 2 < 5
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    return stats.chi2_contingency(table).pvalue
+
+
+@pytest.mark.parametrize("case", list(LAW_CASES))
+def test_thinned_engine_matches_direct_engine_in_law(case):
+    # the state at a horizon of about one expected jump, from the law
+    # population; disjoint seeds keep the two samples independent
+    thinned = _states_at_horizon(ibm._simulate_thinned, case, range(LAW_RUNS))
+    direct = _states_at_horizon(ibm._simulate_direct, case, range(LAW_RUNS, 2 * LAW_RUNS))
+    assert _two_sample_pvalue(thinned, direct) > 1e-3
