@@ -7,6 +7,7 @@ its dotted path, so batch users can fix configs without reading code.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,8 @@ def _number(d: dict, field: str, ctx: str, required: bool = True, default=None) 
     v = _get(d, field, ctx, expected=(int, float), required=required, default=default)
     if isinstance(v, bool):
         raise ConfigError(f"field {ctx}{field} must be a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"field {ctx}{field} must be finite, got {v}")
     return v
 
 

@@ -6,20 +6,17 @@ partner with probability proportional to the partner's capability; each
 birth is male or female with a fair coin; individuals die naturally and
 through pairwise competition rescaled by the population scale N.
 
-There are three engines. The direct engine (`_simulate_direct`) is the
+There are two engines. The direct engine (`_simulate_direct`) is the
 reference: a `ScaledPopulation` with vectorized categorical sampling and
 incrementally maintained per-individual competition loads, advanced by
-the same event code as `step`, at O(N) per event. `simulate` does not
-use it; it runs one of two loops on local state only, with one
-`array("d")` of traits per sex and swap-remove:
-
-- constant rates take `_simulate_constant`, which draws the same variates
-  in the same order as the direct engine and evaluates the same float
-  expressions, so a seeded run gives a bit-identical trajectory on either;
-- every other rate set takes `_simulate_thinned`, which draws candidate
-  jumps at a dominating rate and accepts each with the ratio of its true
-  rate to the bound (thinning), at O(1) per candidate. It has the law of
-  the direct engine, not its draws.
+the same event code as `step`, at O(N) per event. `simulate` runs one
+loop for every rate set on local state only, with one `array("d")` of
+traits per sex and swap-remove, at O(1) per candidate jump: deaths with
+trait-dependent rates are thinned, and a constant rate is its own bound.
+With constant rates it draws the same variates in the same order as the
+direct engine and evaluates the same float expressions, so a seeded run
+gives a bit-identical trajectory on either; for other rates the two have
+the same law, not the same draws.
 """
 
 from __future__ import annotations
@@ -132,15 +129,19 @@ class IbmParams:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         st = np.asarray(self.sample_times, dtype=float)
+        if not np.all(np.isfinite(st)):
+            raise ValueError("sample_times must be finite")
         if np.any(np.diff(st) < 0):
             raise ValueError("sample_times must be sorted")
         if st.size and (st[0] < 0 or st[-1] > self.t_end):
             raise ValueError("sample_times must lie within [0, t_end]")
         for name in ("initial_female", "initial_male"):
             traits = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(traits)):
+                raise ValueError(f"{name} contains non-finite traits")
             if traits.size and (traits.min() < self.grid.x_min or traits.max() > self.grid.x_max):
                 raise ValueError(f"{name} contains traits outside the grid")
             object.__setattr__(self, name, traits)
@@ -512,7 +513,7 @@ class IbmTrajectory:
     deaths: int
     clamped_births: int
     n_events: int
-    n_proposals: int  # candidate jumps drawn; above n_events only under thinning
+    n_proposals: int  # candidate jumps drawn; above n_events only when a death is rejected
     extinction_time: float | None
     seed: int
     final_n_female: int  # class sizes at t_end, whatever the sample times
@@ -536,14 +537,217 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     Deterministic for a fixed seed. If the population dies out the
     remaining snapshots are empty and the extinction time is recorded;
     a population with zero total rate but surviving members simply stops
-    changing. Constant rates take the specialised loop, which gives the
-    same trajectory as the direct engine; every other rate set is thinned.
+    changing.
+
+    Matings arrive at the exact capability sums, kept incrementally as in
+    `ScaledPopulation`, so none is rejected; the initiator and then the
+    partner are each picked in proportion to capability by rejection
+    against the sex's running maximum p̄, or uniformly if no member of the
+    sex has positive capability. Deaths are thinned (Fournier & Méléard
+    2004): female death candidates arrive at rate
+    nf (D̄_f + (Ū_ff nf + Ū_fm nm) / N), where D̄_f is the running maximum
+    of the cached death rates and Ū the bound of `_competition`, and the
+    place of the category uniform within that rate picks the kind:
+
+    - a natural death, at rate nf D̄_f: a uniform female is accepted with
+      D_f(x)/D̄_f;
+    - a death from competition with a female, at rate nf nf Ū_ff / N: a
+      uniform victim and a uniform competitor, self included, accepted
+      with U_ff(x, z)/Ū_ff; likewise against a male at rate nf nm Ū_fm / N;
+
+    and the mirror for males. A rejected candidate advances the clock and
+    changes nothing else. A constant rate is its own bound: it keeps no
+    cache and draws no acceptance uniform. With constant
+    rates each jump therefore draws, in the direct engine's order, the
+    waiting time, the category uniform, the two actor uniforms (initiator
+    first), the offspring variates and the sex uniform, or on a death the
+    victim uniform.
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
-    if params.rates.is_constant:
-        return _simulate_constant(params)
-    return _simulate_thinned(params)
+    r = params.rates
+    N, t_end, grid = params.N, params.t_end, params.grid
+    x_min, x_max = grid.x_min, grid.x_max
+    rng = BufferedRng(params.seed)
+    random, exponential = rng.random, rng.exponential
+    sample_offspring = params.kernel.sample_offspring
+    females = array("d", params.initial_female.tobytes())
+    males = array("d", params.initial_male.tobytes())
+    nf, nm = len(females), len(males)
+    pf, pbar_f, new_pf = _trait_rate(r, "p_f", params.initial_female)
+    pm, pbar_m, new_pm = _trait_rate(r, "p_m", params.initial_male)
+    Df, Dbar_f, new_Df = _trait_rate(r, "D_f", params.initial_female)
+    Dm, Dbar_m, new_Dm = _trait_rate(r, "D_m", params.initial_male)
+    Ubar_ff, U_ff = _competition(r, "U_ff", grid)
+    Ubar_fm, U_fm = _competition(r, "U_fm", grid)
+    Ubar_mf, U_mf = _competition(r, "U_mf", grid)
+    Ubar_mm, U_mm = _competition(r, "U_mm", grid)
+    sum_pf = pbar_f * nf if pf is None else sum(pf)
+    sum_pm = pbar_m * nm if pm is None else sum(pm)
+    # exact counts of members with positive capability, kept only for a
+    # callable capability: the actor picks reject only while one is positive
+    pos_f = 0 if pf is None else sum(1 for v in pf if v > 0.0)
+    pos_m = 0 if pm is None else sum(1 for v in pm if v > 0.0)
+    thin_f = Df is not None or U_ff is not None or U_fm is not None
+    thin_m = Dm is not None or U_mm is not None or U_mf is not None
+
+    pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
+    next_due = next(pending, np.inf)
+    snapshots: list[IbmSnapshot] = []
+
+    def take_snapshots(up_to: float) -> None:
+        nonlocal next_due
+        while next_due <= up_to + 1e-12:
+            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, males, 1.0 / N),
+                                         measure_from_samples(grid, females, 1.0 / N), nm, nf))
+            next_due = next(pending, np.inf)
+
+    t = 0.0
+    n_proposals = births_f = births_m = deaths = clamped = 0
+    extinction_time = None
+    while True:
+        mating = sum_pf + sum_pm if nf and nm else 0.0
+        death_f = nf * (Dbar_f + (Ubar_ff * nf + Ubar_fm * nm) / N)
+        death_m = nm * (Dbar_m + (Ubar_mm * nm + Ubar_mf * nf) / N)
+        total = mating + (death_f + death_m)
+        if total <= 0.0:
+            if nf + nm == 0:
+                extinction_time = t
+            break
+        t_next = t + exponential(1.0 / total)
+        if t_next >= t_end:
+            break
+        if next_due <= (t_next - 1e-15) + 1e-12:
+            take_snapshots(t_next - 1e-15)
+        t = t_next
+        n_proposals += 1
+        u = random() * total
+        if u < mating:
+            if u < sum_pf:
+                mother = int(random() * nf)
+                while pos_f and random() * pbar_f >= pf[mother]:
+                    mother = int(random() * nf)
+                father = int(random() * nm)
+                while pos_m and random() * pbar_m >= pm[father]:
+                    father = int(random() * nm)
+            else:
+                father = int(random() * nm)
+                while pos_m and random() * pbar_m >= pm[father]:
+                    father = int(random() * nm)
+                mother = int(random() * nf)
+                while pos_f and random() * pbar_f >= pf[mother]:
+                    mother = int(random() * nf)
+            child = sample_offspring(females[mother], males[father], rng)
+            if child < x_min:
+                child = x_min
+                clamped += 1
+            elif child > x_max:
+                child = x_max
+                clamped += 1
+            if random() < 0.5:
+                females.append(child)
+                nf += 1
+                births_f += 1
+                if pf is None:
+                    sum_pf += pbar_f
+                else:
+                    p = new_pf(child)
+                    pf.append(p)
+                    sum_pf += p
+                    pos_f += p > 0.0
+                    pbar_f = max(pbar_f, p)
+                if Df is not None:
+                    d = new_Df(child)
+                    Df.append(d)
+                    Dbar_f = max(Dbar_f, d)
+            else:
+                males.append(child)
+                nm += 1
+                births_m += 1
+                if pm is None:
+                    sum_pm += pbar_m
+                else:
+                    p = new_pm(child)
+                    pm.append(p)
+                    sum_pm += p
+                    pos_m += p > 0.0
+                    pbar_m = max(pbar_m, p)
+                if Dm is not None:
+                    d = new_Dm(child)
+                    Dm.append(d)
+                    Dbar_m = max(Dbar_m, d)
+        elif u - mating < death_f:
+            victim = int(random() * nf)
+            if thin_f:
+                v = u - mating
+                if v < nf * Dbar_f:
+                    if Df is not None and random() * Dbar_f >= Df[victim]:
+                        continue
+                elif v < nf * (Dbar_f + Ubar_ff * nf / N):
+                    if U_ff is not None and \
+                            random() * Ubar_ff >= U_ff(females[victim], females[int(random() * nf)]):
+                        continue
+                elif U_fm is not None and \
+                        random() * Ubar_fm >= U_fm(females[victim], males[int(random() * nm)]):
+                    continue
+                if Df is not None:
+                    Df[victim] = Df[-1]
+                    Df.pop()
+            if pf is None:
+                sum_pf -= pbar_f
+            else:
+                p = pf[victim]
+                sum_pf -= p
+                pos_f -= p > 0.0
+                pf[victim] = pf[-1]
+                pf.pop()
+            females[victim] = females[-1]
+            females.pop()
+            nf -= 1
+            deaths += 1
+        else:
+            victim = int(random() * nm)
+            if thin_m:
+                v = u - mating - death_f
+                if v < nm * Dbar_m:
+                    if Dm is not None and random() * Dbar_m >= Dm[victim]:
+                        continue
+                elif v < nm * (Dbar_m + Ubar_mm * nm / N):
+                    if U_mm is not None and \
+                            random() * Ubar_mm >= U_mm(males[victim], males[int(random() * nm)]):
+                        continue
+                elif U_mf is not None and \
+                        random() * Ubar_mf >= U_mf(males[victim], females[int(random() * nf)]):
+                    continue
+                if Dm is not None:
+                    Dm[victim] = Dm[-1]
+                    Dm.pop()
+            if pm is None:
+                sum_pm -= pbar_m
+            else:
+                p = pm[victim]
+                sum_pm -= p
+                pos_m -= p > 0.0
+                pm[victim] = pm[-1]
+                pm.pop()
+            males[victim] = males[-1]
+            males.pop()
+            nm -= 1
+            deaths += 1
+    take_snapshots(t_end)
+    return IbmTrajectory(
+        snapshots=tuple(snapshots),
+        births_female=births_f,
+        births_male=births_m,
+        deaths=deaths,
+        clamped_births=clamped,
+        n_events=births_f + births_m + deaths,
+        n_proposals=n_proposals,
+        extinction_time=extinction_time,
+        seed=params.seed,
+        final_n_female=nf,
+        final_n_male=nm,
+    )
 
 
 def _simulate_direct(params: IbmParams) -> IbmTrajectory:
@@ -597,157 +801,47 @@ def _simulate_direct(params: IbmParams) -> IbmTrajectory:
     )
 
 
-def _simulate_constant(params: IbmParams) -> IbmTrajectory:
-    """The direct engine's jump chain for constant rates, on local state.
+def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
+    """Capability or death rate `name` on local state: (cache, bound, newborn).
 
-    With constant rates every pick within a sex is uniform and the death
-    totals are closed forms in the class sizes. Each jump draws, in the
-    direct engine's order: the waiting time, the category uniform, the two
-    actor uniforms (initiator first), the offspring variates and the sex
-    uniform, or on a death the victim uniform. The rate sums are the same
-    float expressions, the capability sums are updated incrementally as in
-    `ScaledPopulation`, and the trait buffers swap-remove like its arrays,
-    so the trajectory is bit-identical to `_simulate_direct`.
-    """
-    r = params.rates
-    p_f, p_m, D_f, D_m = float(r.p_f), float(r.p_m), float(r.D_f), float(r.D_m)
-    U_ff, U_fm, U_mf, U_mm = float(r.U_ff), float(r.U_fm), float(r.U_mf), float(r.U_mm)
-    N, t_end, grid = params.N, params.t_end, params.grid
-    x_min, x_max = grid.x_min, grid.x_max
-    rng = BufferedRng(params.seed)
-    random, exponential = rng.random, rng.exponential
-    sample_offspring = params.kernel.sample_offspring
-    females = array("d", params.initial_female.tobytes())
-    males = array("d", params.initial_male.tobytes())
-    nf, nm = len(females), len(males)
-    sum_pf, sum_pm = p_f * nf, p_m * nm
-
-    pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
-    next_due = next(pending, np.inf)
-    snapshots: list[IbmSnapshot] = []
-
-    def take_snapshots(up_to: float) -> None:
-        nonlocal next_due
-        while next_due <= up_to + 1e-12:
-            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, males, 1.0 / N),
-                                         measure_from_samples(grid, females, 1.0 / N), nm, nf))
-            next_due = next(pending, np.inf)
-
-    t = 0.0
-    n_events = births_f = births_m = deaths = clamped = 0
-    extinction_time = None
-    while True:
-        mating = sum_pf + sum_pm if nf and nm else 0.0
-        death_f = nf * (D_f + (U_ff * nf + U_fm * nm) / N)
-        death_m = nm * (D_m + (U_mm * nm + U_mf * nf) / N)
-        total = mating + (death_f + death_m)
-        if total <= 0.0:
-            if nf + nm == 0:
-                extinction_time = t
-            break
-        t_next = t + exponential(1.0 / total)
-        if t_next >= t_end:
-            break
-        if next_due <= (t_next - 1e-15) + 1e-12:
-            take_snapshots(t_next - 1e-15)
-        u = random() * total
-        if u < mating:
-            if u < sum_pf:
-                mother = int(random() * nf)
-                father = int(random() * nm)
-            else:
-                father = int(random() * nm)
-                mother = int(random() * nf)
-            child = sample_offspring(females[mother], males[father], rng)
-            if child < x_min:
-                child = x_min
-                clamped += 1
-            elif child > x_max:
-                child = x_max
-                clamped += 1
-            if random() < 0.5:
-                females.append(child)
-                nf += 1
-                sum_pf += p_f
-                births_f += 1
-            else:
-                males.append(child)
-                nm += 1
-                sum_pm += p_m
-                births_m += 1
-        else:
-            if u - mating < death_f:
-                victim = int(random() * nf)
-                females[victim] = females[-1]
-                females.pop()
-                nf -= 1
-                sum_pf -= p_f
-            else:
-                victim = int(random() * nm)
-                males[victim] = males[-1]
-                males.pop()
-                nm -= 1
-                sum_pm -= p_m
-            deaths += 1
-        t = t_next
-        n_events += 1
-    take_snapshots(t_end)
-    return IbmTrajectory(
-        snapshots=tuple(snapshots),
-        births_female=births_f,
-        births_male=births_m,
-        deaths=deaths,
-        clamped_births=clamped,
-        n_events=n_events,
-        n_proposals=n_events,
-        extinction_time=extinction_time,
-        seed=params.seed,
-        final_n_female=nf,
-        final_n_male=nm,
-    )
-
-
-def _competition_bound(rates: RateSet, name: str, grid: TraitGrid) -> float:
-    """An upper bound of competition kernel `name` over the grid square.
-
-    A constant is its own bound. A callable is evaluated through
-    `RateSet.at` at every pair of grid centres and edges, in row blocks
-    so that no (2n+1)^2 matrix is held, and its maximum is widened by
-    `_U_MARGIN` for the values between those points.
+    A constant gives (None, the constant, None): it is its own bound and
+    needs no cache. A callable gives its values at `traits` in an
+    `array("d")`, their maximum, which the loop raises as newborns arrive,
+    and a scalar evaluator for one newborn with the non-negativity check
+    of `RateSet.at`.
     """
     entry = getattr(rates, name)
     if not callable(entry):
-        return float(entry)
+        return None, float(entry), None
+    cache = array("d", rates.at(name, traits).tobytes())
+
+    def newborn(x: float) -> float:
+        v = float(entry(x))
+        if not 0.0 <= v:
+            raise ValueError(f"{name} must be non-negative, got {v} at trait {x}")
+        return v
+    return cache, max(cache, default=0.0), newborn
+
+
+def _competition(rates: RateSet, name: str, grid: TraitGrid):
+    """Competition kernel `name` on local state: (bound, value).
+
+    A constant gives (the constant, None): it is its own bound. A callable
+    is evaluated through `RateSet.at` at every pair of grid centres and
+    edges, in row blocks so that no (2n+1)^2 matrix is held, and its
+    maximum is widened by `_U_MARGIN` for the values between those points;
+    `value` is its scalar evaluator, which refuses any value outside
+    [0, bound].
+    """
+    entry = getattr(rates, name)
+    if not callable(entry):
+        return float(entry), None
     pts = np.concatenate([grid.centers, grid.edges])
     rows = max(1, _BOUND_BLOCK // len(pts))
     top = 0.0
     for lo in range(0, len(pts), rows):
         top = max(top, float(rates.at(name, pts[lo:lo + rows, None], pts[None, :]).max()))
-    return top * (1.0 + _U_MARGIN)
-
-
-def _newborn_rate(rates: RateSet, name: str):
-    """Scalar evaluator of capability or death rate `name` for one newborn,
-    with the non-negativity check of `RateSet.at`."""
-    entry = getattr(rates, name)
-    if not callable(entry):
-        value = float(entry)
-        return lambda x: value
-
-    def rate(x: float) -> float:
-        v = float(entry(x))
-        if not 0.0 <= v:
-            raise ValueError(f"{name} must be non-negative, got {v} at trait {x}")
-        return v
-    return rate
-
-
-def _competition_value(rates: RateSet, name: str, bound: float):
-    """Scalar evaluator of competition kernel `name` that refuses any value
-    outside [0, bound], or None for a constant, which is its own bound."""
-    entry = getattr(rates, name)
-    if not callable(entry):
-        return None
+    bound = top * (1.0 + _U_MARGIN)
 
     def value(x: float, z: float) -> float:
         v = float(entry(x, z))
@@ -755,188 +849,4 @@ def _competition_value(rates: RateSet, name: str, bound: float):
             raise ValueError(f"{name} = {v} at traits ({x}, {z}) lies outside [0, {bound}], "
                              f"the bound taken from the grid points with margin {_U_MARGIN}")
         return v
-    return value
-
-
-def _simulate_thinned(params: IbmParams) -> IbmTrajectory:
-    """The jump process for trait-dependent rates by thinning.
-
-    Candidate jumps arrive at a dominating rate R, a function of the class
-    sizes alone, and each is accepted with the ratio of its true rate to
-    its bound (Fournier & Méléard 2004), so every candidate costs O(1).
-    The bounds are the running maxima of the capabilities and death rates
-    cached per individual, and `_competition_bound` for competition. R is
-    split into eight kinds, one uniform picking the kind:
-
-    - a mating initiated by a female, at rate [nf, nm > 0] nf p̄_f: a
-      uniform female is accepted with p_f(x)/p̄_f, then a partner is drawn
-      by rejection, uniform proposals each accepted with p_m(y)/p̄_m
-      (uniformly if no male has positive capability); the mirror for males;
-    - a natural female death, at rate nf D̄_f: a uniform female is
-      accepted with D_f(x)/D̄_f;
-    - a female death from competition with a female, at rate
-      nf nf Ū_ff / N: a uniform victim and a uniform competitor, self
-      included, accepted with U_ff(x, z)/Ū_ff; likewise against a male at
-      rate nf nm Ū_fm / N, and the mirrors for males.
-
-    A rejected candidate advances the clock and changes nothing else.
-    Snapshot timing and extinction follow `_simulate_constant`.
-    """
-    r = params.rates
-    N, t_end, grid = params.N, params.t_end, params.grid
-    x_min, x_max = grid.x_min, grid.x_max
-    rng = BufferedRng(params.seed)
-    random, exponential = rng.random, rng.exponential
-    sample_offspring = params.kernel.sample_offspring
-
-    def cached(name: str, traits: np.ndarray) -> array:
-        return array("d", r.at(name, traits).tobytes())
-
-    females = array("d", params.initial_female.tobytes())
-    males = array("d", params.initial_male.tobytes())
-    pf, Df = cached("p_f", params.initial_female), cached("D_f", params.initial_female)
-    pm, Dm = cached("p_m", params.initial_male), cached("D_m", params.initial_male)
-    nf, nm = len(females), len(males)
-    # exact counts of members with positive capability, for the partner pick
-    pos_f = sum(1 for v in pf if v > 0.0)
-    pos_m = sum(1 for v in pm if v > 0.0)
-    pbar_f, pbar_m = max(pf, default=0.0), max(pm, default=0.0)
-    Dbar_f, Dbar_m = max(Df, default=0.0), max(Dm, default=0.0)
-    Ubar_ff, Ubar_fm, Ubar_mf, Ubar_mm = (_competition_bound(r, name, grid)
-                                          for name in ("U_ff", "U_fm", "U_mf", "U_mm"))
-    U_ff = _competition_value(r, "U_ff", Ubar_ff)
-    U_fm = _competition_value(r, "U_fm", Ubar_fm)
-    U_mf = _competition_value(r, "U_mf", Ubar_mf)
-    U_mm = _competition_value(r, "U_mm", Ubar_mm)
-    p_f_of, D_f_of = _newborn_rate(r, "p_f"), _newborn_rate(r, "D_f")
-    p_m_of, D_m_of = _newborn_rate(r, "p_m"), _newborn_rate(r, "D_m")
-
-    pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
-    next_due = next(pending, np.inf)
-    snapshots: list[IbmSnapshot] = []
-
-    def take_snapshots(up_to: float) -> None:
-        nonlocal next_due
-        while next_due <= up_to + 1e-12:
-            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, males, 1.0 / N),
-                                         measure_from_samples(grid, females, 1.0 / N), nm, nf))
-            next_due = next(pending, np.inf)
-
-    t = 0.0
-    n_events = n_proposals = births_f = births_m = deaths = clamped = 0
-    extinction_time = None
-    while True:
-        # cumulative bounds of the eight kinds of candidate jump
-        c_mate_f = nf * pbar_f if nf and nm else 0.0
-        c_mate = c_mate_f + (nm * pbar_m if nf and nm else 0.0)
-        c_nat_f = c_mate + nf * Dbar_f
-        c_ff = c_nat_f + nf * nf * Ubar_ff / N
-        c_fm = c_ff + nf * nm * Ubar_fm / N
-        c_nat_m = c_fm + nm * Dbar_m
-        c_mm = c_nat_m + nm * nm * Ubar_mm / N
-        total = c_mm + nm * nf * Ubar_mf / N
-        if total <= 0.0:
-            if nf + nm == 0:
-                extinction_time = t
-            break
-        t_next = t + exponential(1.0 / total)
-        if t_next >= t_end:
-            break
-        if next_due <= (t_next - 1e-15) + 1e-12:
-            take_snapshots(t_next - 1e-15)
-        t = t_next
-        n_proposals += 1
-        u = random() * total
-        if u < c_mate:
-            if u < c_mate_f:
-                mother = int(random() * nf)
-                if random() * pbar_f >= pf[mother]:
-                    continue
-                father = int(random() * nm)
-                if pos_m:
-                    while random() * pbar_m >= pm[father]:
-                        father = int(random() * nm)
-            else:
-                father = int(random() * nm)
-                if random() * pbar_m >= pm[father]:
-                    continue
-                mother = int(random() * nf)
-                if pos_f:
-                    while random() * pbar_f >= pf[mother]:
-                        mother = int(random() * nf)
-            child = sample_offspring(females[mother], males[father], rng)
-            if child < x_min:
-                child = x_min
-                clamped += 1
-            elif child > x_max:
-                child = x_max
-                clamped += 1
-            if random() < 0.5:
-                p, d = p_f_of(child), D_f_of(child)
-                females.append(child)
-                pf.append(p)
-                Df.append(d)
-                nf += 1
-                pos_f += p > 0.0
-                pbar_f = max(pbar_f, p)
-                Dbar_f = max(Dbar_f, d)
-                births_f += 1
-            else:
-                p, d = p_m_of(child), D_m_of(child)
-                males.append(child)
-                pm.append(p)
-                Dm.append(d)
-                nm += 1
-                pos_m += p > 0.0
-                pbar_m = max(pbar_m, p)
-                Dbar_m = max(Dbar_m, d)
-                births_m += 1
-        elif u < c_fm:
-            victim = int(random() * nf)
-            x = females[victim]
-            if u < c_nat_f:
-                if random() * Dbar_f >= Df[victim]:
-                    continue
-            elif u < c_ff:
-                if U_ff is not None and random() * Ubar_ff >= U_ff(x, females[int(random() * nf)]):
-                    continue
-            elif U_fm is not None and random() * Ubar_fm >= U_fm(x, males[int(random() * nm)]):
-                continue
-            pos_f -= pf[victim] > 0.0
-            for arr in (females, pf, Df):
-                arr[victim] = arr[-1]
-                arr.pop()
-            nf -= 1
-            deaths += 1
-        else:
-            victim = int(random() * nm)
-            y = males[victim]
-            if u < c_nat_m:
-                if random() * Dbar_m >= Dm[victim]:
-                    continue
-            elif u < c_mm:
-                if U_mm is not None and random() * Ubar_mm >= U_mm(y, males[int(random() * nm)]):
-                    continue
-            elif U_mf is not None and random() * Ubar_mf >= U_mf(y, females[int(random() * nf)]):
-                continue
-            pos_m -= pm[victim] > 0.0
-            for arr in (males, pm, Dm):
-                arr[victim] = arr[-1]
-                arr.pop()
-            nm -= 1
-            deaths += 1
-        n_events += 1
-    take_snapshots(t_end)
-    return IbmTrajectory(
-        snapshots=tuple(snapshots),
-        births_female=births_f,
-        births_male=births_m,
-        deaths=deaths,
-        clamped_births=clamped,
-        n_events=n_events,
-        n_proposals=n_proposals,
-        extinction_time=extinction_time,
-        seed=params.seed,
-        final_n_female=nf,
-        final_n_male=nm,
-    )
+    return bound, value

@@ -61,18 +61,14 @@ class RateSet:
     U_mm: RateEntry
 
     def __post_init__(self) -> None:
-        for name in ("D_f", "D_m"):
+        for name in ("D_f", "D_m", "U_ff", "U_fm", "U_mf", "U_mm"):
             v = getattr(self, name)
-            if isinstance(v, (int, float)) and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        for name in ("U_ff", "U_fm", "U_mf", "U_mm"):
-            v = getattr(self, name)
-            if isinstance(v, (int, float)) and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if isinstance(v, (int, float)) and not 0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         for name in ("p_f", "p_m"):
             v = getattr(self, name)
-            if isinstance(v, (int, float)) and v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
+            if isinstance(v, (int, float)) and not 0 <= v < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {v}")
         if self.is_constant and self.p_f + self.p_m <= 0:
             raise ValueError("p_f + p_m must be positive")
 

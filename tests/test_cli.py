@@ -57,6 +57,18 @@ def test_invalid_config_names_field(tmp_path):
     assert "D_f" in res.stderr
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("rates", "D_f", float("nan")), ("rates", "U_mm", float("inf")),
+    ("initial", "M", float("-inf")),
+], ids=["nan", "inf", "-inf"])
+def test_non_finite_number_names_field(tmp_path, capsys, section, field, value):
+    # json accepts NaN and Infinity, which no scenario field means
+    bad = dict(TOTALS_CFG, **{section: dict(TOTALS_CFG[section], **{field: value})})
+    cfg = _write(tmp_path, "bad.json", bad)
+    assert cli.main(["totals", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field {section}.{field} must be finite" in capsys.readouterr().err
+
+
 def test_schema_version_checked(tmp_path):
     bad = dict(TOTALS_CFG, schema_version=99)
     cfg = _write(tmp_path, "bad.json", bad)

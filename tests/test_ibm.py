@@ -265,6 +265,19 @@ def test_params_validation():
                   initial_female=np.array([99.0]), initial_male=np.array([0.0]))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_end", np.nan), ("t_end", np.inf), ("sample_times", (np.nan,)),
+    ("initial_female", np.array([np.nan])), ("initial_male", np.array([0.0, np.inf])),
+], ids=["t_end-nan", "t_end-inf", "sample-nan", "female-nan", "male-inf"])
+def test_params_reject_non_finite(field, value):
+    # a NaN horizon would keep `simulate` running for ever on a persistent population
+    kwargs = dict(grid=GRID, rates=PERSIST, kernel=KERNEL, N=1, t_end=1.0,
+                  sample_times=(0.5,), seed=0,
+                  initial_female=np.array([0.0]), initial_male=np.array([0.0]))
+    with pytest.raises(ValueError, match=field):
+        IbmParams(**(kwargs | {field: value}))
+
+
 # -- generator conformance ------------------------------------------------------
 
 LAW_FEMALES = (-0.5, 0.5)
@@ -498,7 +511,7 @@ def test_proposal_counts():
 
 def test_thinned_seed_replay_bit_identical():
     rng0 = np.random.default_rng(23)
-    params = IbmParams(grid=GRID, rates=STEEP, kernel=KERNEL, N=200, t_end=1.0,
+    params = IbmParams(grid=GRID, rates=STEEP, kernel=KERNEL, N=200, t_end=2.0,
                        sample_times=(0.0, 0.5, 1.0), seed=23,
                        initial_female=rng0.normal(0, 0.5, 200),
                        initial_male=rng0.normal(0, 0.5, 200))
@@ -540,13 +553,14 @@ class _PairCells:
 
 
 def test_negative_newborn_capability_raises_through_simulate():
-    # the pair (0.5, 0) has a child at 1.5, where p_f(1.5) = -0.5
-    rates = RateSet(p_f=lambda x: 1.0 - x, p_m=1.0, D_f=1.0, D_m=1.0,
-                    U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    # the pair (0.5, 0) has a child at 1.5, where p_f(1.5) = p_m(1.5) = -0.5;
+    # deaths are rare, so every path reaches that birth first
+    rates = RateSet(p_f=lambda x: 1.0 - x, p_m=lambda y: 1.0 - y, D_f=1e-3, D_m=1e-3,
+                    U_ff=2.5e-4, U_fm=2.5e-4, U_mf=2.5e-4, U_mm=2.5e-4)
     params = IbmParams(grid=GRID, rates=rates, kernel=_PairCells(), N=1, t_end=50.0,
                        sample_times=(), seed=2, initial_female=np.array([0.5]),
                        initial_male=np.array([0.0]))
-    with pytest.raises(ValueError, match=r"p_f must be non-negative, got -0\.5 at trait 1\.5"):
+    with pytest.raises(ValueError, match=r"p_[fm] must be non-negative, got -0\.5 at trait 1\.5"):
         simulate(params)
 
 
@@ -554,6 +568,12 @@ LAW_RUNS = 4000
 UNEQUAL_CALLABLE = RateSet(**{name: (lambda *t, v=getattr(UNEQUAL, name): v + 0.0 * sum(t))
                               for name in ("p_f", "p_m", "D_f", "D_m",
                                            "U_ff", "U_fm", "U_mf", "U_mm")})
+# the female rates are all constant, so the female class keeps no rate
+# caches and draws no acceptance uniforms, while the male class is thinned
+MALE_CALLABLE = RateSet(p_f=1.1, p_m=lambda y: np.exp(y), D_f=0.5,
+                        D_m=lambda y: 0.2 + 2.0 * y**2, U_ff=0.3, U_fm=0.2,
+                        U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y) + 0.0 * z,
+                        U_mm=lambda y, z: 0.25 + 0.1 * (y - z) ** 2)
 # (rates, grid, N). Every parent and every first child has a unit cell of
 # its own within its sex. On the wide grid the criterion-9 bound on U_ff
 # is 8.6 times its largest value on the population, and N = 1 weighs
@@ -562,6 +582,7 @@ LAW_CASES = {
     "criterion-9": (CRITERION_9, TraitGrid(-40.0, 40.0, 80), 1),
     "steep-capability": (STEEP, TraitGrid(-6.0, 6.0, 12), LAW_N),
     "unequal-callable": (UNEQUAL_CALLABLE, TraitGrid(-6.0, 6.0, 12), LAW_N),
+    "male-callable": (MALE_CALLABLE, TraitGrid(-6.0, 6.0, 12), LAW_N),
 }
 
 
@@ -595,6 +616,6 @@ def _two_sample_pvalue(a: list, b: list) -> float:
 def test_thinned_engine_matches_direct_engine_in_law(case):
     # the state at a horizon of about one expected jump, from the law
     # population; disjoint seeds keep the two samples independent
-    thinned = _states_at_horizon(ibm._simulate_thinned, case, range(LAW_RUNS))
+    thinned = _states_at_horizon(simulate, case, range(LAW_RUNS))
     direct = _states_at_horizon(ibm._simulate_direct, case, range(LAW_RUNS, 2 * LAW_RUNS))
     assert _two_sample_pvalue(thinned, direct) > 1e-3

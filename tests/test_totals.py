@@ -23,6 +23,14 @@ def test_rateset_validation():
         RateSet.constant(p_f=0.0, p_m=0.0, D_f=1.0, D_m=1.0, U=0.25)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["p_f", "D_m", "U_fm"])
+def test_rateset_rejects_non_finite_constants(name, value):
+    entries = dict(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        RateSet(**(entries | {name: value}))
+
+
 def test_classify_examples():
     assert classify(BOUNDARY) is Classification.EXTINCTION  # sum exactly 2
     assert classify(PERSIST) is Classification.PERSISTENCE
