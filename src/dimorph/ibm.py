@@ -10,20 +10,22 @@ There are two engines. The direct engine (`_simulate_direct`) is the
 reference: a `ScaledPopulation` with vectorized categorical sampling and
 incrementally maintained per-individual competition loads, advanced by
 the same event code as `step`, at O(N) per event. `simulate` runs one
-loop for every rate set on local state only, with one `array("d")` of
-traits per sex and swap-remove, at O(1) per candidate jump: deaths with
-trait-dependent rates are thinned, and a constant rate is its own bound.
-With constant rates it draws the same variates in the same order as the
-direct engine and evaluates the same float expressions, so a seeded run
-gives a bit-identical trajectory on either; for other rates the two have
-the same law, not the same draws.
+loop for every rate set at O(1) per candidate jump, with one `_SexState` of
+local state per sex and a single mating, birth and death block for both:
+deaths with trait-dependent rates are thinned, and a constant rate is its
+own bound. With constant rates it draws the same variates in the same
+order as the direct engine and evaluates the same float expressions, so
+a seeded run gives a bit-identical trajectory on either; for other rates
+the two have the same law, not the same draws.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -52,6 +54,8 @@ _BATCH = 8192
 # Relative widening of a callable competition kernel's maximum over the grid
 # points, which covers its values between them; a value beyond it raises.
 _U_MARGIN = 0.05
+# Failed rejection tries of a capability pick before it picks exactly.
+_PICK_TRIES = 64
 # Kernel evaluations per row block when bounding it over the grid square.
 _BOUND_BLOCK = 1 << 16
 
@@ -66,50 +70,37 @@ class BufferedRng:
 
     Mirrors the Generator methods the kernels use, so it can stand in for
     numpy Generator wherever single variates are consumed in a tight loop.
-    Batches are copied into `array("d")` buffers, whose items index as
-    plain floats: no numpy scalar is boxed per draw, and a batch keeps the
-    8 bytes per double of the numpy array. Fully deterministic for a fixed
-    seed.
+    The uniform, standard normal and standard exponential streams each
+    iterate `array("d")` batches of `_BATCH` draws as plain floats, with no
+    numpy scalar boxed per draw; `random` is the uniform stream's own
+    `__next__`. The first batches are drawn here, in that order, each later
+    one from the shared generator when its stream runs out, so a fixed
+    seed fixes every draw.
     """
 
     def __init__(self, seed: int):
-        self._gen = np.random.default_rng(seed)
-        self._uni = self._refill(self._gen.random)
-        self._nrm = self._refill(self._gen.standard_normal)
-        self._exp = self._refill(self._gen.standard_exponential)
-        self._iu = 0
-        self._in = 0
-        self._ie = 0
-
-    def _refill(self, draw) -> array:
-        return array("d", draw(_BATCH).tobytes())
-
-    def random(self) -> float:
-        i = self._iu
-        if i == _BATCH:
-            self._uni = self._refill(self._gen.random)
-            i = 0
-        self._iu = i + 1
-        return self._uni[i]
+        gen = np.random.default_rng(seed)
+        uni, nrm, exp = (_stream(draw) for draw in
+                         (gen.random, gen.standard_normal, gen.standard_exponential))
+        self.random = uni.__next__
+        self._nrm = nrm.__next__
+        self._exp = exp.__next__
 
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        i = self._in
-        if i == _BATCH:
-            self._nrm = self._refill(self._gen.standard_normal)
-            i = 0
-        self._in = i + 1
-        return loc + scale * self._nrm[i]
+        return loc + scale * self._nrm()
 
     def exponential(self, scale: float = 1.0) -> float:
-        i = self._ie
-        if i == _BATCH:
-            self._exp = self._refill(self._gen.standard_exponential)
-            i = 0
-        self._ie = i + 1
-        return scale * self._exp[i]
+        return scale * self._exp()
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * self.random()
+
+
+def _stream(draw) -> chain:
+    """Batches of `draw(_BATCH)` as one iterator of floats; the first batch
+    is drawn now, each later one when the one before runs out."""
+    batches = iter(lambda: array("d", draw(_BATCH).tobytes()), None)
+    return chain.from_iterable(chain((next(batches),), batches))
 
 
 @dataclass(frozen=True)
@@ -512,7 +503,6 @@ class IbmTrajectory:
     births_male: int
     deaths: int
     clamped_births: int
-    n_events: int
     n_proposals: int  # candidate jumps drawn; above n_events only when a death is rejected
     extinction_time: float | None
     seed: int
@@ -522,6 +512,10 @@ class IbmTrajectory:
     @property
     def births(self) -> int:
         return self.births_female + self.births_male
+
+    @property
+    def n_events(self) -> int:
+        return self.births + self.deaths
 
     def measures_at(self, t: float) -> tuple[GridMeasure, GridMeasure]:
         """(male, female) empirical measures at sample time t."""
@@ -539,57 +533,41 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     a population with zero total rate but surviving members simply stops
     changing.
 
-    Matings arrive at the exact capability sums, kept incrementally as in
+    Each sex is one `_SexState`, and one code path serves both: a mating
+    has an initiator sex `a` and a partner sex `b`, a birth the newborn's
+    sex `s`, a death the dying sex `s` and the other sex `o`. Matings arrive
+    at the exact capability sums, kept incrementally as in
     `ScaledPopulation`, so none is rejected; the initiator and then the
-    partner are each picked in proportion to capability by rejection
-    against the sex's running maximum p̄, or uniformly if no member of the
-    sex has positive capability. Deaths are thinned (Fournier & Méléard
-    2004): female death candidates arrive at rate
-    nf (D̄_f + (Ū_ff nf + Ū_fm nm) / N), where D̄_f is the running maximum
-    of the cached death rates and Ū the bound of `_competition`, and the
-    place of the category uniform within that rate picks the kind:
+    partner are each picked in proportion to capability (`_pick_capable`),
+    or uniformly if no member of the sex has positive capability. Deaths
+    are thinned (Fournier & Méléard 2004): those of sex s arrive at the
+    bound n_s (D̄_s + (Ū_ss n_s + Ū_so n_o) / N), where D̄_s is the running
+    maximum of the cached death rates and Ū the bound of `_competition`,
+    and the place of the category uniform within it picks the kind:
 
-    - a natural death, at rate nf D̄_f: a uniform female is accepted with
-      D_f(x)/D̄_f;
-    - a death from competition with a female, at rate nf nf Ū_ff / N: a
+    - a natural death, at rate n_s D̄_s: a uniform member of s is accepted
+      with D_s(x)/D̄_s;
+    - a death from competition with sex s, at rate n_s n_s Ū_ss / N: a
       uniform victim and a uniform competitor, self included, accepted
-      with U_ff(x, z)/Ū_ff; likewise against a male at rate nf nm Ū_fm / N;
+      with U_ss(x, z)/Ū_ss; likewise against sex o at rate n_s n_o Ū_so / N.
 
-    and the mirror for males. A rejected candidate advances the clock and
-    changes nothing else. A constant rate is its own bound: it keeps no
-    cache and draws no acceptance uniform. With constant
-    rates each jump therefore draws, in the direct engine's order, the
-    waiting time, the category uniform, the two actor uniforms (initiator
-    first), the offspring variates and the sex uniform, or on a death the
-    victim uniform.
+    A rejected candidate advances the clock and changes nothing else. A
+    constant rate is its own bound: it keeps no cache and draws no
+    acceptance uniform. With constant rates each jump therefore draws, in
+    the direct engine's order, the waiting time, the category uniform, the
+    two actor uniforms (initiator first), the offspring variates and the
+    sex uniform, or on a death the victim uniform.
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
-    r = params.rates
     N, t_end, grid = params.N, params.t_end, params.grid
     x_min, x_max = grid.x_min, grid.x_max
     rng = BufferedRng(params.seed)
     random, exponential = rng.random, rng.exponential
     sample_offspring = params.kernel.sample_offspring
-    females = array("d", params.initial_female.tobytes())
-    males = array("d", params.initial_male.tobytes())
-    nf, nm = len(females), len(males)
-    pf, pbar_f, new_pf = _trait_rate(r, "p_f", params.initial_female)
-    pm, pbar_m, new_pm = _trait_rate(r, "p_m", params.initial_male)
-    Df, Dbar_f, new_Df = _trait_rate(r, "D_f", params.initial_female)
-    Dm, Dbar_m, new_Dm = _trait_rate(r, "D_m", params.initial_male)
-    Ubar_ff, U_ff = _competition(r, "U_ff", grid)
-    Ubar_fm, U_fm = _competition(r, "U_fm", grid)
-    Ubar_mf, U_mf = _competition(r, "U_mf", grid)
-    Ubar_mm, U_mm = _competition(r, "U_mm", grid)
-    sum_pf = pbar_f * nf if pf is None else sum(pf)
-    sum_pm = pbar_m * nm if pm is None else sum(pm)
-    # exact counts of members with positive capability, kept only for a
-    # callable capability: the actor picks reject only while one is positive
-    pos_f = 0 if pf is None else sum(1 for v in pf if v > 0.0)
-    pos_m = 0 if pm is None else sum(1 for v in pm if v > 0.0)
-    thin_f = Df is not None or U_ff is not None or U_fm is not None
-    thin_m = Dm is not None or U_mm is not None or U_mf is not None
+    F = _SexState(params.rates, "f", "m", params.initial_female, grid)
+    M = _SexState(params.rates, "m", "f", params.initial_male, grid)
+    n_start = F.n + M.n
 
     pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
     next_due = next(pending, np.inf)
@@ -598,17 +576,18 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     def take_snapshots(up_to: float) -> None:
         nonlocal next_due
         while next_due <= up_to + 1e-12:
-            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, males, 1.0 / N),
-                                         measure_from_samples(grid, females, 1.0 / N), nm, nf))
+            snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, M.traits, 1.0 / N),
+                                         measure_from_samples(grid, F.traits, 1.0 / N), M.n, F.n))
             next_due = next(pending, np.inf)
 
     t = 0.0
-    n_proposals = births_f = births_m = deaths = clamped = 0
+    rejected = clamped = 0
     extinction_time = None
     while True:
-        mating = sum_pf + sum_pm if nf and nm else 0.0
-        death_f = nf * (Dbar_f + (Ubar_ff * nf + Ubar_fm * nm) / N)
-        death_m = nm * (Dbar_m + (Ubar_mm * nm + Ubar_mf * nf) / N)
+        nf, nm = F.n, M.n
+        mating = F.sum_p + M.sum_p if nf and nm else 0.0
+        death_f = nf * (F.Dbar + (F.Ubar_same * nf + F.Ubar_other * nm) / N)
+        death_m = nm * (M.Dbar + (M.Ubar_same * nm + M.Ubar_other * nf) / N)
         total = mating + (death_f + death_m)
         if total <= 0.0:
             if nf + nm == 0:
@@ -620,134 +599,121 @@ def simulate(params: IbmParams) -> IbmTrajectory:
         if next_due <= (t_next - 1e-15) + 1e-12:
             take_snapshots(t_next - 1e-15)
         t = t_next
-        n_proposals += 1
         u = random() * total
         if u < mating:
-            if u < sum_pf:
-                mother = int(random() * nf)
-                while pos_f and random() * pbar_f >= pf[mother]:
-                    mother = int(random() * nf)
-                father = int(random() * nm)
-                while pos_m and random() * pbar_m >= pm[father]:
-                    father = int(random() * nm)
-            else:
-                father = int(random() * nm)
-                while pos_m and random() * pbar_m >= pm[father]:
-                    father = int(random() * nm)
-                mother = int(random() * nf)
-                while pos_f and random() * pbar_f >= pf[mother]:
-                    mother = int(random() * nf)
-            child = sample_offspring(females[mother], males[father], rng)
-            if child < x_min:
-                child = x_min
+            a, b = (F, M) if u < F.sum_p else (M, F)
+            i = _pick_capable(a, random) if a.pos else int(random() * a.n)
+            j = _pick_capable(b, random) if b.pos else int(random() * b.n)
+            mother, father = (i, j) if a is F else (j, i)
+            child = sample_offspring(F.traits[mother], M.traits[father], rng)
+            if not x_min <= child <= x_max:
+                child = min(max(child, x_min), x_max)
                 clamped += 1
-            elif child > x_max:
-                child = x_max
-                clamped += 1
-            if random() < 0.5:
-                females.append(child)
-                nf += 1
-                births_f += 1
-                if pf is None:
-                    sum_pf += pbar_f
-                else:
-                    p = new_pf(child)
-                    pf.append(p)
-                    sum_pf += p
-                    pos_f += p > 0.0
-                    pbar_f = max(pbar_f, p)
-                if Df is not None:
-                    d = new_Df(child)
-                    Df.append(d)
-                    Dbar_f = max(Dbar_f, d)
+            s = F if random() < 0.5 else M
+            s.traits.append(child)
+            s.n += 1
+            s.births += 1
+            if s.p is None:
+                s.sum_p += s.pbar
             else:
-                males.append(child)
-                nm += 1
-                births_m += 1
-                if pm is None:
-                    sum_pm += pbar_m
-                else:
-                    p = new_pm(child)
-                    pm.append(p)
-                    sum_pm += p
-                    pos_m += p > 0.0
-                    pbar_m = max(pbar_m, p)
-                if Dm is not None:
-                    d = new_Dm(child)
-                    Dm.append(d)
-                    Dbar_m = max(Dbar_m, d)
-        elif u - mating < death_f:
-            victim = int(random() * nf)
-            if thin_f:
-                v = u - mating
-                if v < nf * Dbar_f:
-                    if Df is not None and random() * Dbar_f >= Df[victim]:
-                        continue
-                elif v < nf * (Dbar_f + Ubar_ff * nf / N):
-                    if U_ff is not None and \
-                            random() * Ubar_ff >= U_ff(females[victim], females[int(random() * nf)]):
-                        continue
-                elif U_fm is not None and \
-                        random() * Ubar_fm >= U_fm(females[victim], males[int(random() * nm)]):
-                    continue
-                if Df is not None:
-                    Df[victim] = Df[-1]
-                    Df.pop()
-            if pf is None:
-                sum_pf -= pbar_f
-            else:
-                p = pf[victim]
-                sum_pf -= p
-                pos_f -= p > 0.0
-                pf[victim] = pf[-1]
-                pf.pop()
-            females[victim] = females[-1]
-            females.pop()
-            nf -= 1
-            deaths += 1
+                p = s.new_p(child)
+                s.p.append(p)
+                s.sum_p += p
+                s.pos += p > 0.0
+                s.pbar = max(s.pbar, p)
+            if s.D is not None:
+                d = s.new_D(child)
+                s.D.append(d)
+                s.Dbar = max(s.Dbar, d)
         else:
-            victim = int(random() * nm)
-            if thin_m:
-                v = u - mating - death_f
-                if v < nm * Dbar_m:
-                    if Dm is not None and random() * Dbar_m >= Dm[victim]:
-                        continue
-                elif v < nm * (Dbar_m + Ubar_mm * nm / N):
-                    if U_mm is not None and \
-                            random() * Ubar_mm >= U_mm(males[victim], males[int(random() * nm)]):
-                        continue
-                elif U_mf is not None and \
-                        random() * Ubar_mf >= U_mf(males[victim], females[int(random() * nf)]):
+            v = u - mating
+            s, o, v = (F, M, v) if v < death_f else (M, F, v - death_f)
+            n = s.n
+            victim = int(random() * n)
+            if s.thin:
+                if v < n * s.Dbar:
+                    reject = s.D is not None and random() * s.Dbar >= s.D[victim]
+                elif v < n * (s.Dbar + s.Ubar_same * n / N):
+                    reject = s.U_same is not None and random() * s.Ubar_same >= \
+                        s.U_same(s.traits[victim], s.traits[int(random() * n)])
+                else:
+                    reject = s.U_other is not None and random() * s.Ubar_other >= \
+                        s.U_other(s.traits[victim], o.traits[int(random() * o.n)])
+                if reject:
+                    rejected += 1
                     continue
-                if Dm is not None:
-                    Dm[victim] = Dm[-1]
-                    Dm.pop()
-            if pm is None:
-                sum_pm -= pbar_m
+                if s.D is not None:
+                    s.D[victim] = s.D[-1]
+                    s.D.pop()
+            if s.p is None:
+                s.sum_p -= s.pbar
             else:
-                p = pm[victim]
-                sum_pm -= p
-                pos_m -= p > 0.0
-                pm[victim] = pm[-1]
-                pm.pop()
-            males[victim] = males[-1]
-            males.pop()
-            nm -= 1
-            deaths += 1
+                p = s.p[victim]
+                s.sum_p -= p
+                s.pos -= p > 0.0
+                s.p[victim] = s.p[-1]
+                s.p.pop()
+            s.traits[victim] = s.traits[-1]
+            s.traits.pop()
+            s.n = n - 1
     take_snapshots(t_end)
+    births = F.births + M.births
+    deaths = n_start + births - F.n - M.n
     return IbmTrajectory(
         snapshots=tuple(snapshots),
-        births_female=births_f,
-        births_male=births_m,
+        births_female=F.births,
+        births_male=M.births,
         deaths=deaths,
         clamped_births=clamped,
-        n_events=births_f + births_m + deaths,
-        n_proposals=n_proposals,
+        n_proposals=births + deaths + rejected,
         extinction_time=extinction_time,
         seed=params.seed,
-        final_n_female=nf,
-        final_n_male=nm,
+        final_n_female=F.n,
+        final_n_male=M.n,
     )
+
+
+class _SexState:
+    """One sex's state in `simulate`, sex `s` against the other sex `o`:
+    traits, the capability and death caches with their bounds and newborn
+    evaluators (`_trait_rate`), the capability sum, the count of positive
+    capabilities, the competition suffered from sex s and from sex o
+    (`_competition`) and the births."""
+
+    __slots__ = ("traits", "n", "p", "pbar", "new_p", "sum_p", "pos", "D", "Dbar", "new_D",
+                 "Ubar_same", "U_same", "Ubar_other", "U_other", "thin", "births")
+
+    def __init__(self, rates: RateSet, s: str, o: str, traits: np.ndarray, grid: TraitGrid):
+        self.traits = array("d", traits.tobytes())
+        self.n = len(self.traits)
+        self.p, self.pbar, self.new_p = _trait_rate(rates, f"p_{s}", traits)
+        self.D, self.Dbar, self.new_D = _trait_rate(rates, f"D_{s}", traits)
+        self.Ubar_same, self.U_same = _competition(rates, f"U_{s}{s}", grid)
+        self.Ubar_other, self.U_other = _competition(rates, f"U_{s}{o}", grid)
+        self.sum_p = self.pbar * self.n if self.p is None else sum(self.p)
+        self.pos = 0 if self.p is None else sum(1 for v in self.p if v > 0.0)
+        self.thin = self.D is not None or self.U_same is not None or self.U_other is not None
+        self.births = 0
+
+
+def _pick_capable(s: _SexState, random) -> int:
+    """Index of a member of `s` drawn in proportion to its capability, for a
+    sex with a positive capability: uniform candidates accepted with p/p̄.
+    p̄ is a running maximum that does not fall when its holder dies, so
+    rejection can take about n p̄ / sum p tries; after `_PICK_TRIES`
+    failures the pick is exact, from cumulative sums and one uniform. Both
+    branches draw in proportion to capability, so the law is exact.
+    """
+    p, pbar, n = s.p, s.pbar, s.n
+    i = int(random() * n)
+    tries = _PICK_TRIES
+    while random() * pbar >= p[i]:
+        tries -= 1
+        if not tries:
+            cum = list(accumulate(p))
+            return min(bisect_right(cum, random() * cum[-1]), n - 1)
+        i = int(random() * n)
+    return i
 
 
 def _simulate_direct(params: IbmParams) -> IbmTrajectory:
@@ -768,7 +734,6 @@ def _simulate_direct(params: IbmParams) -> IbmTrajectory:
             next_sample += 1
 
     t = 0.0
-    n_events = 0
     extinction_time = None
     while True:
         summary = event_rates(pop)
@@ -784,7 +749,6 @@ def _simulate_direct(params: IbmParams) -> IbmTrajectory:
         take_snapshots(t_next - 1e-15)
         _apply_event(pop, summary, params.kernel, rng)
         t = t_next
-        n_events += 1
     take_snapshots(params.t_end)
     return IbmTrajectory(
         snapshots=tuple(snapshots),
@@ -792,8 +756,7 @@ def _simulate_direct(params: IbmParams) -> IbmTrajectory:
         births_male=pop.births_male,
         deaths=pop.deaths,
         clamped_births=pop.clamped_births,
-        n_events=n_events,
-        n_proposals=n_events,
+        n_proposals=pop.births_female + pop.births_male + pop.deaths,
         extinction_time=extinction_time,
         seed=params.seed,
         final_n_female=pop.f.n,
@@ -807,8 +770,7 @@ def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
     A constant gives (None, the constant, None): it is its own bound and
     needs no cache. A callable gives its values at `traits` in an
     `array("d")`, their maximum, which the loop raises as newborns arrive,
-    and a scalar evaluator for one newborn with the non-negativity check
-    of `RateSet.at`.
+    and a scalar evaluator for one newborn with the checks of `RateSet.at`.
     """
     entry = getattr(rates, name)
     if not callable(entry):
@@ -817,8 +779,9 @@ def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
 
     def newborn(x: float) -> float:
         v = float(entry(x))
-        if not 0.0 <= v:
-            raise ValueError(f"{name} must be non-negative, got {v} at trait {x}")
+        if not 0.0 <= v < np.inf:
+            need = "finite" if v == np.inf else "non-negative"
+            raise ValueError(f"{name} must be {need}, got {v} at trait {x}")
         return v
     return cache, max(cache, default=0.0), newborn
 

@@ -89,9 +89,9 @@ class RateSet:
 
         A capability or death rate (p_*, D_*) takes one trait array, a
         competition kernel (U_*) a pair (x, y) that broadcasts. A callable
-        entry must return that shape and be non-negative at every point it
-        is asked for; a zero rate there freezes that event, a negative one
-        has no meaning as an event rate.
+        entry must return that shape and be non-negative and finite at every
+        point it is asked for; a zero rate there freezes that event, and a
+        negative or infinite one has no meaning as an event rate.
         """
         v = self._evaluate(name, *traits)
         if not callable(getattr(self, name)):
@@ -100,11 +100,12 @@ class RateSet:
         if v.shape != shape:
             raise ValueError(f"{name} must map its traits to their broadcast shape {shape}, "
                              f"got {v.shape}")
-        if v.size and not v.min() >= 0:
-            i = np.unravel_index(np.argmin(v >= 0), shape)
+        if v.size and not (v.min() >= 0 and v.max() < np.inf):
+            i = np.unravel_index(np.argmin((v >= 0) & (v < np.inf)), shape)
             where = [float(np.broadcast_to(t, shape)[i]) for t in traits]
             place = f"trait {where[0]}" if len(where) == 1 else f"traits {tuple(where)}"
-            raise ValueError(f"{name} must be non-negative, got {v[i]} at {place}")
+            need = "finite" if v[i] == np.inf else "non-negative"
+            raise ValueError(f"{name} must be {need}, got {v[i]} at {place}")
         return v
 
     def _evaluate(self, name: str, *traits) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+import signal
 from collections import Counter
 from pathlib import Path
 
@@ -87,6 +89,37 @@ def test_negative_competition_kernel_rejected():
                    U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)
     with pytest.raises(ValueError, match="U_mf must map its traits"):
         ScaledPopulation(np.array([0.0, 1.0]), np.array([0.0]), 1, flat, GRID)
+
+
+def test_buffered_rng_streams_are_generator_batches():
+    # every seeded artifact rests on this order: one batch each of random,
+    # standard_normal and standard_exponential, then each stream refills
+    # from the shared generator when it runs out
+    rng, gen = BufferedRng(9), np.random.default_rng(9)
+    size = ibm._BATCH
+    assert [rng.random() for _ in range(size)] == gen.random(size).tolist()
+    assert [rng.normal() for _ in range(size)] == gen.standard_normal(size).tolist()
+    assert [rng.exponential() for _ in range(size)] == gen.standard_exponential(size).tolist()
+    assert rng.random() == gen.random(size)[0]
+
+
+def test_infinite_trait_rate_rejected():
+    # p_f = inf above trait 1 is no event rate: it would make the total rate
+    # infinite, every waiting time 0 and every jump a death
+    rates = RateSet(p_f=lambda x: np.where(x > 1.0, np.inf, 1.0), p_m=1.0, D_f=1e-3, D_m=1e-3,
+                    U_ff=2.5e-4, U_fm=2.5e-4, U_mf=2.5e-4, U_mm=2.5e-4)
+    with pytest.raises(ValueError, match=r"p_f must be finite, got inf at trait 1\.5"):
+        rates.at("p_f", np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match=r"p_f must be finite, got inf at trait 1\.5"):
+        simulate(IbmParams(grid=GRID, rates=rates, kernel=KERNEL, N=2, t_end=1.0,
+                           sample_times=(), seed=0, initial_female=np.array([0.5, 1.5]),
+                           initial_male=np.array([0.0, 1.0])))
+    # a newborn at 1.5, as in the negative-capability test below
+    both = dataclasses.replace(rates, p_m=rates.p_f)
+    with pytest.raises(ValueError, match=r"p_[fm] must be finite, got inf at trait 1\.5"):
+        simulate(IbmParams(grid=GRID, rates=both, kernel=_PairCells(), N=1, t_end=50.0,
+                           sample_times=(), seed=2, initial_female=np.array([0.5]),
+                           initial_male=np.array([0.0])))
 
 
 def test_step_single_male_death_only():
@@ -541,6 +574,21 @@ def test_competition_above_its_grid_bound_raises():
         simulate(params)
 
 
+def test_other_sex_competitor_comes_from_the_other_sex():
+    # U_fm and U_mf vanish between equal traits and are 1 between the sexes,
+    # so every death here is from a competitor of the other sex; no law case
+    # has an other-sex kernel that depends on the competitor's trait
+    zero = lambda x: 0.0 * x
+    apart = lambda x, z: np.abs(x - z)
+    rates = RateSet(p_f=zero, p_m=zero, D_f=1e-9, D_m=1e-9, U_ff=1e-9, U_fm=apart,
+                    U_mf=apart, U_mm=1e-9)
+    for seed in range(3):
+        traj = simulate(IbmParams(grid=_SMALL, rates=rates, kernel=KERNEL, N=1, t_end=20.0,
+                                  sample_times=(), seed=seed, initial_female=np.zeros(2),
+                                  initial_male=np.ones(2)))
+        assert traj.deaths >= 2 and min(traj.final_n_female, traj.final_n_male) == 0
+
+
 class _PairCells:
     """Deterministic inheritance: 3 x_mother + x_father, held in [-2.5, 2.5].
 
@@ -562,6 +610,45 @@ def test_negative_newborn_capability_raises_through_simulate():
                        initial_male=np.array([0.0]))
     with pytest.raises(ValueError, match=r"p_[fm] must be non-negative, got -0\.5 at trait 1\.5"):
         simulate(params)
+
+
+# p̄_m stays 1 after the male at 0, its holder, dies fast (D_m = 50 there);
+# the males left at 2 have p_m = 3e-70, so a rejection-only pick of the
+# father would take about 1e70 tries
+LONE_BOUND = RateSet(p_f=1.0, p_m=lambda y: np.exp(-40.0 * y**2), D_f=1e-3,
+                     D_m=lambda y: 1e-3 + 50.0 * np.exp(-40.0 * y**2),
+                     U_ff=1e-3, U_fm=1e-3, U_mf=1e-3, U_mm=1e-3)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("simulate did not return")
+
+
+def test_capability_pick_returns_after_its_bound_holder_dies():
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        for seed in range(10):
+            traj = simulate(IbmParams(grid=GRID, rates=LONE_BOUND, kernel=KERNEL, N=1,
+                                      t_end=2.0, sample_times=(2.0,), seed=seed,
+                                      initial_female=np.array([0.0]),
+                                      initial_male=np.array([0.0, 2.0, 2.0])))
+            assert traj.births - traj.deaths == traj.final_n_female + traj.final_n_male - 4
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_capability_pick_fallback_is_proportional():
+    # p̄ = 1, as after the holder of that capability died: each rejection try
+    # accepts with probability below 1e-69, so every pick ends in the fallback
+    rates = RateSet(p_f=1.0, p_m=lambda y: 1e-70 * (1.0 + (y > 0.0)), D_f=1.0, D_m=1.0,
+                    U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    males = ibm._SexState(rates, "m", "f", np.array([-1.0, -0.5, 1.0]), GRID)
+    males.pbar = 1.0
+    random = BufferedRng(3).random
+    counts = np.bincount([ibm._pick_capable(males, random) for _ in range(4000)], minlength=3)
+    assert stats.chisquare(counts, [1000.0, 1000.0, 2000.0]).pvalue > 1e-3
 
 
 LAW_RUNS = 4000

@@ -214,6 +214,16 @@ def test_negative_trait_rate_rejected():
         integrate(MacroState(m0, f0), rates, KERNEL, SolverConfig(dt=0.01, t_end=1.0))
 
 
+def test_infinite_trait_rate_rejected():
+    # an infinite rate is named as such, not reported as a stability bound
+    # of 0 that no dt meets
+    rates = RateSet(p_f=lambda x: np.where(x > 1.0, np.inf, 1.0), p_m=1.0, D_f=1.0, D_m=1.0,
+                    U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    m0 = point_mass(GRID, 0.0)
+    with pytest.raises(ValueError, match=r"p_f must be finite, got inf at trait 1\.0625"):
+        integrate(MacroState(m0, m0), rates, KERNEL, SolverConfig(dt=0.01, t_end=1.0))
+
+
 def test_negative_competition_kernel_rejected():
     # U_ff(x, y) = 0.25 - 0.5|x - y| is negative on every center pair more
     # than half a trait unit apart; a kernel that ignores y has the wrong shape
