@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acc
-from .config import (_get, _number, load_config, parse_grid, parse_kernel,
+from .config import (_get, _number, _positive, load_config, parse_grid, parse_kernel,
                      parse_measure, parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
 from .ibm import IbmParams, simulate
@@ -58,9 +58,10 @@ def _stationary_summary(rates) -> dict:
 def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     rates = parse_rates(_get(cfg, "rates", "", expected=dict))
     init = _get(cfg, "initial", "", expected=dict, required=False, default={"M": 1.0, "F": 1.0})
-    state0 = TotalsState(_number(init, "M", "initial."), _number(init, "F", "initial."))
-    t_end = _number(cfg, "t_end", "", required=False, default=60.0)
-    dt = _number(cfg, "dt", "", required=False, default=0.01)
+    state0 = TotalsState(_positive(init, "M", "initial.", allow_zero=True),
+                         _positive(init, "F", "initial.", allow_zero=True))
+    t_end = _positive(cfg, "t_end", "", required=False, default=60.0)
+    dt = _positive(cfg, "dt", "", required=False, default=0.01)
     series = integrate_totals(state0, rates, t_end=t_end, dt=dt)
     summary = _stationary_summary(rates)
     if summary["M_bar"] is not None:
@@ -210,8 +211,10 @@ def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
     mu0 = parse_measure(_get(cfg, "initial", "", expected=dict), grid, "initial.")
-    tol = _number(cfg, "tol", "", required=False, default=1e-8)
+    tol = _positive(cfg, "tol", "", required=False, default=1e-8)
     max_iter = _get(cfg, "max_iter", "", expected=int, required=False, default=10_000)
+    if max_iter < 1:
+        raise ConfigError(f"field max_iter must be >= 1, got {max_iter}")
     fp = fixed_point(kernel, mu0, tol=tol, max_iter=max_iter)
     files = [
         emit_distribution_csv(out / "mu_star.csv",
@@ -237,6 +240,8 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     scales = _get(cfg, "N_list", "", expected=list)
     replicas = _get(cfg, "replicas", "", expected=int)
     checkpoints = [float(t) for t in _get(cfg, "checkpoints", "", expected=list)]
+    if not checkpoints:
+        raise ConfigError("field checkpoints must be a non-empty list")
     base_seed = int(seed if seed is not None else _get(cfg, "seed", "", expected=int,
                                                       required=False, default=0))
     init_f_spec = _get(cfg, "initial_female", "", expected=dict)
@@ -244,11 +249,13 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     mass_f = _number(init_f_spec, "mass", "initial_female.", required=False, default=1.0)
     mass_m = _number(init_m_spec, "mass", "initial_male.", required=False, default=1.0)
     t_end = max(checkpoints) + 1e-3
+    m0 = parse_measure(init_m_spec | {"mass": mass_m}, grid, "initial_male.")
+    f0 = parse_measure(init_f_spec | {"mass": mass_f}, grid, "initial_female.")
 
     params_list = []
     for i, n in enumerate(scales):
-        if not isinstance(n, int):
-            raise ConfigError("field N_list must contain integers")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ConfigError(f"field N_list must contain positive integers, got {n!r}")
         for r in range(replicas):
             run_seed = base_seed + 10_000 * (i + 1) + r
             rng = np.random.default_rng(run_seed)
@@ -267,8 +274,6 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
         trajs = [simulate(p) for p in params_list]
     runs = {n: trajs[i * replicas:(i + 1) * replicas] for i, n in enumerate(scales)}
 
-    m0 = parse_measure(init_m_spec | {"mass": mass_m}, grid, "initial_male.")
-    f0 = parse_measure(init_f_spec | {"mass": mass_f}, grid, "initial_female.")
     solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
                                default={"dt": 0.005, "t_end": t_end, "sample_stride": 10}))
     macro = integrate(MacroState(m0, f0), rates, kernel, solver)
@@ -347,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be a positive integer, got {args.jobs}")
     out = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, "."))
     try:
         cfg = load_config(args.config) if args.config else None

@@ -132,14 +132,21 @@ def parse_kernel(d: dict, ctx: str = "kernel.",
     raise ConfigError(f"field {ctx}family must be additive, multiplicative or custom, got {family!r}")
 
 
+def _positive(d: dict, field: str, ctx: str, required: bool = True, default=None,
+              allow_zero: bool = False) -> float:
+    v = _number(d, field, ctx, required=required, default=default)
+    if v < 0 or (v == 0 and not allow_zero):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ConfigError(f"field {ctx}{field} must be {kind}, got {v}")
+    return v
+
+
 def parse_measure(d: dict, grid: TraitGrid, ctx: str) -> GridMeasure:
     """Initial-condition shapes: point, uniform, gaussian, tabulated CSV."""
     if not isinstance(d, dict):
         raise ConfigError(f"field {ctx[:-1]} must be an object")
     shape = _get(d, "shape", ctx, expected=str)
-    mass = _number(d, "mass", ctx, required=False, default=1.0)
-    if mass <= 0:
-        raise ConfigError(f"field {ctx}mass must be positive")
+    mass = _positive(d, "mass", ctx, required=False, default=1.0)
     try:
         if shape == "point":
             return point_mass(grid, _number(d, "at", ctx), mass)
@@ -158,21 +165,25 @@ def parse_measure(d: dict, grid: TraitGrid, ctx: str) -> GridMeasure:
 
 
 def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.ndarray:
-    """Draw individual traits from an initial-condition shape."""
-    shape = _get(d, "shape", ctx, expected=str)
+    """Draw `count` individual traits from an initial-condition shape.
+
+    The spec must pass parse_measure, so a shape without a measure on the
+    grid has no traits either.
+    """
+    if count < 0:
+        raise ConfigError(f"field {ctx}count must be non-negative, got {count}")
+    parse_measure(d, grid, ctx)
+    shape = d["shape"]
     if shape == "point":
-        at = _number(d, "at", ctx)
-        traits = np.full(count, at)
+        traits = np.full(count, d["at"])
     elif shape == "uniform":
-        traits = rng.uniform(_number(d, "lo", ctx), _number(d, "hi", ctx), size=count)
+        traits = rng.uniform(d["lo"], d["hi"], size=count)
     elif shape == "gaussian":
-        traits = rng.normal(_number(d, "mean", ctx), _number(d, "sd", ctx), size=count)
-    elif shape == "tabulated":
-        m = read_measure_csv(_get(d, "path", ctx, expected=str), grid)
+        traits = rng.normal(d["mean"], d["sd"], size=count)
+    else:
+        m = read_measure_csv(d["path"], grid)
         cells = rng.choice(grid.n_cells, size=count, p=m.weights / m.mass)
         traits = grid.edges[cells] + grid.dx * rng.random(count)
-    else:
-        raise ConfigError(f"field {ctx}shape must be point, uniform, gaussian or tabulated, got {shape!r}")
     return np.clip(traits, grid.x_min, grid.x_max)
 
 

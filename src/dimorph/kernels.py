@@ -6,15 +6,16 @@ additive noise, or at the parental sum scaled by a [0, 1] random factor
 of mean one half. Both keep the expected offspring trait equal to the
 parental midpoint, which is what the stability analysis relies on.
 
-Rows are discretized by exact cell integrals of the noise CDF, truncated
-to the grid and renormalized to unit mass. The birth operator pushes the
-product of two measures through the kernel; for the built-in families it
-runs in O(n^2) via the parent-sum convolution against a row table cached
-per grid. Every other kernel runs the direct tensor contraction, which
-the tests also keep as the slow reference for the fast path. The cell
-edges of every additive row sit on one half-cell lattice of offsets from
-the row center, so that table is gathered from one vector of noise cell
-masses: the noise CDF at 4n - 1 points.
+Each family supplies only the raw in-grid cell masses of its rows; the
+base class alone truncates them to the grid, renormalizes them to unit
+mass and flags rows with no in-grid mass as degenerate. The birth
+operator pushes the product of two measures through the kernel; for the
+built-in families it runs in O(n^2) via the parent-sum convolution
+against a row table cached per grid. Every other kernel runs the direct
+contraction, which the tests keep as the fast path's slow reference. The
+cell edges of every additive row sit on one half-cell lattice of offsets
+from its center, so that table is gathered from the noise CDF at 4n - 1
+points.
 """
 
 from __future__ import annotations
@@ -195,10 +196,13 @@ class InheritanceKernel:
 
     def row_masses(self, x: float, y: float, grid: TraitGrid) -> np.ndarray:
         """Unit-sum cell masses of k(x, y, .), truncated and renormalized."""
-        masses, _ = self.row_masses_with_tail(x, y, grid)
-        return masses
+        row, _, degenerate = _truncate_renormalize(self._raw_row(x, y, grid))
+        if degenerate:
+            raise DegenerateRow(f"row for parents ({x}, {y}) has no mass inside the grid")
+        return row
 
-    def row_masses_with_tail(self, x: float, y: float, grid: TraitGrid):
+    def _raw_row(self, x: float, y: float, grid: TraitGrid) -> np.ndarray:
+        """In-grid cell masses of k(x, y, .) before truncation."""
         raise UnsupportedKernel(f"{type(self).__name__} has no density rows")
 
     def density_row(self, x: float, y: float, grid: TraitGrid) -> np.ndarray:
@@ -214,14 +218,11 @@ class InheritanceKernel:
 
     def _table(self, grid: TraitGrid) -> _SumRowTable:
         """Rows of a sum-structured kernel for the parent sums 2 x_min + (k + 1) dx,
-        from its _lattice_rows(grid) -> (rows, tails), tails NaN where degenerate."""
+        from its _raw_lattice(grid): the raw in-grid masses of those rows."""
         table = self._tables.get(grid)
         if table is None:
-            matrix, tails = self._lattice_rows(grid)
-            bad = np.isnan(tails)
-            matrix[bad] = 0.0
-            tails[bad] = 0.0
-            table = _SumRowTable(matrix, bad.astype(float), tails)
+            rows, tails, degenerate = _truncate_renormalize(self._raw_lattice(grid))
+            table = _SumRowTable(rows, degenerate.astype(float), tails)
             self._tables[grid] = table
         return table
 
@@ -231,18 +232,18 @@ class InheritanceKernel:
 
 
 def _truncate_renormalize(raw: np.ndarray):
-    """Row masses from raw in-grid cell masses; returns (rows, tails).
+    """Row masses from raw in-grid cell masses; returns (rows, tails, degenerate).
 
     raw has shape (..., n_cells) with total in-grid mass <= 1 per row.
-    Degenerate rows (no in-grid mass) get tail NaN.
+    Degenerate rows (no in-grid mass) get zero rows and zero tails.
     """
     inside = raw.sum(axis=-1)
-    tails = 1.0 - inside
-    bad = inside <= _MIN_INSIDE
-    safe = np.where(bad, 1.0, inside)
+    degenerate = inside <= _MIN_INSIDE
+    safe = np.where(degenerate, 1.0, inside)
     rows = raw / safe[..., None]
-    tails = np.where(bad, np.nan, tails)
-    return rows, tails
+    rows[degenerate] = 0.0
+    tails = np.where(degenerate, 0.0, 1.0 - inside)
+    return rows, tails, degenerate
 
 
 class AdditiveNoiseKernel(InheritanceKernel):
@@ -256,20 +257,17 @@ class AdditiveNoiseKernel(InheritanceKernel):
             raise ValueError(f"additive noise must have zero mean, got {noise.mean}")
         self.noise = noise
 
-    def _lattice_rows(self, grid):
+    def _raw_lattice(self, grid):
         # edge i sits at offset (2i - k - 1) dx/2 from the center of row k,
         # so row k, cell j holds g[2j - k + 2n - 2], the noise mass between
         # the half-cell offsets 2j - k - 2 and 2j - k (counted from 1 - 2n)
         n = grid.n_cells
         c = self.noise.cdf(0.5 * grid.dx * np.arange(1 - 2 * n, 2 * n))
         g = c[2:] - c[:-2]
-        return _truncate_renormalize(sliding_window_view(g, 2 * n - 1)[::-1, ::2])
+        return sliding_window_view(g, 2 * n - 1)[::-1, ::2]
 
-    def row_masses_with_tail(self, x, y, grid):
-        row, tail = _truncate_renormalize(np.diff(self.noise.cdf(grid.edges - 0.5 * (x + y))))
-        if np.isnan(tail):
-            raise DegenerateRow(f"row for parents ({x}, {y}) has no mass inside the grid")
-        return row, float(tail)
+    def _raw_row(self, x, y, grid):
+        return np.diff(self.noise.cdf(grid.edges - 0.5 * (x + y)))
 
     def sample_offspring(self, x, y, rng) -> float:
         return 0.5 * (x + y) + self.noise.sample(rng)
@@ -301,39 +299,27 @@ class MultiplicativeNoiseKernel(InheritanceKernel):
             raise ValueError(f"multiplicative noise must have mean 1/2, got {noise.mean}")
         self.noise = noise
 
-    def _rows(self, sums, grid):
-        """Rows and tails for an array of parent sums."""
+    def _raw(self, sums, grid):
+        """Raw in-grid masses of the rows for an array of non-negative parent sums."""
         if grid.x_min < 0.0:
             raise ValueError("multiplicative kernel requires a non-negative trait grid")
-        sums = np.atleast_1d(np.asarray(sums, dtype=float))
-        if np.any(sums < 0):
-            raise ValueError("parent sums must be non-negative")
         pos = np.where(sums > 0, sums, 1.0)
-        cdf = self.noise.cdf(grid.edges[None, :] / pos[:, None])
-        rows, tails = _truncate_renormalize(np.diff(cdf, axis=1))
+        raw = np.diff(self.noise.cdf(grid.edges[None, :] / pos[:, None]), axis=1)
+        # a zero sum is the point mass at 0, degenerate when 0 is off the grid
         zero = sums == 0
-        if zero.any():
-            if not grid.contains(0.0):
-                tails = np.where(zero, np.nan, tails)
-                rows = np.where(zero[:, None], 0.0, rows)
-            else:
-                delta = np.zeros(grid.n_cells)
-                delta[grid.cell_of(0.0)] = 1.0
-                rows = np.where(zero[:, None], delta[None, :], rows)
-                tails = np.where(zero, 0.0, tails)
-        return rows, tails
+        raw[zero] = 0.0
+        if grid.contains(0.0):
+            raw[zero, grid.cell_of(0.0)] = 1.0
+        return raw
 
-    def _lattice_rows(self, grid):
-        n = grid.n_cells
-        return self._rows(2.0 * grid.x_min + (np.arange(2 * n - 1) + 1.0) * grid.dx, grid)
+    def _raw_lattice(self, grid):
+        return self._raw(2.0 * grid.x_min + (np.arange(2 * grid.n_cells - 1) + 1.0) * grid.dx,
+                         grid)
 
-    def row_masses_with_tail(self, x, y, grid):
+    def _raw_row(self, x, y, grid):
         if x < 0 or y < 0:
             raise ValueError("multiplicative kernel requires non-negative parent traits")
-        rows, tails = self._rows(np.array([x + y]), grid)
-        if np.isnan(tails[0]):
-            raise DegenerateRow(f"row for parents ({x}, {y}) has no mass inside the grid")
-        return rows[0], float(tails[0])
+        return self._raw(np.array([x + y], dtype=float), grid)[0]
 
     def sample_offspring(self, x, y, rng) -> float:
         return (x + y) * self.noise.sample(rng)
@@ -360,17 +346,13 @@ class CustomDensityKernel(InheritanceKernel):
         self.density = density
         self.sample_grid = sample_grid
 
-    def row_masses_with_tail(self, x, y, grid):
+    def _raw_row(self, x, y, grid):
         vals = np.asarray(self.density(x, y, grid.centers), dtype=float)
         if vals.shape != (grid.n_cells,):
             raise ValueError("density function must return one value per grid cell")
         if np.any(vals < 0):
             raise ValueError("density function returned negative values")
-        raw = vals * grid.dx
-        inside = raw.sum()
-        if inside <= _MIN_INSIDE:
-            raise DegenerateRow(f"row for parents ({x}, {y}) has no mass inside the grid")
-        return raw / inside, float(max(0.0, 1.0 - inside))
+        return vals * grid.dx
 
     def sample_offspring(self, x, y, rng) -> float:
         if self.sample_grid is None:

@@ -67,8 +67,13 @@ def fixed_point(kernel: InheritanceKernel, mu0: GridMeasure, tol: float = 1e-8,
     The map preserves the mean, so the limit is the unique fixed point with
     the mean of mu0. Plain iteration is used until step sizes stop
     improving for five consecutive iterations, after which updates are
-    damped halfway. Raises NoConvergence when the budget runs out.
+    damped halfway. Raises NoConvergence when the budget runs out, and
+    ValueError unless tol > 0 and max_iter >= 1.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if abs(mu0.mass - 1.0) > 1e-9:
         raise ValueError(f"mu0 must be a probability measure, mass = {mu0.mass}")
     grid = mu0.grid

@@ -1,10 +1,11 @@
 """Fixed-step explicit time stepping shared by the deterministic solvers.
 
 One loop advances a stacked state array (one row per component) with
-explicit Euler or classic RK4, enforces positivity after every step and
-samples the trajectory on a fixed stride. The trait-resolved, normalized
-and planar total-mass integrators differ only in their right-hand sides
-and in what they do with the samples.
+explicit Euler or classic RK4. It refuses a dt above the caller's bound
+before the first step, enforces positivity after every step and samples
+the trajectory on a fixed stride. The trait-resolved, normalized and
+planar total-mass integrators differ only in their right-hand sides,
+their bound and what they do with the samples.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 class SolverConfig:
     """Fixed-step explicit solver settings.
 
-    positivity: "clip" zeroes negative weights, "clip-renormalize" also
-    restores the pre-clip mass (meant for probability systems), "reject"
-    retries the step with halved sub-steps up to 20 times.
+    positivity: "clip" zeroes negative weights, "reject" retries the step
+    with halved sub-steps up to 20 times.
     """
 
     dt: float
@@ -45,7 +45,7 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive")
         if self.scheme not in ("rk4", "euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.positivity not in ("clip", "clip-renormalize", "reject"):
+        if self.positivity not in ("clip", "reject"):
             raise ValueError(f"unknown positivity mode {self.positivity!r}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
@@ -53,7 +53,7 @@ class SolverConfig:
 
 @dataclass
 class SolverDiagnostics:
-    """Positivity interventions and degenerate-denominator bookkeeping."""
+    """Positivity interventions, degenerate-denominator bookkeeping, the dt bound."""
 
     clipped_mass: float = 0.0
     empty_denominator_steps: int = 0
@@ -96,14 +96,7 @@ def _step_with_positivity(y: np.ndarray, t: float, dt: float, rhs: Rhs,
     out = _advance(y, t, dt, rhs, cfg.scheme)
     if out.min() < 0.0:
         diag.clipped_mass += float(-out[out < 0].sum())
-        clipped = np.clip(out, 0.0, None)
-        if cfg.positivity == "clip-renormalize":
-            for i in range(len(y)):
-                target = out[i].sum()
-                got = clipped[i].sum()
-                if got > 0 and target > 0:
-                    clipped[i] *= target / got
-        out = clipped
+        out = np.clip(out, 0.0, None)
     return out
 
 
@@ -113,11 +106,14 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
           ) -> Iterator[tuple[float, np.ndarray]]:
     """Advance y0 from t0 by round(t_end / dt) steps of size dt.
 
+    Raises ValueError before the first step when dt exceeds diag.dt_bound.
     Step i starts at t0 + i*dt. after_step, when given, may update the
     accepted state in place before it is sampled. Yields (t, y) at t0 and
     after every sample_stride-th step and the last one, so callers can
     convert each sample before the next step is taken.
     """
+    if cfg.dt > diag.dt_bound:
+        raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
     n_steps = int(round(cfg.t_end / cfg.dt))
     yield t0, y0
     y = y0

@@ -385,3 +385,34 @@ def test_tabulated_kernel_from_csv(tmp_path):
     assert float(grid.centers @ row) == pytest.approx(0.0, abs=0.02)
     rng = np.random.default_rng(0)
     assert -4.0 <= k.sample_offspring(1.0, -1.0, rng) <= 4.0
+
+
+def test_degenerate_rows_with_dust_are_zero_in_the_table():
+    # as above, but the noise keeps a density of 1e-14 between its modes, so
+    # the degenerate rows hold about 1e-14 of in-grid mass; the table holds
+    # zero for them, and the single row raises
+    z = np.array([-1.6, -1.5, -1.4, 1.4, 1.5, 1.6])
+    kernel = AdditiveNoiseKernel(TabulatedNoise(z, np.array([0.0, 5.0, 1e-14, 1e-14, 5.0, 0.0])))
+    grid = TraitGrid(-1.0, 1.0, 8)
+    table = kernel._table(grid)
+    sums = 2.0 * grid.x_min + (np.arange(15) + 1.0) * grid.dx
+    bad = table.degenerate == 1.0
+    np.testing.assert_array_equal(bad, np.abs(sums) < 1.0)
+    for k, s in enumerate(sums):
+        if bad[k]:
+            assert 0.0 < np.diff(kernel.noise.cdf(grid.edges - 0.5 * s)).sum() <= 1e-12
+            assert np.all(table.matrix[k] == 0.0) and table.tails[k] == 0.0
+            with pytest.raises(DegenerateRow):
+                kernel.row_masses(0.5 * s, 0.5 * s, grid)
+        else:
+            np.testing.assert_array_equal(table.matrix[k], kernel.row_masses(0.5 * s, 0.5 * s, grid))
+
+
+def test_multiplicative_zero_parents_off_grid_degenerate():
+    # the row of a zero parent sum is the point mass at 0, which has no
+    # in-grid mass once the grid starts above 0
+    kernel = MultiplicativeNoiseKernel(UniformNoise(0.0, 1.0))
+    with pytest.raises(DegenerateRow):
+        kernel.row_masses(0.0, 0.0, TraitGrid(0.5, 3.0, 16))
+    np.testing.assert_array_equal(kernel.row_masses(0.0, 0.0, TraitGrid(0.0, 3.0, 16)),
+                                  np.eye(16)[0])

@@ -8,7 +8,7 @@ from dimorph.macro import (MacroState, SolverConfig, coupled_full_run, integrate
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                               point_mass, wasserstein1)
 from dimorph.stability import limiting_mean
-from dimorph.stepping import SolverDiagnostics, _step_with_positivity
+from dimorph.stepping import SolverDiagnostics, _step_with_positivity, march
 from dimorph.totals import RateSet, TotalsState, integrate_totals, stationary_point
 
 GRID = TraitGrid(-8.0, 8.0, 128)
@@ -267,6 +267,56 @@ def test_dt_bound_enforced():
     with pytest.raises(ValueError):
         integrate(MacroState(m0, m0), PERSIST, KERNEL,
                   SolverConfig(dt=2.0 * bound, t_end=1.0))
+
+
+def test_normalized_dt_bound_enforced():
+    # the bound is 0.1 / max(1, A) = 0.02 at A = 5
+    m0 = gaussian_measure(GRID, 0.0, 1.0)
+    with pytest.raises(ValueError, match="exceeds the stability bound 2.000e-02"):
+        integrate_normalized(m0, m0, 5.0, KERNEL, SolverConfig(dt=0.025, t_end=1.0))
+    traj = integrate_normalized(m0, m0, 5.0, KERNEL,
+                                SolverConfig(dt=0.02, t_end=0.1, sample_stride=5))
+    assert traj.diagnostics.dt_bound == pytest.approx(0.02)
+
+
+def test_march_refuses_dt_above_bound_before_first_step():
+    calls = []
+
+    def rhs(_t, y):
+        calls.append(1)
+        return -y
+
+    y0 = np.ones((1, 3))
+    cfg = SolverConfig(dt=0.1, t_end=1.0)
+    steps = march(y0, 0.0, rhs, cfg, SolverDiagnostics(dt_bound=0.05))
+    with pytest.raises(ValueError, match="dt = 0.1 exceeds the stability bound 5.000e-02"):
+        next(steps)
+    assert not calls
+    samples = list(march(y0, 0.0, rhs, cfg, SolverDiagnostics(dt_bound=0.1)))
+    assert len(samples) == 11
+
+
+def test_clip_only_zeroes_negative_weights():
+    # one Euler step takes the first weight to -0.5 and the second to 0.6;
+    # the clipped mass is reported, not put back
+    def rhs(_t, y):
+        return np.array([[-10.0, 1.0]])
+
+    diag = SolverDiagnostics()
+    cfg = SolverConfig(dt=0.1, t_end=1.0, scheme="euler")
+    out = _step_with_positivity(np.array([[0.5, 0.5]]), 0.0, 0.1, rhs, cfg, diag)
+    np.testing.assert_allclose(out, [[0.0, 0.6]], rtol=0, atol=1e-15)
+    assert diag.clipped_mass == pytest.approx(0.5)
+
+
+def test_normalized_clip_renormalizes_every_step():
+    mu0 = gaussian_measure(GRID, 1.0, 0.5)
+    nu0 = gaussian_measure(GRID, -1.0, 0.5)
+    traj = integrate_normalized(mu0, nu0, 2.0, KERNEL,
+                                SolverConfig(dt=0.01, t_end=5.0, sample_stride=50))
+    assert traj.diagnostics.max_mass_drift > 0.0
+    for m, n in zip(traj.mus[1:], traj.nus[1:]):
+        assert abs(m.mass - 1.0) <= 1e-14 and abs(n.mass - 1.0) <= 1e-14
 
 
 def test_positivity_modes_on_synthetic_overshoot():

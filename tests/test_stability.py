@@ -28,6 +28,15 @@ def test_fixed_point_gaussian_law():
     assert fp.final_step_distance < 1e-8
 
 
+@pytest.mark.parametrize("budget", [dict(max_iter=0), dict(max_iter=-1), dict(tol=0.0),
+                                    dict(tol=-1e-8)],
+                         ids=["max_iter-0", "max_iter-negative", "tol-0", "tol-negative"])
+def test_fixed_point_rejects_empty_budget(budget):
+    name = next(iter(budget))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        fixed_point(KERNEL, gaussian_measure(GRID, 0.0, 1.0), **budget)
+
+
 def test_fixed_point_unique_for_equal_means():
     a = fixed_point(KERNEL, gaussian_measure(GRID, 1.0, 0.4), tol=1e-9)
     b_w = 0.5 * (gaussian_measure(GRID, 0.0, 0.3).weights
