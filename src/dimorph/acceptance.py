@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .ibm import BufferedRng, IbmParams, ScaledPopulation, simulate, step
+from .ibm import BufferedRng, IbmParams, ScaledPopulation, simulate, simulate_all, step
 from .kernels import (AdditiveNoiseKernel, GaussianNoise, MultiplicativeNoiseKernel,
                       UniformNoise, birth_operator, check_hypotheses)
 from .macro import MacroState, SolverConfig, integrate, integrate_normalized
@@ -292,11 +291,7 @@ def criterion_8_law_of_large_numbers(jobs: int = 1) -> CriterionResult:
     t0 = time.time()
     params = [_lln_params(n, seed=10_000 * (i + 1) + r)
               for i, n in enumerate(_LLN_SCALES) for r in range(_LLN_REPLICAS)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajs = list(pool.map(simulate, params))
-    else:
-        trajs = [simulate(p) for p in params]
+    trajs = simulate_all(params, jobs)
     runs = {n: trajs[i * _LLN_REPLICAS:(i + 1) * _LLN_REPLICAS]
             for i, n in enumerate(_LLN_SCALES)}
 

@@ -3,9 +3,11 @@
 Usage: dimorph <subcommand> --config <path> [--out DIR] [--jobs K] [--seed S]
 
 Subcommands: ibm, macro, totals, stationary, fixed-point, lln, acceptance.
-Configs are versioned JSON documents (see README). Every run writes its
-artifacts plus a manifest.json with content hashes into the output
-directory; fixed seeds give byte-identical outputs.
+Configs are versioned JSON documents (see README), read and checked by
+`config` before anything runs; a runner here only composes library calls
+and writes artifacts. Every run writes its artifacts plus a manifest.json
+with content hashes into the output directory; fixed seeds give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,32 +15,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance as acc
-from .config import (_get, _number, _positive, load_config, parse_grid, parse_kernel,
-                     parse_measure, parse_rates, parse_solver, sample_traits)
+from .config import (_get, _integer, _positive, _scales, _seed, _times, checked,
+                     flag_integer, load_config, parse_grid, parse_kernel, parse_measure,
+                     parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
-from .ibm import IbmParams, simulate
-from .io import (emit_distribution_csv, fmt, trajectory_rows, write_json,
-                 write_manifest, write_measure_csv, atomic_write_text)
+from .ibm import IbmParams, simulate, simulate_all
+from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_rows,
+                 write_json, write_manifest, write_measure_csv)
 from .macro import MacroState, coupled_full_run, integrate, integrate_normalized
 from .measures import normalize, wasserstein1
-from .stability import fixed_point, lln_compare
+from .stability import MIN_REPLICAS, fixed_point, lln_compare
 from .totals import (TotalsState, fit_exponential_tail, integrate_totals,
                      stationary_point)
 
 OUT_DIR_ENV = "DIMORPH_OUT"
-
-
-def _series_csv(path, header: str, rows) -> Path:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _stationary_summary(rates) -> dict:
@@ -71,12 +66,9 @@ def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     slope, r2 = fit_exponential_tail(series.t, dist)
     summary.update({"fit_slope": slope, "fit_r2": r2,
                     "final_M": float(series.M[-1]), "final_F": float(series.F[-1])})
-    files = [
-        _series_csv(out / "totals_series.csv", "time,M,F",
-                    zip(series.t.tolist(), series.M.tolist(), series.F.tolist())),
-        write_json(out / "summary.json", summary),
-    ]
-    return files
+    return [atomic_write_text(out / "totals_series.csv", csv_text(
+                "time,M,F", zip(series.t.tolist(), series.M.tolist(), series.F.tolist()))),
+            write_json(out / "summary.json", summary)]
 
 
 def run_stationary(cfg: dict, out: Path, seed, jobs) -> list[Path]:
@@ -85,17 +77,12 @@ def run_stationary(cfg: dict, out: Path, seed, jobs) -> list[Path]:
 
 
 def _snapshot_summary(times, pairs) -> list[dict]:
-    rows = []
-    for t, (m, f) in zip(times, pairs):
-        entry = {"t": float(t), "mass_male": m.mass, "mass_female": f.mass,
-                 "mean_male": m.mean() if m.mass > 0 else None,
-                 "mean_female": f.mean() if f.mass > 0 else None}
-        if m.mass > 0 and f.mass > 0:
-            entry["d_normalized"] = wasserstein1(normalize(m)[0], normalize(f)[0])
-        else:
-            entry["d_normalized"] = None
-        rows.append(entry)
-    return rows
+    return [{"t": float(t), "mass_male": m.mass, "mass_female": f.mass,
+             "mean_male": m.mean() if m.mass > 0 else None,
+             "mean_female": f.mean() if f.mass > 0 else None,
+             "d_normalized": (wasserstein1(normalize(m)[0], normalize(f)[0])
+                              if m.mass > 0 and f.mass > 0 else None)}
+            for t, (m, f) in zip(times, pairs)]
 
 
 def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
@@ -103,92 +90,71 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
     solver = parse_solver(_get(cfg, "solver", "", expected=dict))
     mode = _get(cfg, "mode", "", expected=str, required=False, default="raw")
+    m0 = parse_measure(_get(cfg, "initial_male", "", expected=dict), grid, "initial_male.")
+    f0 = parse_measure(_get(cfg, "initial_female", "", expected=dict), grid, "initial_female.")
+    rates = None if mode == "normalized" else parse_rates(_get(cfg, "rates", "", expected=dict))
     files: list[Path] = []
     if mode == "raw":
-        rates = parse_rates(_get(cfg, "rates", "", expected=dict))
-        m0 = parse_measure(_get(cfg, "initial_male", "", expected=dict), grid, "initial_male.")
-        f0 = parse_measure(_get(cfg, "initial_female", "", expected=dict), grid, "initial_female.")
         traj = integrate(MacroState(m0, f0), rates, kernel, solver)
-        pairs = [(s.m, s.f) for s in traj.states]
-        files.append(emit_distribution_csv(out / "distributions.csv",
-                                           trajectory_rows(traj.times, pairs)))
-        files.append(write_json(out / "summary.json", {
-            "mode": mode,
-            "snapshots": _snapshot_summary(traj.times, pairs),
-            "diagnostics": {
-                "clipped_mass": traj.diagnostics.clipped_mass,
-                "empty_denominator_steps": traj.diagnostics.empty_denominator_steps,
-                "dt_bound": traj.diagnostics.dt_bound,
-            },
-        }))
+        times, pairs = traj.times, [(s.m, s.f) for s in traj.states]
+        summary = {"snapshots": _snapshot_summary(times, pairs), "diagnostics": {
+            "clipped_mass": traj.diagnostics.clipped_mass,
+            "empty_denominator_steps": traj.diagnostics.empty_denominator_steps,
+            "dt_bound": traj.diagnostics.dt_bound,
+        }}
     elif mode == "normalized":
-        mu0 = parse_measure(_get(cfg, "initial_male", "", expected=dict), grid, "initial_male.")
-        nu0 = parse_measure(_get(cfg, "initial_female", "", expected=dict), grid, "initial_female.")
-        a_const = _number(cfg, "A", "")
-        traj = integrate_normalized(mu0, nu0, a_const, kernel, solver)
-        pairs = list(zip(traj.mus, traj.nus))
-        files.append(emit_distribution_csv(out / "distributions.csv",
-                                           trajectory_rows(traj.times, pairs)))
-        files.append(write_json(out / "summary.json", {
-            "mode": mode, "A": a_const,
-            "snapshots": _snapshot_summary(traj.times, pairs),
-            "diagnostics": {"max_mass_drift": traj.diagnostics.max_mass_drift,
-                            "clipped_mass": traj.diagnostics.clipped_mass},
-        }))
+        a_const = _positive(cfg, "A", "")
+        traj = integrate_normalized(m0, f0, a_const, kernel, solver)
+        times, pairs = traj.times, list(zip(traj.mus, traj.nus))
+        summary = {"A": a_const, "snapshots": _snapshot_summary(times, pairs),
+                   "diagnostics": {"max_mass_drift": traj.diagnostics.max_mass_drift,
+                                   "clipped_mass": traj.diagnostics.clipped_mass}}
     elif mode == "coupled":
-        rates = parse_rates(_get(cfg, "rates", "", expected=dict))
-        m0 = parse_measure(_get(cfg, "initial_male", "", expected=dict), grid, "initial_male.")
-        f0 = parse_measure(_get(cfg, "initial_female", "", expected=dict), grid, "initial_female.")
         run = coupled_full_run(m0, f0, rates, kernel, solver)
-        pairs = list(zip(run.mus, run.nus))
-        files.append(emit_distribution_csv(out / "distributions.csv",
-                                           trajectory_rows(run.times, pairs)))
-        files.append(_series_csv(out / "distances.csv",
-                                 "time,A,d_between,d_male_limit,d_female_limit",
-                                 zip(run.times.tolist(), run.A_series.tolist(),
-                                     run.report.d_between.tolist(),
-                                     run.report.d_mu.tolist(), run.report.d_nu.tolist())))
-        files.append(write_json(out / "summary.json", {
-            "mode": mode,
+        times, pairs = run.times, list(zip(run.mus, run.nus))
+        files.append(atomic_write_text(out / "distances.csv", csv_text(
+            "time,A,d_between,d_male_limit,d_female_limit",
+            zip(run.times.tolist(), run.A_series.tolist(), run.report.d_between.tolist(),
+                run.report.d_mu.tolist(), run.report.d_nu.tolist()))))
+        summary = {
             "A_limit": run.A_limit,
             "A_fit_slope": run.A_fit[0],
             "A_fit_r2": run.A_fit[1],
-            "fixed_point": {"mean": run.fixed_point.mean,
-                            "variance": run.fixed_point.variance,
-                            "iterations": run.fixed_point.iterations,
-                            "residual": run.fixed_point.residual},
+            "fixed_point": {k: getattr(run.fixed_point, k)
+                            for k in ("mean", "variance", "iterations", "residual")},
             "distance_fit_slope": run.report.fit_slope,
             "distance_fit_r2": run.report.fit_r2,
             "monotone_max_distance": run.report.monotone_max_distance,
-        }))
+        }
     else:
         raise ConfigError(f"field mode must be raw, normalized or coupled, got {mode!r}")
-    return files
+    return [emit_distribution_csv(out / "distributions.csv", trajectory_rows(times, pairs)),
+            *files, write_json(out / "summary.json", {"mode": mode, **summary})]
 
 
 def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     rates = parse_rates(_get(cfg, "rates", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
-    n_scale = _get(cfg, "N", "", expected=int)
-    t_end = _number(cfg, "t_end", "")
-    sample_times = tuple(float(t) for t in _get(cfg, "sample_times", "", expected=list))
-    run_seed = int(seed if seed is not None else _get(cfg, "seed", "", expected=int,
-                                                     required=False, default=0))
+    n_scale = _integer(cfg, "N", "", 1)
+    t_end = _positive(cfg, "t_end", "")
+    sample_times = tuple(_times(cfg, "sample_times", ""))
+    run_seed = _seed(cfg, seed)
     rng = np.random.default_rng(run_seed)
     inits = {}
     for name in ("initial_female", "initial_male"):
         spec = _get(cfg, name, "", expected=dict)
-        count = _get(spec, "count", f"{name}.", expected=int)
-        inits[name] = sample_traits(spec, count, grid, rng, f"{name}.")
-    params = IbmParams(grid=grid, rates=rates, kernel=kernel, N=n_scale, t_end=t_end,
-                       sample_times=sample_times, seed=run_seed,
-                       initial_female=inits["initial_female"],
-                       initial_male=inits["initial_male"])
+        inits[name] = sample_traits(spec, _integer(spec, "count", f"{name}.", 0), grid, rng,
+                                    f"{name}.")
+    with checked():
+        params = IbmParams(grid=grid, rates=rates, kernel=kernel, N=n_scale, t_end=t_end,
+                           sample_times=sample_times, seed=run_seed,
+                           initial_female=inits["initial_female"],
+                           initial_male=inits["initial_male"])
     traj = simulate(params)
     pairs = [(s.male, s.female) for s in traj.snapshots]
     times = [s.time for s in traj.snapshots]
-    files = [
+    return [
         emit_distribution_csv(out / "distributions.csv", trajectory_rows(times, pairs)),
         write_json(out / "run.json", {
             "seed": run_seed,
@@ -204,7 +170,6 @@ def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             "final_counts": {"male": traj.final_n_male, "female": traj.final_n_female},
         }),
     ]
-    return files
 
 
 def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
@@ -212,79 +177,58 @@ def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
     mu0 = parse_measure(_get(cfg, "initial", "", expected=dict), grid, "initial.")
     tol = _positive(cfg, "tol", "", required=False, default=1e-8)
-    max_iter = _get(cfg, "max_iter", "", expected=int, required=False, default=10_000)
-    if max_iter < 1:
-        raise ConfigError(f"field max_iter must be >= 1, got {max_iter}")
+    max_iter = _integer(cfg, "max_iter", "", 1, default=10_000)
     fp = fixed_point(kernel, mu0, tol=tol, max_iter=max_iter)
-    files = [
+    return [
         emit_distribution_csv(out / "mu_star.csv",
                               trajectory_rows([0.0], [(fp.mu_star,)], components=("limit",))),
         write_measure_csv(out / "mu_star_measure.csv", fp.mu_star),
-        write_json(out / "summary.json", {
-            "iterations": fp.iterations,
-            "final_step_distance": fp.final_step_distance,
-            "mean": fp.mean,
-            "variance": fp.variance,
-            "mean_drift": fp.mean_drift,
-            "residual": fp.residual,
-            "damped": fp.damped,
-        }),
+        write_json(out / "summary.json", {k: getattr(fp, k) for k in (
+            "iterations", "final_step_distance", "mean", "variance", "mean_drift",
+            "residual", "damped")}),
     ]
-    return files
 
 
 def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     rates = parse_rates(_get(cfg, "rates", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
-    scales = _get(cfg, "N_list", "", expected=list)
-    replicas = _get(cfg, "replicas", "", expected=int)
-    checkpoints = [float(t) for t in _get(cfg, "checkpoints", "", expected=list)]
-    if not checkpoints:
-        raise ConfigError("field checkpoints must be a non-empty list")
-    base_seed = int(seed if seed is not None else _get(cfg, "seed", "", expected=int,
-                                                      required=False, default=0))
-    init_f_spec = _get(cfg, "initial_female", "", expected=dict)
-    init_m_spec = _get(cfg, "initial_male", "", expected=dict)
-    mass_f = _number(init_f_spec, "mass", "initial_female.", required=False, default=1.0)
-    mass_m = _number(init_m_spec, "mass", "initial_male.", required=False, default=1.0)
+    scales = _scales(cfg, "N_list", "")
+    replicas = _integer(cfg, "replicas", "", MIN_REPLICAS)
+    checkpoints = _times(cfg, "checkpoints", "", empty_ok=False)
+    base_seed = _seed(cfg, seed)
+    spec_f = _get(cfg, "initial_female", "", expected=dict)
+    spec_m = _get(cfg, "initial_male", "", expected=dict)
+    mass_f = _positive(spec_f, "mass", "initial_female.", required=False, default=1.0)
+    mass_m = _positive(spec_m, "mass", "initial_male.", required=False, default=1.0)
     t_end = max(checkpoints) + 1e-3
-    m0 = parse_measure(init_m_spec | {"mass": mass_m}, grid, "initial_male.")
-    f0 = parse_measure(init_f_spec | {"mass": mass_f}, grid, "initial_female.")
+    m0 = parse_measure(spec_m | {"mass": mass_m}, grid, "initial_male.")
+    f0 = parse_measure(spec_f | {"mass": mass_f}, grid, "initial_female.")
+    solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
+                               default={"dt": 0.005, "t_end": t_end, "sample_stride": 10}))
 
     params_list = []
     for i, n in enumerate(scales):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f"field N_list must contain positive integers, got {n!r}")
         for r in range(replicas):
             run_seed = base_seed + 10_000 * (i + 1) + r
             rng = np.random.default_rng(run_seed)
-            init_f = sample_traits(init_f_spec, int(round(n * mass_f)), grid, rng,
-                                   "initial_female.")
-            init_m = sample_traits(init_m_spec, int(round(n * mass_m)), grid, rng,
-                                   "initial_male.")
-            params_list.append(IbmParams(grid=grid, rates=rates, kernel=kernel, N=n,
-                                         t_end=t_end, sample_times=tuple(checkpoints),
-                                         seed=run_seed, initial_female=init_f,
-                                         initial_male=init_m))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajs = list(pool.map(simulate, params_list))
-    else:
-        trajs = [simulate(p) for p in params_list]
+            init_f = sample_traits(spec_f, round(n * mass_f), grid, rng, "initial_female.")
+            init_m = sample_traits(spec_m, round(n * mass_m), grid, rng, "initial_male.")
+            with checked():
+                params_list.append(IbmParams(grid=grid, rates=rates, kernel=kernel, N=n,
+                                             t_end=t_end, sample_times=tuple(checkpoints),
+                                             seed=run_seed, initial_female=init_f,
+                                             initial_male=init_m))
+    trajs = simulate_all(params_list, jobs)
     runs = {n: trajs[i * replicas:(i + 1) * replicas] for i, n in enumerate(scales)}
-
-    solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
-                               default={"dt": 0.005, "t_end": t_end, "sample_stride": 10}))
     macro = integrate(MacroState(m0, f0), rates, kernel, solver)
     table = lln_compare(runs, macro, checkpoints)
 
-    err_rows = []
-    for i, n in enumerate(table.Ns):
-        for j, t in enumerate(table.times):
-            err_rows.append((n, float(t), float(table.means[i, j]), float(table.stderrs[i, j])))
-    files = [
-        _series_csv(out / "lln_errors.csv", "N,checkpoint,mean_error,stderr", err_rows),
+    err_rows = [(n, float(t), float(table.means[i, j]), float(table.stderrs[i, j]))
+                for i, n in enumerate(table.Ns) for j, t in enumerate(table.times)]
+    return [
+        atomic_write_text(out / "lln_errors.csv",
+                          csv_text("N,checkpoint,mean_error,stderr", err_rows)),
         write_json(out / "lln_report.json", {
             "N_list": list(table.Ns),
             "checkpoints": table.times.tolist(),
@@ -295,22 +239,14 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             "seed": base_seed,
         }),
     ]
-    return files
 
 
-def run_acceptance(cfg: dict | None, out: Path, seed, jobs) -> list[Path]:
+def run_acceptance(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     """Run the gate; a failed criterion raises once the report and manifest are written."""
-    only = None
-    if cfg:
-        only = _get(cfg, "only", "", expected=list, required=False)
-        if "jobs" in cfg:
-            jobs = _get(cfg, "jobs", "", expected=int)
-            if isinstance(jobs, bool) or jobs < 1:
-                raise ConfigError(f"field jobs must be a positive integer, got {jobs!r}")
-    try:
+    only = _get(cfg, "only", "", expected=list, required=False)
+    jobs = _integer(cfg, "jobs", "", 1, default=jobs)
+    with checked():  # only the check of `only`: criteria report their own errors
         results = acc.run_all(only=only, jobs=jobs)
-    except ValueError as exc:  # only the check of `only`: criteria report their own errors
-        raise ConfigError(f"field {exc}") from None
     print(acc.format_table(results))
     n_failed = sum(not r.passed for r in results)
     files = [write_json(out / "acceptance_report.json", {
@@ -346,27 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON scenario config")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or CWD)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replicas")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--jobs", type=flag_integer(1), default=1, help="parallel replicas")
+        p.add_argument("--seed", type=flag_integer(0), help="override the config seed")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"argument --jobs: must be a positive integer, got {args.jobs}")
     out = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, "."))
     try:
-        cfg = load_config(args.config) if args.config else None
-        if cfg is not None:
-            declared = cfg.get("kind")
-            if declared is not None and declared != args.command:
-                raise ConfigError(f"field kind is {declared!r} but the subcommand "
-                                  f"is {args.command!r}")
+        cfg = load_config(args.config) if args.config else {}
+        declared = cfg.get("kind")
+        if declared is not None and declared != args.command:
+            raise ConfigError(f"field kind is {declared!r} but the subcommand is {args.command!r}")
         out.mkdir(parents=True, exist_ok=True)
-        if args.command != "acceptance" and cfg is None:
-            raise ConfigError("missing config")
         files = _RUNNERS[args.command](cfg, out, args.seed, args.jobs)
         files.append(write_manifest(out, files))
         for f in files:

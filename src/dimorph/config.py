@@ -1,13 +1,15 @@
-"""Scenario configuration: JSON schema, validation, object construction.
+"""Scenario configuration: the one layer that reads and checks CLI input.
 
-Every validation failure raises ConfigError naming the offending field by
-its dotted path, so batch users can fix configs without reading code.
+Every config field and the --jobs and --seed flags are checked here before
+anything runs. A failure raises ConfigError naming the field by its dotted
+path, so batch users can fix configs without reading code.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,8 @@ from .totals import RateSet
 
 __all__ = [
     "load_config",
+    "checked",
+    "flag_integer",
     "parse_grid",
     "parse_rates",
     "parse_kernel",
@@ -36,26 +40,92 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _get(d: dict, field: str, ctx: str, expected=None, required: bool = True, default=None):
+def _get(d: dict, field: str, ctx: str, expected, required: bool = True, default=None):
+    """d[field], of type `expected`; a JSON boolean is never a number."""
     if field not in d:
         if required:
             raise ConfigError(f"missing field {ctx}{field}")
         return default
     value = d[field]
-    if expected is not None and not isinstance(value, expected):
-        names = expected if isinstance(expected, tuple) else (expected,)
-        kinds = "/".join(t.__name__ for t in names)
-        raise ConfigError(f"field {ctx}{field} must be {kinds}, got {type(value).__name__}")
+    kinds = expected if isinstance(expected, tuple) else (expected,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = "/".join(t.__name__ for t in kinds)
+        raise ConfigError(f"field {ctx}{field} must be {names}, got {type(value).__name__}")
     return value
 
 
 def _number(d: dict, field: str, ctx: str, required: bool = True, default=None) -> float:
     v = _get(d, field, ctx, expected=(int, float), required=required, default=default)
-    if isinstance(v, bool):
-        raise ConfigError(f"field {ctx}{field} must be a number")
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(f"field {ctx}{field} must be finite, got {v}")
     return v
+
+
+def _positive(d: dict, field: str, ctx: str, required: bool = True, default=None,
+              allow_zero: bool = False) -> float:
+    v = _number(d, field, ctx, required=required, default=default)
+    if v < 0 or (v == 0 and not allow_zero):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ConfigError(f"field {ctx}{field} must be {kind}, got {v}")
+    return v
+
+
+def _integer(d: dict, field: str, ctx: str, minimum: int, default=None) -> int:
+    v = _get(d, field, ctx, expected=int, required=default is None, default=default)
+    if v < minimum:
+        raise ConfigError(f"field {ctx}{field} must be >= {minimum}, got {v}")
+    return v
+
+
+def _list_of(d: dict, field: str, ctx: str, read, what: str, empty_ok: bool = True) -> list:
+    values = _get(d, field, ctx, expected=list)
+    try:
+        items = [read({field: v}, field, ctx) for v in values]
+    except ConfigError:
+        raise ConfigError(f"field {ctx}{field} must contain {what}, got {values!r}") from None
+    if not items and not empty_ok:
+        raise ConfigError(f"field {ctx}{field} must be a non-empty list")
+    return items
+
+
+def _scales(d: dict, field: str, ctx: str) -> list[int]:
+    return _list_of(d, field, ctx, lambda e, f, c: _integer(e, f, c, 1),
+                    "positive integers", empty_ok=False)
+
+
+def _times(d: dict, field: str, ctx: str, empty_ok: bool = True) -> list[float]:
+    """Sample times or checkpoints: sorted, non-negative and finite."""
+    times = _list_of(d, field, ctx, lambda e, f, c: float(_positive(e, f, c, allow_zero=True)),
+                     "non-negative numbers", empty_ok=empty_ok)
+    if times != sorted(times):
+        raise ConfigError(f"field {ctx}{field} must be sorted, got {times}")
+    return times
+
+
+def _seed(cfg: dict, flag: int | None) -> int:
+    """The --seed flag if given, else the config `seed` (default 0)."""
+    seed = _integer(cfg, "seed", "", 0, default=0)
+    return seed if flag is None else flag
+
+
+def flag_integer(minimum: int):
+    """The argparse `type` of an integer flag of at least `minimum`."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            from argparse import ArgumentTypeError  # loaded already: argparse calls this
+            raise ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+    return integer
+
+
+@contextmanager
+def checked(ctx: str = ""):
+    """Re-raise a library ValueError or failed file read in the block as a
+    ConfigError: `field grid: <reason>` for ctx "grid.", `field <reason>` for ""."""
+    try:
+        yield
+    except (ValueError, OSError, IoError) as exc:
+        raise ConfigError(f"field {ctx[:-1]}: {exc}" if ctx else f"field {exc}") from exc
 
 
 def load_config(path: str | Path) -> dict:
@@ -74,33 +144,32 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
-def parse_grid(d: dict, ctx: str = "grid.") -> TraitGrid:
+def _section(d: dict, ctx: str) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"field {ctx[:-1]} must be an object")
+
+
+def parse_grid(d: dict, ctx: str = "grid.") -> TraitGrid:
+    _section(d, ctx)
     x_min = _number(d, "x_min", ctx)
     x_max = _number(d, "x_max", ctx)
     n_cells = _get(d, "n_cells", ctx, expected=int)
-    try:
+    with checked(ctx):
         return TraitGrid(float(x_min), float(x_max), n_cells)
-    except ValueError as exc:
-        raise ConfigError(f"field {ctx[:-1]}: {exc}") from exc
 
 
 def parse_rates(d: dict, ctx: str = "rates.") -> RateSet:
-    if not isinstance(d, dict):
-        raise ConfigError(f"field {ctx[:-1]} must be an object")
+    _section(d, ctx)
     vals = {}
     for name in ("p_f", "p_m", "D_f", "D_m", "U_ff", "U_fm", "U_mf", "U_mm"):
         vals[name] = float(_number(d, name, ctx))
-    try:
+    with checked(ctx):
         return RateSet(**vals)
-    except ValueError as exc:
-        raise ConfigError(f"field {ctx[:-1]}: {exc}") from exc
 
 
 def _parse_noise(d: dict, ctx: str):
     kind = _get(d, "kind", ctx, expected=str)
-    try:
+    with checked(ctx):
         if kind == "gaussian":
             return GaussianNoise(_number(d, "sigma", ctx))
         if kind == "uniform":
@@ -109,17 +178,14 @@ def _parse_noise(d: dict, ctx: str):
             z = _get(d, "z", ctx, expected=list)
             pdf = _get(d, "pdf", ctx, expected=list)
             return TabulatedNoise(np.asarray(z, dtype=float), np.asarray(pdf, dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"field {ctx[:-1]}: {exc}") from exc
     raise ConfigError(f"field {ctx}kind must be gaussian, uniform or tabulated, got {kind!r}")
 
 
 def parse_kernel(d: dict, ctx: str = "kernel.",
                  sample_grid: TraitGrid | None = None) -> InheritanceKernel:
-    if not isinstance(d, dict):
-        raise ConfigError(f"field {ctx[:-1]} must be an object")
+    _section(d, ctx)
     family = _get(d, "family", ctx, expected=str)
-    try:
+    with checked(ctx):
         if family == "additive":
             return AdditiveNoiseKernel(_parse_noise(_get(d, "noise", ctx, expected=dict), ctx + "noise."))
         if family == "multiplicative":
@@ -127,27 +193,15 @@ def parse_kernel(d: dict, ctx: str = "kernel.",
         if family == "custom":
             path = _get(d, "table_csv", ctx, expected=str)
             return tabulated_kernel_from_csv(path, sample_grid=sample_grid)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"field {ctx[:-1]}: {exc}") from exc
     raise ConfigError(f"field {ctx}family must be additive, multiplicative or custom, got {family!r}")
-
-
-def _positive(d: dict, field: str, ctx: str, required: bool = True, default=None,
-              allow_zero: bool = False) -> float:
-    v = _number(d, field, ctx, required=required, default=default)
-    if v < 0 or (v == 0 and not allow_zero):
-        kind = "non-negative" if allow_zero else "positive"
-        raise ConfigError(f"field {ctx}{field} must be {kind}, got {v}")
-    return v
 
 
 def parse_measure(d: dict, grid: TraitGrid, ctx: str) -> GridMeasure:
     """Initial-condition shapes: point, uniform, gaussian, tabulated CSV."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"field {ctx[:-1]} must be an object")
+    _section(d, ctx)
     shape = _get(d, "shape", ctx, expected=str)
     mass = _positive(d, "mass", ctx, required=False, default=1.0)
-    try:
+    with checked(ctx):
         if shape == "point":
             return point_mass(grid, _number(d, "at", ctx), mass)
         if shape == "uniform":
@@ -157,10 +211,6 @@ def parse_measure(d: dict, grid: TraitGrid, ctx: str) -> GridMeasure:
         if shape == "tabulated":
             m = read_measure_csv(_get(d, "path", ctx, expected=str), grid)
             return GridMeasure(grid, m.weights * (mass / m.mass))
-    except ConfigError:
-        raise
-    except (ValueError, IoError) as exc:
-        raise ConfigError(f"field {ctx[:-1]}: {exc}") from exc
     raise ConfigError(f"field {ctx}shape must be point, uniform, gaussian or tabulated, got {shape!r}")
 
 
@@ -188,9 +238,8 @@ def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.nda
 
 
 def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"field {ctx[:-1]} must be an object")
-    try:
+    _section(d, ctx)
+    with checked(ctx):
         return SolverConfig(
             dt=_number(d, "dt", ctx),
             t_end=_number(d, "t_end", ctx),
@@ -198,5 +247,3 @@ def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
             positivity=_get(d, "positivity", ctx, expected=str, required=False, default="clip"),
             sample_stride=_get(d, "sample_stride", ctx, expected=int, required=False, default=1),
         )
-    except ValueError as exc:
-        raise ConfigError(f"field {ctx[:-1]}: {exc}") from exc

@@ -47,6 +47,7 @@ __all__ = [
     "event_rates",
     "step",
     "simulate",
+    "simulate_all",
 ]
 
 # Draws per refill of each BufferedRng stream.
@@ -671,6 +672,16 @@ def simulate(params: IbmParams) -> IbmTrajectory:
         final_n_female=F.n,
         final_n_male=M.n,
     )
+
+
+def simulate_all(params, jobs: int = 1) -> list[IbmTrajectory]:
+    """`simulate` over a sequence of runs, in order; jobs > 1 spreads them
+    over that many worker processes, with the same results."""
+    if jobs <= 1:
+        return [simulate(p) for p in params]
+    import concurrent.futures  # only a pool needs it
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(simulate, params))
 
 
 class _SexState:

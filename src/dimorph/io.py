@@ -19,6 +19,7 @@ from .measures import GridMeasure, TraitGrid
 
 __all__ = [
     "fmt",
+    "csv_text",
     "atomic_write_text",
     "write_json",
     "emit_distribution_csv",
@@ -34,6 +35,12 @@ CSV_HEADER = "time,component,cell_center,weight"
 def fmt(x: float) -> str:
     """Locale-independent float formatting that round-trips float64."""
     return format(float(x), ".17g")
+
+
+def csv_text(header: str, rows) -> str:
+    """The lines of a CSV file: floats through fmt, anything else through str."""
+    lines = (",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join((header, *lines)) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -58,10 +65,7 @@ def emit_distribution_csv(path: str | Path, rows) -> Path:
     rows is any iterable of 4-tuples; an empty iterable yields a
     header-only file.
     """
-    lines = [CSV_HEADER]
-    for t, component, center, weight in rows:
-        lines.append(f"{fmt(t)},{component},{fmt(center)},{fmt(weight)}")
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, csv_text(CSV_HEADER, rows))
 
 
 def trajectory_rows(times, measure_pairs, components=("male", "female")):
@@ -103,10 +107,8 @@ def write_measure_csv(path: str | Path, measure: GridMeasure) -> Path:
     The format round-trips through read_measure_csv and doubles as the
     tabulated initial-condition input.
     """
-    lines = ["cell_center,weight"]
-    for c, w in zip(measure.grid.centers, measure.weights):
-        lines.append(f"{fmt(c)},{fmt(w)}")
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, csv_text("cell_center,weight",
+                                            zip(measure.grid.centers, measure.weights)))
 
 
 def read_measure_csv(path: str | Path, grid: TraitGrid) -> GridMeasure:

@@ -27,7 +27,11 @@ __all__ = [
     "limiting_mean",
     "convergence_report",
     "lln_compare",
+    "MIN_REPLICAS",
 ]
+
+# Fewest replicas per population scale that lln_compare accepts.
+MIN_REPLICAS = 3
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,9 @@ def lln_compare(runs: Mapping[int, Sequence], macro_traj, checkpoints) -> LlnErr
     checkpoints = np.asarray(checkpoints, dtype=float)
     ns = tuple(sorted(runs))
     for n in ns:
-        if len(runs[n]) < 3:
-            raise InsufficientReplicas(f"scale N = {n} has {len(runs[n])} replicas; need >= 3")
+        if len(runs[n]) < MIN_REPLICAS:
+            raise InsufficientReplicas(f"scale N = {n} has {len(runs[n])} replicas; "
+                                       f"need >= {MIN_REPLICAS}")
 
     macro_pairs = []
     for t in checkpoints:

@@ -9,7 +9,7 @@ import pytest
 
 from dimorph import acceptance as acc
 from dimorph import cli
-from dimorph.io import (emit_distribution_csv, read_distribution_csv,
+from dimorph.io import (csv_text, emit_distribution_csv, read_distribution_csv,
                         trajectory_rows)
 from dimorph.measures import GridMeasure, TraitGrid, gaussian_measure
 
@@ -231,6 +231,13 @@ def test_empty_trajectory_gives_header_only(tmp_path):
     path = tmp_path / "d.csv"
     emit_distribution_csv(path, [])
     assert path.read_text() == "time,component,cell_center,weight\n"
+
+
+def test_csv_text_writes_floats_round_trip_and_the_rest_as_text():
+    # one formatter behind the distribution, measure and series CSVs
+    assert csv_text("N,x", [(3, 0.1), (10, 1 / 3)]) \
+        == "N,x\n3,0.10000000000000001\n10,0.33333333333333331\n"
+    assert csv_text("N,x", []) == "N,x\n"
 
 
 def test_measure_csv_errors(tmp_path):
@@ -469,3 +476,115 @@ def test_bench_tracer_targets_exist():
         for mod in modules:
             assert callable(getattr(importlib.import_module(f"dimorph.{mod}"), attr, None)), \
                 f"{name} is not in dimorph.{mod}"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped(name):
+    return json.loads((CONFIGS / f"{name}.json").read_text())
+
+
+def _run_checked(tmp_path, capsys, command, cfg):
+    """cli.main on cfg: its exit code and stderr, and whether a manifest was written."""
+    path = _write(tmp_path, "cfg.json", cfg)
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err, (tmp_path / "out" / "manifest.json").exists()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran despite a bad config")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"t_end": -1.0}, "field t_end must be positive"),
+    ({"N": 0}, "field N must be >= 1"),
+    ({"sample_times": [5.0]}, "field sample_times must lie within [0, t_end]"),
+    ({"sample_times": [2.0, 1.0]}, "field sample_times must be sorted"),
+    ({"sample_times": ["a"]}, "field sample_times must contain non-negative numbers"),
+    ({"sample_times": [-1.0, 1.0]}, "field sample_times must contain non-negative numbers"),
+    ({"seed": -1}, "field seed must be >= 0"),
+    ({"N": True}, "field N must be int, got bool"),
+    ({"rates": _shipped("ibm")["rates"] | {"D_f": True}}, "field rates.D_f must be int/float"),
+], ids=["t_end", "N-zero", "sample_times-late", "sample_times-unsorted", "sample_times-str",
+        "sample_times-negative", "seed", "N-bool", "rate-bool"])
+def test_ibm_bad_field_exits_two_before_simulating(tmp_path, capsys, monkeypatch, change,
+                                                   message):
+    monkeypatch.setattr(cli, "simulate", _never)
+    code, err, manifest = _run_checked(tmp_path, capsys, "ibm", _shipped("ibm") | change)
+    assert (code, manifest) == (2, False), err
+    assert message in err
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "ibm.json", _shipped("ibm"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ibm", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-5"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"replicas": 2}, "field replicas must be >= 3, got 2"),
+    ({"replicas": 0}, "field replicas must be >= 3, got 0"),
+    ({"replicas": -1}, "field replicas must be >= 3, got -1"),
+    ({"replicas": True}, "field replicas must be int, got bool"),
+    ({"checkpoints": [-1.0]}, "field checkpoints must contain non-negative numbers"),
+    ({"checkpoints": [3.0, 1.0]}, "field checkpoints must be sorted"),
+    ({"checkpoints": [1.0, True]}, "field checkpoints must contain non-negative numbers"),
+    ({"N_list": []}, "field N_list must be a non-empty list"),
+    ({"seed": -2}, "field seed must be >= 0"),
+    ({"solver": {"dt": -0.005, "t_end": 3.001}}, "field solver"),
+], ids=["replicas-2", "replicas-0", "replicas-negative", "replicas-bool", "checkpoints-negative",
+        "checkpoints-unsorted", "checkpoints-bool", "N_list-empty", "seed", "solver"])
+def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatch, change,
+                                                   message):
+    monkeypatch.setattr(cli, "simulate_all", _never)
+    monkeypatch.setattr(cli, "integrate", _never)
+    code, err, manifest = _run_checked(tmp_path, capsys, "lln", _shipped("lln") | change)
+    assert (code, manifest) == (2, False), err
+    assert message in err
+
+
+@pytest.mark.parametrize("a_const", [-1.0, 0])
+def test_normalized_macro_needs_positive_a(tmp_path, capsys, monkeypatch, a_const):
+    monkeypatch.setattr(cli, "integrate_normalized", _never)
+    code, err, manifest = _run_checked(tmp_path, capsys, "macro",
+                                       _shipped("macro_normalized") | {"A": a_const})
+    assert (code, manifest) == (2, False), err
+    assert f"field A must be positive, got {a_const}" in err
+
+
+def _integer_fields(node, path=()):
+    """Key paths of every integer value in a config, booleans excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        here = path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _integer_fields(value, here)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield here
+
+
+def _with_true(cfg, keys):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = True
+    return cfg
+
+
+BOOL_CASES = [(p.stem, keys) for p in sorted(CONFIGS.glob("*.json"))
+              for keys in _integer_fields(json.loads(p.read_text()))]
+
+
+@pytest.mark.parametrize("name, keys", BOOL_CASES,
+                         ids=[f"{n}:{'.'.join(map(str, k))}" for n, k in BOOL_CASES])
+def test_boolean_in_any_shipped_integer_field_is_rejected(tmp_path, capsys, name, keys):
+    cfg = _shipped(name)
+    field = ".".join(k for k in keys if isinstance(k, str))
+    code, err, manifest = _run_checked(tmp_path, capsys, cfg["kind"], _with_true(cfg, keys))
+    assert (code, manifest) == (2, False), err
+    assert f"field {field} must" in err

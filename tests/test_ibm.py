@@ -191,6 +191,16 @@ def test_seed_replay_bit_identical():
         np.testing.assert_array_equal(sa.female.weights, sb.female.weights)
 
 
+def test_simulate_all_matches_simulate_in_order_with_a_pool():
+    runs = _case(PERSIST, 50, 50, 50, 0.5, (0.0, 0.5))
+    serial, pooled = ibm.simulate_all(runs), ibm.simulate_all(runs, jobs=2)
+    assert [t.seed for t in pooled] == [0, 1, 2]
+    assert [t.n_events for t in pooled] == [t.n_events for t in serial] \
+        == [simulate(p).n_events for p in runs]
+    for a, b in zip(serial, pooled):
+        np.testing.assert_array_equal(a.snapshots[-1].male.weights, b.snapshots[-1].male.weights)
+
+
 def test_frozen_population_stays_constant():
     # all rates vanish: the generator is zero and nothing ever happens
     zero = lambda x: 0.0 * x
