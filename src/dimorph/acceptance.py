@@ -116,8 +116,8 @@ def criterion_2_stationary_uniqueness() -> CriterionResult:
         checks.append((n_roots == 1, f"{label}: {n_roots} admissible sex-ratio root(s), expected 1"))
         ref = stationary_point(rates)
         starts = rng.uniform(1e-6, 10.0 * ref.M_bar, size=(100, 2))
-        # 800 steps sampled once at the end
-        flow = SolverConfig(dt=0.05, t_end=40.0, sample_stride=800)
+        # 800 RK4 steps sampled once at the end
+        flow = SolverConfig(dt=0.05, t_end=40.0, scheme="rk4", sample_stride=800)
         *_, (_, end) = march(starts.T, 0.0, lambda _t, y: np.array(totals_rhs(y, rates)),
                              flow, SolverDiagnostics())
         spread = float(max(np.abs(end[0] - ref.M_bar).max(), np.abs(end[1] - ref.F_bar).max()))

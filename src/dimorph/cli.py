@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acc
-from .config import (_get, _integer, _positive, _scales, _seed, _times, checked,
-                     flag_integer, load_config, parse_grid, parse_kernel, parse_measure,
-                     parse_rates, parse_solver, sample_traits)
+from .config import (_get, _integer, _on_lattice, _positive, _scales, _seed, _times,
+                     checked, flag_integer, load_config, parse_grid, parse_kernel,
+                     parse_measure, parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
 from .ibm import IbmParams, simulate, simulate_all
 from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_rows,
@@ -30,7 +30,7 @@ from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_
 from .macro import MacroState, coupled_full_run, integrate, integrate_normalized
 from .measures import normalize, wasserstein1
 from .stability import MIN_REPLICAS, fixed_point, lln_compare
-from .totals import (TotalsState, fit_exponential_tail, integrate_totals,
+from .totals import (TAIL_FLOOR, TotalsState, fit_exponential_tail, integrate_totals,
                      stationary_point)
 
 OUT_DIR_ENV = "DIMORPH_OUT"
@@ -63,7 +63,8 @@ def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
         dist = np.hypot(series.M - summary["M_bar"], series.F - summary["F_bar"])
     else:
         dist = np.hypot(series.M, series.F)
-    slope, r2 = fit_exponential_tail(series.t, dist)
+    scale = float(np.hypot(series.M, series.F).max())
+    slope, r2 = fit_exponential_tail(series.t, dist, floor=TAIL_FLOOR * scale)
     summary.update({"fit_slope": slope, "fit_r2": r2,
                     "final_M": float(series.M[-1]), "final_F": float(series.F[-1])})
     return [atomic_write_text(out / "totals_series.csv", csv_text(
@@ -85,6 +86,14 @@ def _snapshot_summary(times, pairs) -> list[dict]:
             for t, (m, f) in zip(times, pairs)]
 
 
+_RAW_DIAGNOSTICS = ("clipped_mass", "empty_denominator_steps", "dt_bound")
+
+
+def _diagnostics(diag, *fields) -> dict:
+    """The named solver diagnostics and the step counts, for summary.json."""
+    return {k: getattr(diag, k) for k in (*fields, "accepted_steps", "rejected_steps")}
+
+
 def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
@@ -97,18 +106,15 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     if mode == "raw":
         traj = integrate(MacroState(m0, f0), rates, kernel, solver)
         times, pairs = traj.times, [(s.m, s.f) for s in traj.states]
-        summary = {"snapshots": _snapshot_summary(times, pairs), "diagnostics": {
-            "clipped_mass": traj.diagnostics.clipped_mass,
-            "empty_denominator_steps": traj.diagnostics.empty_denominator_steps,
-            "dt_bound": traj.diagnostics.dt_bound,
-        }}
+        summary = {"snapshots": _snapshot_summary(times, pairs),
+                   "diagnostics": _diagnostics(traj.diagnostics, *_RAW_DIAGNOSTICS)}
     elif mode == "normalized":
         a_const = _positive(cfg, "A", "")
         traj = integrate_normalized(m0, f0, a_const, kernel, solver)
         times, pairs = traj.times, list(zip(traj.mus, traj.nus))
         summary = {"A": a_const, "snapshots": _snapshot_summary(times, pairs),
-                   "diagnostics": {"max_mass_drift": traj.diagnostics.max_mass_drift,
-                                   "clipped_mass": traj.diagnostics.clipped_mass}}
+                   "diagnostics": _diagnostics(traj.diagnostics, "max_mass_drift",
+                                               "clipped_mass")}
     elif mode == "coupled":
         run = coupled_full_run(m0, f0, rates, kernel, solver)
         times, pairs = run.times, list(zip(run.mus, run.nus))
@@ -125,6 +131,7 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             "distance_fit_slope": run.report.fit_slope,
             "distance_fit_r2": run.report.fit_r2,
             "monotone_max_distance": run.report.monotone_max_distance,
+            "diagnostics": _diagnostics(run.diagnostics, *_RAW_DIAGNOSTICS),
         }
     else:
         raise ConfigError(f"field mode must be raw, normalized or coupled, got {mode!r}")
@@ -206,6 +213,7 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     f0 = parse_measure(spec_f | {"mass": mass_f}, grid, "initial_female.")
     solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
                                default={"dt": 0.005, "t_end": t_end, "sample_stride": 10}))
+    _on_lattice(checkpoints, solver, "checkpoints", "")
 
     params_list = []
     for i, n in enumerate(scales):

@@ -22,6 +22,7 @@ from .io import read_measure_csv
 from .macro import SolverConfig
 from .measures import (GridMeasure, TraitGrid, gaussian_measure, point_mass,
                        uniform_measure)
+from .stepping import sample_times
 from .totals import RateSet
 
 __all__ = [
@@ -100,6 +101,19 @@ def _times(d: dict, field: str, ctx: str, empty_ok: bool = True) -> list[float]:
     if times != sorted(times):
         raise ConfigError(f"field {ctx}{field} must be sorted, got {times}")
     return times
+
+
+def _on_lattice(times: list[float], solver: SolverConfig, field: str, ctx: str) -> None:
+    """Every time must be one the solver samples, matched as
+    MacroTrajectory.state_at matches it."""
+    lattice = np.array(sample_times(solver))
+    for t in times:
+        near = float(lattice[np.argmin(np.abs(lattice - t))])
+        if abs(near - t) > 1e-9 + 1e-9 * abs(t):
+            raise ConfigError(
+                f"field {ctx}{field} must lie on the solver's samples (every "
+                f"dt * sample_stride = {solver.dt * solver.sample_stride:g} up to "
+                f"{lattice[-1]:g}), got {t}; nearest is {near:g}")
 
 
 def _seed(cfg: dict, flag: int | None) -> int:
@@ -243,7 +257,7 @@ def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
         return SolverConfig(
             dt=_number(d, "dt", ctx),
             t_end=_number(d, "t_end", ctx),
-            scheme=_get(d, "scheme", ctx, expected=str, required=False, default="rk4"),
+            scheme=_get(d, "scheme", ctx, expected=str, required=False, default="dopri5"),
             positivity=_get(d, "positivity", ctx, expected=str, required=False, default="clip"),
             sample_stride=_get(d, "sample_stride", ctx, expected=int, required=False, default=1),
         )

@@ -4,7 +4,7 @@ Covers the raw two-sex system (male and female trait measures with
 mating, inheritance, natural death and competition), and the normalized
 probability-measure system driven by a constant or time-varying sex
 ratio. Both are advanced by the shared stepping core in
-``dimorph.stepping``.
+``dimorph.stepping``, error-controlled Dormand-Prince 5(4) by default.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import ExtinctionDetected
 from .kernels import InheritanceKernel, birth_weights
 from .measures import GridMeasure, TraitGrid, gaussian_measure, normalize
 from .stepping import SolverConfig, SolverDiagnostics, march
-from .totals import (Classification, RateSet, classify, fit_exponential_tail,
+from .totals import (TAIL_FLOOR, Classification, RateSet, classify, fit_exponential_tail,
                      stationary_point)
 
 __all__ = [
@@ -262,6 +262,7 @@ class CoupledRunResult:
     A_fit: tuple[float, float]
     fixed_point: "stability.FixedPointResult"
     report: "stability.ConvergenceReport"
+    diagnostics: SolverDiagnostics
 
 
 def coupled_full_run(m0: GridMeasure, f0: GridMeasure, rates: RateSet,
@@ -300,5 +301,6 @@ def coupled_full_run(m0: GridMeasure, f0: GridMeasure, rates: RateSet,
     # reference measure's own accuracy
     report = stability.convergence_report(times, mus, nus, fp.mu_star,
                                           monotone_floor=10.0 * _FIXED_POINT_TOL)
-    a_fit = fit_exponential_tail(times, np.abs(ratios - a_limit))
-    return CoupledRunResult(times, mus, nus, ratios, a_limit, a_fit, fp, report)
+    a_fit = fit_exponential_tail(times, np.abs(ratios - a_limit), floor=TAIL_FLOOR * a_limit)
+    return CoupledRunResult(times, mus, nus, ratios, a_limit, a_fit, fp, report,
+                            raw.diagnostics)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .stepping import SolverConfig, SolverDiagnostics, march
+from .stepping import _RTOL, SolverConfig, SolverDiagnostics, march
 
 __all__ = [
     "RateSet",
@@ -33,6 +33,7 @@ __all__ = [
     "stationary_point",
     "integrate_totals",
     "fit_exponential_tail",
+    "TAIL_FLOOR",
 ]
 
 RateEntry = float | Callable[..., float]
@@ -274,16 +275,22 @@ class TotalsSeries:
 def integrate_totals(state0: TotalsState, rates: RateSet, t_end: float,
                      dt: float = 0.01) -> TotalsSeries:
     """Classic fourth-order Runge-Kutta integration of the mass system,
-    with negative masses clipped to zero after every step."""
+    with negative masses clipped to zero after every step. The series is
+    sampled at every step, so an error-controlled scheme could not grow them."""
     rates.require_constant()
 
     def f(_t, y: np.ndarray) -> np.ndarray:
         return np.array(totals_rhs(y, rates))
 
     times, ys = zip(*march(np.array([state0.M, state0.F], dtype=float), 0.0, f,
-                           SolverConfig(dt, t_end), SolverDiagnostics()))
+                           SolverConfig(dt, t_end, scheme="rk4"), SolverDiagnostics()))
     out = np.array(ys)
     return TotalsSeries(np.array(times), out[:, 0], out[:, 1])
+
+
+# Tail points below this fraction of a series' scale are within a thousand
+# solver tolerances of step and rounding error, so a fit would read noise.
+TAIL_FLOOR = 1e3 * _RTOL
 
 
 def fit_exponential_tail(t: np.ndarray, dist: np.ndarray,

@@ -536,8 +536,15 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
     ({"N_list": []}, "field N_list must be a non-empty list"),
     ({"seed": -2}, "field seed must be >= 0"),
     ({"solver": {"dt": -0.005, "t_end": 3.001}}, "field solver"),
+    ({"checkpoints": [1.0, 2.5], "solver": {"dt": 0.005, "t_end": 3.001, "sample_stride": 40}},
+     "field checkpoints must lie on the solver's samples (every dt * sample_stride = 0.2 "
+     "up to 3), got 2.5; nearest is 2.4"),
+    ({"checkpoints": [1.0, 3.0], "solver": {"dt": 0.005, "t_end": 2.0, "sample_stride": 20}},
+     "field checkpoints must lie on the solver's samples (every dt * sample_stride = 0.1 "
+     "up to 2), got 3.0; nearest is 2"),
 ], ids=["replicas-2", "replicas-0", "replicas-negative", "replicas-bool", "checkpoints-negative",
-        "checkpoints-unsorted", "checkpoints-bool", "N_list-empty", "seed", "solver"])
+        "checkpoints-unsorted", "checkpoints-bool", "N_list-empty", "seed", "solver",
+        "checkpoints-off-lattice", "checkpoints-beyond-last-sample"])
 def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatch, change,
                                                    message):
     monkeypatch.setattr(cli, "simulate_all", _never)
@@ -588,3 +595,16 @@ def test_boolean_in_any_shipped_integer_field_is_rejected(tmp_path, capsys, name
     code, err, manifest = _run_checked(tmp_path, capsys, cfg["kind"], _with_true(cfg, keys))
     assert (code, manifest) == (2, False), err
     assert f"field {field} must" in err
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized", "coupled"])
+def test_macro_summary_reports_step_counts(tmp_path, mode):
+    cfg = _shipped(f"macro_{mode}")
+    cfg["solver"].pop("scheme", None)
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main(["macro", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    diag = json.loads((tmp_path / "out" / "summary.json").read_text())["diagnostics"]
+    fixed_steps = round(cfg["solver"]["t_end"] / cfg["solver"]["dt"])
+    assert 0 < diag["accepted_steps"] < fixed_steps / 10
+    assert diag["rejected_steps"] == 0
+    assert diag["clipped_mass"] == 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from dimorph.macro import (MacroState, SolverConfig, coupled_full_run, integrate
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                               point_mass, wasserstein1)
 from dimorph.stability import limiting_mean
-from dimorph.stepping import SolverDiagnostics, _step_with_positivity, march
+from dimorph.stepping import SolverDiagnostics, _step_with_positivity, march, sample_times
 from dimorph.totals import RateSet, TotalsState, integrate_totals, stationary_point
 
 GRID = TraitGrid(-8.0, 8.0, 128)
@@ -50,10 +52,17 @@ def test_empty_sex_class_means_pure_death():
     assert np.all(df == 0.0)
     for positivity in ("clip", "reject"):
         traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
-                         SolverConfig(dt=0.01, t_end=2.0, sample_stride=50,
+                         SolverConfig(dt=0.01, t_end=2.0, scheme="rk4", sample_stride=50,
                                       positivity=positivity))
         # each of the 200 steps counted once, not once per RK4 stage
         assert traj.diagnostics.empty_denominator_steps == 200
+        assert traj.states[-1].m.mass < m0.mass
+        # the default scheme counts each accepted step once, FSAL stage included
+        traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
+                         SolverConfig(dt=0.01, t_end=2.0, sample_stride=50,
+                                      positivity=positivity))
+        diag = traj.diagnostics
+        assert 0 < diag.empty_denominator_steps == diag.accepted_steps < 200
         assert traj.states[-1].m.mass < m0.mass
 
 
@@ -327,14 +336,17 @@ def test_positivity_modes_on_synthetic_overshoot():
 
     y0 = np.full((1, 4), 0.5)
     diag = SolverDiagnostics()
-    cfg_clip = SolverConfig(dt=0.1, t_end=1.0, positivity="clip")
+    cfg_clip = SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", positivity="clip")
     out = _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_clip, diag)
     assert np.all(out >= 0.0)
     assert diag.clipped_mass > 0.0
 
-    cfg_reject = SolverConfig(dt=0.1, t_end=1.0, positivity="reject")
+    cfg_reject = SolverConfig(dt=0.1, t_end=1.0, scheme="rk4", positivity="reject")
+    diag = SolverDiagnostics()
     with pytest.raises(StepRejected):
-        _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_reject, SolverDiagnostics())
+        _step_with_positivity(y0, 0.0, 0.1, rhs, cfg_reject, diag)
+    # the attempts at dt, dt / 2, ..., dt / 2**20 each count as rejected
+    assert diag.rejected_steps == 21
 
 
 def test_coupled_run_detects_mass_floor():
@@ -369,3 +381,137 @@ def test_coupled_run_converges_and_symmetric_case_exact():
                     SolverConfig(dt=0.01, t_end=5.0, sample_stride=100))
     for s in sym.states:
         np.testing.assert_array_equal(s.m.weights, s.f.weights)
+
+
+def test_default_scheme_matches_rk4_on_the_shipped_normalized_setup():
+    # configs/macro_normalized.json, where RK4 takes 10,000 steps of dt = 1e-3
+    mu0 = gaussian_measure(GRID, 1.0, 0.5)
+    nu0 = gaussian_measure(GRID, 4.0, 0.5)
+    cfg = SolverConfig(dt=1e-3, t_end=10.0, sample_stride=100)
+    fast = integrate_normalized(mu0, nu0, 2.0, KERNEL, cfg)
+    ref = integrate_normalized(mu0, nu0, 2.0, KERNEL, replace(cfg, scheme="rk4"))
+    np.testing.assert_array_equal(fast.times, ref.times)
+    diff = max(float(np.abs(a.weights - b.weights).max())
+               for a, b in zip(fast.mus + fast.nus, ref.mus + ref.nus))
+    assert diff <= 1e-9
+    assert ref.diagnostics.accepted_steps == 10_000
+    assert fast.diagnostics.accepted_steps < 1_000
+
+
+def test_normalized_moments_follow_the_closed_moment_system():
+    """The first two moments obey a closed 4-ODE, whatever the step sizes.
+
+    For an additive kernel an offspring trait is X = (X1 + X2)/2 + Z with
+    the parents X1 ~ mu, X2 ~ nu and Z independent. So the birth image P
+    has mean p1 = (m + n)/2 and second moment p2 = (a + b + 2mn)/4 + Var Z,
+    where m, n are the means and a, b the second moments of mu, nu. Then
+    mu' = P - mu and nu' = A (P - nu) give m' = p1 - m, n' = A (p1 - n),
+    a' = p2 - a and b' = A (p2 - b). On the grid the noise is taken at
+    cell midpoints, and Sheppard's correction makes Var Z = sigma^2 + dx^2/12.
+    """
+    from scipy.integrate import solve_ivp
+
+    # the criterion-5 flow
+    grid = TraitGrid(-8.0, 8.0, 512)
+    kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
+    a_const = 1.5
+    mu0 = gaussian_measure(grid, 0.7, 0.6)
+    nu0 = GridMeasure(grid, 0.5 * (gaussian_measure(grid, 0.2, 0.4).weights
+                                   + gaussian_measure(grid, 1.2, 0.4).weights))
+    traj = integrate_normalized(mu0, nu0, a_const, kernel,
+                                SolverConfig(dt=0.01, t_end=30.0, sample_stride=100))
+    x = grid.centers
+    var_z = 0.5**2 + grid.dx**2 / 12.0
+
+    def moments(mu, nu):
+        return [mu.weights @ x, nu.weights @ x, mu.weights @ x**2, nu.weights @ x**2]
+
+    def closed(_t, s):
+        m, n, a, b = s
+        p1 = 0.5 * (m + n)
+        p2 = 0.25 * (a + b + 2.0 * m * n) + var_z
+        return [p1 - m, a_const * (p1 - n), p2 - a, a_const * (p2 - b)]
+
+    ref = solve_ivp(closed, (0.0, 30.0), moments(mu0, nu0), method="DOP853",
+                    rtol=1e-13, atol=1e-14, t_eval=traj.times)
+    got = np.array([moments(mu, nu) for mu, nu in zip(traj.mus, traj.nus)]).T
+    assert np.abs(got - ref.y).max() <= 1e-9
+
+
+def test_default_scheme_rejects_an_overshoot_and_gives_up_when_the_budget_is_spent():
+    # a constant drain has no embedded error, so every rejection is an
+    # overshoot; it empties the state at t = 0.0025, and from there on no
+    # step down to dt / 2**20 keeps the weights non-negative
+    def rhs(_t, y):
+        return -200.0 * np.ones_like(y)
+
+    cfg = SolverConfig(dt=1e-3, t_end=0.01, positivity="reject")
+    diag = SolverDiagnostics()
+    samples = []
+    with pytest.raises(StepRejected, match=r"dt / 2\*\*20"):
+        for t, y in march(np.full((1, 4), 0.5), 0.0, rhs, cfg, diag):
+            samples.append((t, y.copy()))
+    assert [t for t, _ in samples] == [0.0, 0.001, 0.002]
+    assert all(y.min() >= 0.0 for _, y in samples)
+    assert diag.accepted_steps >= 3
+    assert diag.rejected_steps >= 20
+    assert diag.clipped_mass == 0.0
+
+    # under "clip" the same drain is zeroed and reported, never rejected
+    diag = SolverDiagnostics()
+    samples = list(march(np.full((1, 4), 0.5), 0.0, rhs, replace(cfg, positivity="clip"), diag))
+    assert len(samples) == 11
+    assert all(y.min() >= 0.0 for _, y in samples)
+    assert diag.rejected_steps == 0
+    assert diag.clipped_mass > 0.0
+
+
+def test_default_scheme_restarts_from_the_state_after_step_leaves():
+    # the last stage of a step is the next step's first only while nothing
+    # changed the state in between
+    evaluated = []
+
+    def rhs(_t, y):
+        evaluated.append(y.copy())
+        return -y
+
+    starts = []
+
+    def after_step(y):
+        y *= 0.5
+        starts.append(y.copy())
+
+    list(march(np.ones((2, 3)), 0.0, rhs, SolverConfig(dt=0.1, t_end=1.0),
+               SolverDiagnostics(), after_step))
+    assert len(starts) >= 10
+    assert all(any(np.array_equal(s, y) for y in evaluated) for s in starts)
+
+
+@pytest.mark.parametrize("scheme", ["dopri5", "rk4", "euler"])
+def test_march_yields_exactly_the_sample_times(scheme):
+    cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme, sample_stride=30)
+    times = [t for t, _ in march(np.ones((1, 2)), 0.3, lambda _t, y: -y, cfg,
+                                 SolverDiagnostics())]
+    assert times == sample_times(cfg, 0.3)
+    assert times == [0.3 + k * 0.01 for k in (0, 30, 60, 90, 100)]
+
+
+def test_default_scheme_steps_grow_to_the_sample_interval():
+    # a flow at rest: every step but the first few spans a whole interval
+    diag = SolverDiagnostics()
+    list(march(np.ones((1, 2)), 0.0, lambda _t, y: np.zeros_like(y),
+               SolverConfig(dt=0.01, t_end=10.0, sample_stride=50), diag))
+    assert diag.accepted_steps <= 20 + 4
+    assert diag.rejected_steps == 0
+
+
+def test_coupled_a_fit_slope_agrees_between_rk4_and_the_default():
+    # configs/macro_coupled.json; at the old absolute floor of 1e-12 the fit
+    # read rounding-level points and the two slopes differed by 1.0e-5
+    m0 = gaussian_measure(GRID, 0.6, 0.7, mass=0.9)
+    f0 = gaussian_measure(GRID, 0.6, 1.1, mass=1.3)
+    cfg = SolverConfig(dt=0.01, t_end=30.0, sample_stride=100)
+    fast = coupled_full_run(m0, f0, PERSIST, KERNEL, cfg)
+    ref = coupled_full_run(m0, f0, PERSIST, KERNEL, replace(cfg, scheme="rk4"))
+    assert fast.A_fit[0] == pytest.approx(ref.A_fit[0], rel=1e-6)
+    assert fast.diagnostics.accepted_steps < ref.diagnostics.accepted_steps == 3000
