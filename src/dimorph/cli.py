@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acc
-from .config import (_get, _integer, _on_lattice, _positive, _scales, _seed, _times,
-                     checked, flag_integer, load_config, parse_grid, parse_kernel,
+from .config import (_get, _integer, _on_lattice, _positive, _run_length, _scales, _seed,
+                     _times, checked, flag_integer, load_config, parse_grid, parse_kernel,
                      parse_measure, parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
 from .ibm import IbmParams, simulate, simulate_all
@@ -55,8 +55,7 @@ def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     init = _get(cfg, "initial", "", expected=dict, required=False, default={"M": 1.0, "F": 1.0})
     state0 = TotalsState(_positive(init, "M", "initial.", allow_zero=True),
                          _positive(init, "F", "initial.", allow_zero=True))
-    t_end = _positive(cfg, "t_end", "", required=False, default=60.0)
-    dt = _positive(cfg, "dt", "", required=False, default=0.01)
+    t_end, dt = _run_length(cfg, t_end=60.0, dt=0.01)
     series = integrate_totals(state0, rates, t_end=t_end, dt=dt)
     summary = _stationary_summary(rates)
     if summary["M_bar"] is not None:
@@ -211,8 +210,10 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     t_end = max(checkpoints) + 1e-3
     m0 = parse_measure(spec_m | {"mass": mass_m}, grid, "initial_male.")
     f0 = parse_measure(spec_f | {"mass": mass_f}, grid, "initial_female.")
+    # the default solver takes at least its one step, even for checkpoints [0]
     solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
-                               default={"dt": 0.005, "t_end": t_end, "sample_stride": 10}))
+                               default={"dt": 0.005, "t_end": max(t_end, 0.005),
+                                        "sample_stride": 10}))
     _on_lattice(checkpoints, solver, "checkpoints", "")
 
     params_list = []

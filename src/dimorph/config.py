@@ -22,7 +22,7 @@ from .io import read_measure_csv
 from .macro import SolverConfig
 from .measures import (GridMeasure, TraitGrid, gaussian_measure, point_mass,
                        uniform_measure)
-from .stepping import sample_times
+from .stepping import sample_index, sample_times
 from .totals import RateSet
 
 __all__ = [
@@ -106,14 +106,25 @@ def _times(d: dict, field: str, ctx: str, empty_ok: bool = True) -> list[float]:
 def _on_lattice(times: list[float], solver: SolverConfig, field: str, ctx: str) -> None:
     """Every time must be one the solver samples, matched as
     MacroTrajectory.state_at matches it."""
-    lattice = np.array(sample_times(solver))
+    lattice = sample_times(solver)
     for t in times:
-        near = float(lattice[np.argmin(np.abs(lattice - t))])
-        if abs(near - t) > 1e-9 + 1e-9 * abs(t):
+        try:
+            sample_index(lattice, t)
+        except KeyError:
+            near = min(lattice, key=lambda s: abs(s - t))
             raise ConfigError(
                 f"field {ctx}{field} must lie on the solver's samples (every "
                 f"dt * sample_stride = {solver.dt * solver.sample_stride:g} up to "
-                f"{lattice[-1]:g}), got {t}; nearest is {near:g}")
+                f"{lattice[-1]:g}), got {t}; nearest is {near:g}") from None
+
+
+def _run_length(d: dict, t_end: float, dt: float) -> tuple[float, float]:
+    """(t_end, dt), defaulting to the given ones, checked as SolverConfig checks them."""
+    t_end = _positive(d, "t_end", "", required=False, default=t_end)
+    dt = _positive(d, "dt", "", required=False, default=dt)
+    with checked():
+        SolverConfig(dt, t_end)
+    return t_end, dt
 
 
 def _seed(cfg: dict, flag: int | None) -> int:

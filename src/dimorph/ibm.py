@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ExtinctPopulation
 from .kernels import InheritanceKernel
 from .measures import GridMeasure, TraitGrid, measure_from_samples
+from .stepping import sample_index
 from .totals import RateSet
 
 __all__ = [
@@ -520,10 +521,8 @@ class IbmTrajectory:
 
     def measures_at(self, t: float) -> tuple[GridMeasure, GridMeasure]:
         """(male, female) empirical measures at sample time t."""
-        for snap in self.snapshots:
-            if abs(snap.time - t) <= 1e-9 + 1e-9 * abs(t):
-                return snap.male, snap.female
-        raise KeyError(f"no snapshot at t = {t}")
+        snap = self.snapshots[sample_index([s.time for s in self.snapshots], t)]
+        return snap.male, snap.female
 
 
 def simulate(params: IbmParams) -> IbmTrajectory:

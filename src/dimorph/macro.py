@@ -18,7 +18,7 @@ from . import stability
 from .errors import ExtinctionDetected
 from .kernels import InheritanceKernel, birth_weights
 from .measures import GridMeasure, TraitGrid, gaussian_measure, normalize
-from .stepping import SolverConfig, SolverDiagnostics, march
+from .stepping import SolverConfig, SolverDiagnostics, march, sample_index
 from .totals import (TAIL_FLOOR, Classification, RateSet, classify, fit_exponential_tail,
                      stationary_point)
 
@@ -75,11 +75,7 @@ class MacroTrajectory:
         return np.array([[s.m.mass, s.f.mass] for s in self.states])
 
     def state_at(self, t: float) -> MacroState:
-        times = self.times
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > 1e-9 + 1e-9 * abs(t):
-            raise KeyError(f"no snapshot at t = {t}; nearest is {times[i]}")
-        return self.states[i]
+        return self.states[sample_index(self.times, t)]
 
 
 @dataclass(frozen=True)

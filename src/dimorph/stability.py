@@ -157,7 +157,9 @@ def convergence_report(times: Sequence[float] | np.ndarray,
                        mus: Sequence[GridMeasure], nus: Sequence[GridMeasure],
                        mu_star: GridMeasure,
                        monotone_floor: float = 0.0) -> ConvergenceReport:
-    """Grade snapshots of the normalized system against the limit measure."""
+    """Grade snapshots of the normalized system against the limit measure;
+    the tail fit, like the monotone flag, reads d_max only above
+    monotone_floor (and never at or below fit_exponential_tail's 1e-12)."""
     times = np.asarray(times, dtype=float)
     if not (len(times) == len(mus) == len(nus)):
         raise ValueError("times, mus and nus must have matching lengths")
@@ -165,7 +167,7 @@ def convergence_report(times: Sequence[float] | np.ndarray,
     d_mu = np.array([wasserstein1(a, mu_star) for a in mus])
     d_nu = np.array([wasserstein1(b, mu_star) for b in nus])
     d_max = np.maximum(d_mu, d_nu)
-    slope, r2 = fit_exponential_tail(times, d_max)
+    slope, r2 = fit_exponential_tail(times, d_max, floor=max(monotone_floor, 1e-12))
     jitter = 1e-9 * float(d_max[0]) + 1e-12
     rising = np.diff(d_max) > jitter
     above_floor = np.maximum(d_max[:-1], d_max[1:]) > monotone_floor

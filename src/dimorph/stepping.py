@@ -3,26 +3,27 @@
 One loop advances a stacked state array (one row per component). The
 default scheme is the embedded Dormand-Prince 5(4) pair with step-size
 control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5): its first
-trial step is dt, its steps grow up to the sample interval dt *
-sample_stride, and the last step of each interval lands exactly on the
-sample time. Explicit Euler and classic RK4 take fixed steps of dt and
-stay as pinned references. Every scheme refuses a dt above the caller's
-bound before the first step, enforces positivity after every step and
-yields the trajectory on the same sample lattice. The trait-resolved,
-normalized and planar total-mass integrators differ only in their
-right-hand sides, their bound and what they do with the samples.
+trial step is dt and its steps grow up to the sample interval dt *
+sample_stride. Classic RK4 stays as the pinned reference, with steps of
+at most dt. Each sample interval is split into equal steps, so the last
+lands exactly on the sample time. Both schemes refuse a dt above the
+caller's bound before the first step and enforce positivity after every
+step. The trait-resolved, normalized and planar total-mass integrators
+differ only in their right-hand sides, their bound and what they do with
+the samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import StepRejected
 
-__all__ = ["SolverConfig", "SolverDiagnostics", "march", "sample_times"]
+__all__ = ["SolverConfig", "SolverDiagnostics", "march", "sample_index", "sample_times"]
 
 # Weights this far below zero (relative to the largest weight) mean the
 # step genuinely overshot; smaller excursions are rounding dust.
@@ -52,10 +53,10 @@ class SolverConfig:
     """Explicit solver settings.
 
     scheme: "dopri5" (error-controlled, first step dt, largest step
-    dt * sample_stride), or the fixed-step "rk4" and "euler".
+    dt * sample_stride) or "rk4" (steps of at most dt).
     positivity: "clip" zeroes negative weights, "reject" refuses a step
-    that overshoots below zero and retries it halved, at most 20 halvings
-    below dt.
+    that overshoots below zero and retries it halved, down to dt / 2**20.
+    dt and t_end must be finite and give at least one step.
     """
 
     dt: float
@@ -65,9 +66,13 @@ class SolverConfig:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if self.scheme not in ("dopri5", "rk4", "euler"):
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError(f"dt and t_end must be positive and finite, "
+                             f"got {self.dt} and {self.t_end}")
+        if round(self.t_end / self.dt) < 1:
+            raise ValueError(f"t_end = {self.t_end} is under half a step of dt = {self.dt}, "
+                             f"so the run would take no step")
+        if self.scheme not in ("dopri5", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.positivity not in ("clip", "reject"):
             raise ValueError(f"unknown positivity mode {self.positivity!r}")
@@ -78,7 +83,7 @@ class SolverConfig:
 @dataclass
 class SolverDiagnostics:
     """Positivity interventions, degenerate-denominator bookkeeping, the dt
-    bound and the step counts (a fixed-step scheme accepts every step)."""
+    bound and the step counts."""
 
     clipped_mass: float = 0.0
     empty_denominator_steps: int = 0
@@ -95,14 +100,16 @@ def sample_times(cfg: SolverConfig, t0: float = 0.0) -> list[float]:
     return [t0 + k * cfg.dt for k in (*range(0, n_steps, cfg.sample_stride), n_steps)]
 
 
-def _advance(y: np.ndarray, t: float, dt: float, rhs: Rhs, scheme: str) -> np.ndarray:
-    if scheme == "euler":
-        return y + dt * rhs(t, y)
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def sample_index(times: Sequence[float], t: float) -> int:
+    """Index of the sample time within 1e-9 + 1e-9 |t| of t; KeyError
+    naming the nearest sample time when there is none."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise KeyError(f"no snapshot at t = {t}")
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 + 1e-9 * abs(t):
+        raise KeyError(f"no snapshot at t = {t}; nearest is {times[i]}")
+    return i
 
 
 def _combine(weights, ks: list) -> np.ndarray:
@@ -120,6 +127,16 @@ def _dopri(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs):
     return y_new, ks[-1], h * _combine(_DP_E, ks)
 
 
+def _rk4(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs):
+    """One classic RK4 step from (t, y) with first stage k1; no stage to
+    carry over, no error estimate. Written out rather than _combine'd: on
+    the totals' 2-vector the extra numpy calls cost more than the step."""
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None, None
+
+
 def _positive(y: np.ndarray, cfg: SolverConfig, diag: SolverDiagnostics) -> np.ndarray:
     """Zero the negative weights of an accepted step; under "clip" their
     mass is reported (under "reject" only rounding dust is left)."""
@@ -130,61 +147,42 @@ def _positive(y: np.ndarray, cfg: SolverConfig, diag: SolverDiagnostics) -> np.n
     return np.clip(y, 0.0, None)
 
 
-def _step_with_positivity(y: np.ndarray, t: float, dt: float, rhs: Rhs,
-                          cfg: SolverConfig, diag: SolverDiagnostics) -> np.ndarray:
-    """One accepted fixed step of size dt, honoring the positivity mode.
+def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
+          diag: SolverDiagnostics,
+          after_step: Callable[[np.ndarray], None] | None = None
+          ) -> Iterator[tuple[float, np.ndarray]]:
+    """Advance y0 from t0 to t0 + round(t_end / dt) * dt.
 
-    y is the stacked weight matrix (n_components, n_cells).
+    Raises ValueError before the first step when dt exceeds diag.dt_bound.
+    A step is accepted when its error estimate, if the scheme has one, is
+    within tolerance and, under "reject", it keeps the weights non-negative.
+    after_step, when given, may update each accepted state in place before
+    it is sampled. Yields (t, y) at every time of sample_times(cfg, t0), so
+    callers can convert each sample before the next step is taken.
     """
-    if cfg.positivity == "reject":
-        scale = max(float(np.abs(y).max()), 1e-300)
-        for k in range(_MAX_HALVINGS + 1):
-            sub = 2**k
-            h = dt / sub
-            cand = y
-            ok = True
-            for i in range(sub):
-                cand = _advance(cand, t + i * h, h, rhs, cfg.scheme)
-                if cand.min() < -_NEG_TOL * scale:
-                    ok = False
-                    break
-            if ok:
-                return _positive(cand, cfg, diag)
-            diag.rejected_steps += 1
-        raise StepRejected(f"positivity not restored after 20 halvings at t = {t}")
-    return _positive(_advance(y, t, dt, rhs, cfg.scheme), cfg, diag)
-
-
-def _march_fixed(y: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
-                 diag: SolverDiagnostics, after_step, targets: list[float]):
-    """Steps of dt through each target time in turn; step i starts at t0 + i*dt."""
-    i = 0
-    for t_next in targets:
-        while (t := t0 + i * cfg.dt) < t_next:
-            y = _step_with_positivity(y, t, cfg.dt, rhs, cfg, diag)
-            diag.accepted_steps += 1
-            if after_step is not None:
-                after_step(y)
-            i += 1
-        yield t_next, y
-
-
-def _march_dopri(y: np.ndarray, t: float, rhs: Rhs, cfg: SolverConfig,
-                 diag: SolverDiagnostics, after_step, targets: list[float]):
-    """Error-controlled steps through each target time in turn."""
-    h, h_max = cfg.dt, cfg.dt * cfg.sample_stride
-    k1 = rhs(t, y)
-    for t_next in targets:
+    if cfg.dt > diag.dt_bound:
+        raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
+    dopri = cfg.scheme == "dopri5"
+    scheme, h_max = (_dopri, cfg.dt * cfg.sample_stride) if dopri else (_rk4, cfg.dt)
+    reject = cfg.positivity == "reject"
+    t, y, h, k1 = t0, y0, cfg.dt, None
+    yield t, y
+    for t_next in sample_times(cfg, t0)[1:]:
         while t < t_next:
+            if k1 is None:
+                k1 = rhs(t, y)
             # equal steps of at most h to the target, so none is a sliver
-            n = max(1, int(np.ceil((t_next - t) / h - 1e-9)))
+            n = max(1, math.ceil((t_next - t) / h - 1e-9))
             step = (t_next - t) / n
-            y_new, k_new, err = _dopri(y, t, step, k1, rhs)
-            scale = max(float(np.abs(y).max()), 1e-300)
-            tol = _RTOL * (np.maximum(np.abs(y), np.abs(y_new)) + scale)
-            ratio = float(np.max(np.abs(err) / tol))
+            y_new, k_new, err = scheme(y, t, step, k1, rhs)
+            ratio, overshoot = 0.0, False
+            if reject or dopri:
+                scale = max(float(np.abs(y).max()), 1e-300)
+                overshoot = reject and y_new.min() < -_NEG_TOL * scale
+            if dopri:
+                tol = _RTOL * (np.maximum(np.abs(y), np.abs(y_new)) + scale)
+                ratio = float(np.max(np.abs(err) / tol))
             fac = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
-            overshoot = cfg.positivity == "reject" and y_new.min() < -_NEG_TOL * scale
             if overshoot or not ratio <= 1.0:  # a NaN error is rejected too
                 diag.rejected_steps += 1
                 h = step * (0.5 if overshoot else max(0.2, fac))
@@ -195,30 +193,11 @@ def _march_dopri(y: np.ndarray, t: float, rhs: Rhs, cfg: SolverConfig,
             t = t_next if n == 1 else t + step
             h = min(h_max, step * min(5.0, fac))
             y = _positive(y_new, cfg, diag)
-            unchanged = y is y_new
+            carry = k_new is not None and y is y_new
             if after_step is not None:
-                before = y.copy()
+                before = y.copy() if carry else None
                 after_step(y)
-                unchanged = unchanged and np.array_equal(y, before)
+                carry = carry and np.array_equal(y, before)
             # the last stage is the next first one only at the state it saw
-            k1 = k_new if unchanged else rhs(t, y)
+            k1 = k_new if carry else None
         yield t, y
-
-
-def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
-          diag: SolverDiagnostics,
-          after_step: Callable[[np.ndarray], None] | None = None
-          ) -> Iterator[tuple[float, np.ndarray]]:
-    """Advance y0 from t0 to t0 + round(t_end / dt) * dt.
-
-    Raises ValueError before the first step when dt exceeds diag.dt_bound.
-    after_step, when given, may update each accepted state in place before
-    it is sampled. Yields (t, y) at every time of sample_times(cfg, t0), so
-    callers can convert each sample before the next step is taken.
-    """
-    if cfg.dt > diag.dt_bound:
-        raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
-    times = sample_times(cfg, t0)
-    yield t0, y0
-    steps = _march_dopri if cfg.scheme == "dopri5" else _march_fixed
-    yield from steps(y0, t0, rhs, cfg, diag, after_step, times[1:])

@@ -536,6 +536,8 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
     ({"N_list": []}, "field N_list must be a non-empty list"),
     ({"seed": -2}, "field seed must be >= 0"),
     ({"solver": {"dt": -0.005, "t_end": 3.001}}, "field solver"),
+    ({"solver": {"dt": 0.005, "t_end": 0.002}},
+     "field solver: t_end = 0.002 is under half a step of dt = 0.005"),
     ({"checkpoints": [1.0, 2.5], "solver": {"dt": 0.005, "t_end": 3.001, "sample_stride": 40}},
      "field checkpoints must lie on the solver's samples (every dt * sample_stride = 0.2 "
      "up to 3), got 2.5; nearest is 2.4"),
@@ -544,7 +546,7 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
      "up to 2), got 3.0; nearest is 2"),
 ], ids=["replicas-2", "replicas-0", "replicas-negative", "replicas-bool", "checkpoints-negative",
         "checkpoints-unsorted", "checkpoints-bool", "N_list-empty", "seed", "solver",
-        "checkpoints-off-lattice", "checkpoints-beyond-last-sample"])
+        "solver-no-step", "checkpoints-off-lattice", "checkpoints-beyond-last-sample"])
 def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatch, change,
                                                    message):
     monkeypatch.setattr(cli, "simulate_all", _never)
@@ -552,6 +554,41 @@ def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatc
     code, err, manifest = _run_checked(tmp_path, capsys, "lln", _shipped("lln") | change)
     assert (code, manifest) == (2, False), err
     assert message in err
+
+
+@pytest.mark.parametrize("name, solver, message", [
+    ("macro_normalized", {"dt": 0.04, "t_end": 0.01},
+     "field solver: t_end = 0.01 is under half a step of dt = 0.04"),
+    ("macro_raw", {"dt": 0.01, "t_end": 0.004},
+     "field solver: t_end = 0.004 is under half a step of dt = 0.01"),
+    ("macro_raw", {"scheme": "euler"}, "field solver: unknown scheme 'euler'"),
+], ids=["normalized-short", "raw-short", "euler"])
+def test_macro_solver_without_a_step_or_scheme_exits_two(tmp_path, capsys, monkeypatch,
+                                                          name, solver, message):
+    for runner in ("integrate", "integrate_normalized", "coupled_full_run"):
+        monkeypatch.setattr(cli, runner, _never)
+    cfg = _shipped(name)
+    cfg["solver"] |= solver
+    code, err, manifest = _run_checked(tmp_path, capsys, "macro", cfg)
+    assert (code, manifest) == (2, False), err
+    assert message in err
+
+
+def test_totals_run_shorter_than_half_a_step_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "integrate_totals", _never)
+    code, err, manifest = _run_checked(tmp_path, capsys, "totals",
+                                       TOTALS_CFG | {"dt": 0.5, "t_end": 0.2})
+    assert (code, manifest) == (2, False), err
+    assert "field t_end = 0.2 is under half a step of dt = 0.5" in err
+
+
+def test_lln_at_the_initial_time_alone_runs_with_the_default_solver(tmp_path, capsys):
+    cfg = _shipped("lln") | {"checkpoints": [0.0], "N_list": [20, 50], "replicas": 3}
+    del cfg["solver"]
+    code, err, manifest = _run_checked(tmp_path, capsys, "lln", cfg)
+    assert (code, manifest) == (0, True), err
+    report = json.loads((tmp_path / "out" / "lln_report.json").read_text())
+    assert report["checkpoints"] == [0.0]
 
 
 @pytest.mark.parametrize("a_const", [-1.0, 0])
