@@ -80,7 +80,7 @@ def criterion_1b_extinction_decay() -> CriterionResult:
     only near t = 2e6. The clause therefore has two parts. The boundary run
     must follow 1/(1 + t/2) at every sample within relative error 1e-6,
     which fails an exponential decay, a wrong coefficient or a run stalled
-    by the positivity clamp. The strictly subcritical run (p = 1, D = 2)
+    by the clipping of negative masses. The strictly subcritical run (p = 1, D = 2)
     decays exponentially and must fall below 1e-6 by t = 100.
     """
     t0 = time.time()

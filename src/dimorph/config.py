@@ -247,7 +247,7 @@ def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.nda
     """
     if count < 0:
         raise ConfigError(f"field {ctx}count must be non-negative, got {count}")
-    parse_measure(d, grid, ctx)
+    m = parse_measure(d, grid, ctx)
     shape = d["shape"]
     if shape == "point":
         traits = np.full(count, d["at"])
@@ -256,7 +256,6 @@ def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.nda
     elif shape == "gaussian":
         traits = rng.normal(d["mean"], d["sd"], size=count)
     else:
-        m = read_measure_csv(d["path"], grid)
         cells = rng.choice(grid.n_cells, size=count, p=m.weights / m.mass)
         traits = grid.edges[cells] + grid.dx * rng.random(count)
     return np.clip(traits, grid.x_min, grid.x_max)
@@ -264,11 +263,14 @@ def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.nda
 
 def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
     _section(d, ctx)
+    unknown = sorted(d.keys() - {"dt", "t_end", "scheme", "sample_stride"})
+    if unknown:
+        raise ConfigError(f"field {ctx}{unknown[0]} is not a solver setting; "
+                          f"the solver takes dt, t_end, scheme and sample_stride")
     with checked(ctx):
         return SolverConfig(
             dt=_number(d, "dt", ctx),
             t_end=_number(d, "t_end", ctx),
             scheme=_get(d, "scheme", ctx, expected=str, required=False, default="dopri5"),
-            positivity=_get(d, "positivity", ctx, expected=str, required=False, default="clip"),
             sample_stride=_get(d, "sample_stride", ctx, expected=int, required=False, default=1),
         )

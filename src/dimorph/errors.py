@@ -34,7 +34,7 @@ class ExtinctPopulation(DimorphError):
 
 
 class StepRejected(DimorphError):
-    """Step-rejection positivity control exhausted its retry budget."""
+    """The step-size control found no acceptable step above dt / 2**20."""
 
 
 class ConvergenceFailure(DimorphError):

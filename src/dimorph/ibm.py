@@ -675,7 +675,8 @@ def simulate(params: IbmParams) -> IbmTrajectory:
 
 def simulate_all(params, jobs: int = 1) -> list[IbmTrajectory]:
     """`simulate` over a sequence of runs, in order; jobs > 1 spreads them
-    over that many worker processes, with the same results."""
+    over min(jobs, len(params)) worker processes, with the same results."""
+    jobs = min(jobs, len(params))
     if jobs <= 1:
         return [simulate(p) for p in params]
     import concurrent.futures  # only a pool needs it

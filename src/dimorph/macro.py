@@ -212,9 +212,13 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     """Integrate the normalized system for probability measures mu, nu.
 
     mu relaxes toward the birth image at unit rate, nu at rate A (a
-    constant or a function of time). Unit masses are preserved by the
-    dynamics; under "clip" each accepted step is renormalized to unit mass,
-    removing clipped mass and drift. dt may not exceed 0.1 / max(1, A(0)).
+    constant or a function of time). The birth image is taken of the
+    normalized inputs, P(mu / |mu|, nu / |nu|): P is bilinear, so on
+    probability measures this is the paper's flow, and off them the masses
+    obey m' = 1 - m and n' = A (1 - n). Unit mass, a saddle of the plain
+    flow, thus attracts, and no step is renormalized; the largest drift
+    of either mass from 1 is reported as max_mass_drift. dt may not exceed
+    0.1 / max(1, A(0)).
     """
     if mu0.grid != nu0.grid:
         raise ValueError("mu0 and nu0 must share one grid")
@@ -229,16 +233,13 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     diag = SolverDiagnostics(dt_bound=_DT_SAFETY / max(1.0, a0))
 
     def rhs(t, y):
-        p = birth_weights(kernel, y[0], y[1], grid)
+        p = birth_weights(kernel, y[0], y[1], grid) / (y[0].sum() * y[1].sum())
         a = float(a_of(t))
         return np.stack([p - y[0], a * (p - y[1])])
 
     def after_step(y):
         diag.max_mass_drift = max(diag.max_mass_drift,
                                   abs(y[0].sum() - 1.0), abs(y[1].sum() - 1.0))
-        if config.positivity == "clip":
-            y[0] /= y[0].sum()
-            y[1] /= y[1].sum()
 
     times, mus, nus = zip(*[(t, GridMeasure(grid, y[0]), GridMeasure(grid, y[1]))
                             for t, y in march(np.stack([mu0.weights, nu0.weights]), 0.0,

@@ -7,10 +7,10 @@ trial step is dt and its steps grow up to the sample interval dt *
 sample_stride. Classic RK4 stays as the pinned reference, with steps of
 at most dt. Each sample interval is split into equal steps, so the last
 lands exactly on the sample time. Both schemes refuse a dt above the
-caller's bound before the first step and enforce positivity after every
-step. The trait-resolved, normalized and planar total-mass integrators
-differ only in their right-hand sides, their bound and what they do with
-the samples.
+caller's bound before the first step and zero negative weights after every
+step, reporting their mass. The trait-resolved, normalized and planar
+total-mass integrators differ only in their right-hand sides, their bound
+and what they do with the samples.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .errors import StepRejected
 
 __all__ = ["SolverConfig", "SolverDiagnostics", "march", "sample_index", "sample_times"]
 
-# Weights this far below zero (relative to the largest weight) mean the
-# step genuinely overshot; smaller excursions are rounding dust.
-_NEG_TOL = 1e-12
-# A step may be halved this many times below dt before the run gives up.
+# The error test may shrink a step to dt / 2**_MAX_HALVINGS before the run
+# gives up.
 _MAX_HALVINGS = 20
 # Relative tolerance of the error-controlled scheme, fixed by design.
 _RTOL = 1e-10
@@ -54,15 +52,13 @@ class SolverConfig:
 
     scheme: "dopri5" (error-controlled, first step dt, largest step
     dt * sample_stride) or "rk4" (steps of at most dt).
-    positivity: "clip" zeroes negative weights, "reject" refuses a step
-    that overshoots below zero and retries it halved, down to dt / 2**20.
-    dt and t_end must be finite and give at least one step.
+    dt and t_end must be finite and give at least one step; sample_stride
+    is an int of at least 1.
     """
 
     dt: float
     t_end: float
     scheme: str = "dopri5"
-    positivity: str = "clip"
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -74,10 +70,8 @@ class SolverConfig:
                              f"so the run would take no step")
         if self.scheme not in ("dopri5", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.positivity not in ("clip", "reject"):
-            raise ValueError(f"unknown positivity mode {self.positivity!r}")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if type(self.sample_stride) is not int or self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be an int >= 1, got {self.sample_stride!r}")
 
 
 @dataclass
@@ -137,13 +131,12 @@ def _rk4(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None, None
 
 
-def _positive(y: np.ndarray, cfg: SolverConfig, diag: SolverDiagnostics) -> np.ndarray:
-    """Zero the negative weights of an accepted step; under "clip" their
-    mass is reported (under "reject" only rounding dust is left)."""
+def _positive(y: np.ndarray, diag: SolverDiagnostics) -> np.ndarray:
+    """y itself when no weight is negative, else a copy with the negative
+    weights zeroed and their mass added to diag.clipped_mass."""
     if y.min() >= 0.0:
         return y
-    if cfg.positivity == "clip":
-        diag.clipped_mass += float(-y[y < 0].sum())
+    diag.clipped_mass += float(-y[y < 0].sum())
     return np.clip(y, 0.0, None)
 
 
@@ -155,16 +148,16 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
 
     Raises ValueError before the first step when dt exceeds diag.dt_bound.
     A step is accepted when its error estimate, if the scheme has one, is
-    within tolerance and, under "reject", it keeps the weights non-negative.
-    after_step, when given, may update each accepted state in place before
-    it is sampled. Yields (t, y) at every time of sample_times(cfg, t0), so
-    callers can convert each sample before the next step is taken.
+    within tolerance (a NaN estimate never is); StepRejected is raised when
+    the step that would pass falls below dt / 2**20. after_step, when given,
+    sees each accepted state, read-only, before it is sampled. Yields (t, y)
+    at every time of sample_times(cfg, t0), so callers can convert each
+    sample before the next step is taken.
     """
     if cfg.dt > diag.dt_bound:
         raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
     dopri = cfg.scheme == "dopri5"
     scheme, h_max = (_dopri, cfg.dt * cfg.sample_stride) if dopri else (_rk4, cfg.dt)
-    reject = cfg.positivity == "reject"
     t, y, h, k1 = t0, y0, cfg.dt, None
     yield t, y
     for t_next in sample_times(cfg, t0)[1:]:
@@ -175,29 +168,25 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
             n = max(1, math.ceil((t_next - t) / h - 1e-9))
             step = (t_next - t) / n
             y_new, k_new, err = scheme(y, t, step, k1, rhs)
-            ratio, overshoot = 0.0, False
-            if reject or dopri:
-                scale = max(float(np.abs(y).max()), 1e-300)
-                overshoot = reject and y_new.min() < -_NEG_TOL * scale
+            ratio = 0.0
             if dopri:
+                scale = max(float(np.abs(y).max()), 1e-300)
                 tol = _RTOL * (np.maximum(np.abs(y), np.abs(y_new)) + scale)
                 ratio = float(np.max(np.abs(err) / tol))
             fac = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
-            if overshoot or not ratio <= 1.0:  # a NaN error is rejected too
+            if not ratio <= 1.0:  # a NaN error is rejected too
                 diag.rejected_steps += 1
-                h = step * (0.5 if overshoot else max(0.2, fac))
+                h = step * max(0.2, fac)
                 if h < cfg.dt / 2**_MAX_HALVINGS:
                     raise StepRejected(f"no acceptable step above dt / 2**20 at t = {t}")
                 continue
             diag.accepted_steps += 1
             t = t_next if n == 1 else t + step
             h = min(h_max, step * min(5.0, fac))
-            y = _positive(y_new, cfg, diag)
-            carry = k_new is not None and y is y_new
+            y = _positive(y_new, diag)
+            y.flags.writeable = False
             if after_step is not None:
-                before = y.copy() if carry else None
                 after_step(y)
-                carry = carry and np.array_equal(y, before)
             # the last stage is the next first one only at the state it saw
-            k1 = k_new if carry else None
+            k1 = k_new if y is y_new else None
         yield t, y

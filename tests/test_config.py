@@ -49,3 +49,23 @@ def test_accepted_spec_draws_are_unchanged_by_the_checks(spec, draw):
     traits = sample_traits(spec, 200, GRID, np.random.default_rng(3), "initial_male.")
     expected = np.clip(draw(np.random.default_rng(3)), GRID.x_min, GRID.x_max)
     np.testing.assert_array_equal(traits, expected)
+
+
+def test_tabulated_traits_read_their_csv_once(tmp_path, monkeypatch):
+    import dimorph.config
+    from dimorph.io import read_measure_csv, write_measure_csv
+    from dimorph.measures import gaussian_measure
+
+    path = tmp_path / "m.csv"
+    write_measure_csv(path, gaussian_measure(GRID, 0.3, 0.5))
+    reads = []
+
+    def counted(*args):
+        reads.append(args[0])
+        return read_measure_csv(*args)
+
+    monkeypatch.setattr(dimorph.config, "read_measure_csv", counted)
+    traits = sample_traits({"shape": "tabulated", "path": str(path)}, 200, GRID,
+                           np.random.default_rng(0), "initial_male.")
+    assert reads == [str(path)]
+    assert traits.size == 200 and abs(traits.mean() - 0.3) < 0.2

@@ -201,6 +201,34 @@ def test_simulate_all_matches_simulate_in_order_with_a_pool():
         np.testing.assert_array_equal(a.snapshots[-1].male.weights, b.snapshots[-1].male.weights)
 
 
+def test_simulate_all_starts_no_more_workers_than_runs(monkeypatch):
+    # a pool that records its size and maps in this process, so no worker starts
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    runs = _case(PERSIST, 20, 20, 20, 0.1, (0.1,))
+    pooled = ibm.simulate_all(runs, jobs=64)
+    assert sizes == [3]
+    assert [t.n_events for t in pooled] == [simulate(p).n_events for p in runs]
+    ibm.simulate_all(runs[:1], jobs=64)
+    assert sizes == [3]  # one run takes no pool
+
+
 def test_frozen_population_stays_constant():
     # all rates vanish: the generator is zero and nothing ever happens
     zero = lambda x: 0.0 * x

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimorph.errors import StepRejected
-from dimorph.kernels import AdditiveNoiseKernel, GaussianNoise
+from dimorph.kernels import AdditiveNoiseKernel, GaussianNoise, birth_weights
 from dimorph.macro import (MacroState, SolverConfig, coupled_full_run, integrate,
                            integrate_normalized, rhs_general, suggest_dt)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
@@ -50,20 +50,17 @@ def test_empty_sex_class_means_pure_death():
     dm, df = rhs_general(MacroState(m0, zero), PERSIST, KERNEL)
     assert np.all(dm <= 0.0)
     assert np.all(df == 0.0)
-    for positivity in ("clip", "reject"):
-        traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
-                         SolverConfig(dt=0.01, t_end=2.0, scheme="rk4", sample_stride=50,
-                                      positivity=positivity))
-        # each of the 200 steps counted once, not once per RK4 stage
-        assert traj.diagnostics.empty_denominator_steps == 200
-        assert traj.states[-1].m.mass < m0.mass
-        # the default scheme counts each accepted step once, FSAL stage included
-        traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
-                         SolverConfig(dt=0.01, t_end=2.0, sample_stride=50,
-                                      positivity=positivity))
-        diag = traj.diagnostics
-        assert 0 < diag.empty_denominator_steps == diag.accepted_steps < 200
-        assert traj.states[-1].m.mass < m0.mass
+    traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
+                     SolverConfig(dt=0.01, t_end=2.0, scheme="rk4", sample_stride=50))
+    # each of the 200 steps counted once, not once per RK4 stage
+    assert traj.diagnostics.empty_denominator_steps == 200
+    assert traj.states[-1].m.mass < m0.mass
+    # the default scheme counts each accepted step once, FSAL stage included
+    traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
+                     SolverConfig(dt=0.01, t_end=2.0, sample_stride=50))
+    diag = traj.diagnostics
+    assert 0 < diag.empty_denominator_steps == diag.accepted_steps < 200
+    assert traj.states[-1].m.mass < m0.mass
 
 
 def test_masses_converge_to_stationary_point():
@@ -107,15 +104,36 @@ def test_point_mass_start_keeps_mean():
         assert mean(n) == pytest.approx(c, abs=1e-6)
 
 
-def test_normalized_masses_stay_unit_without_renormalization():
-    mu0 = gaussian_measure(GRID, 1.0, 0.5)
-    nu0 = gaussian_measure(GRID, -1.0, 0.5)
-    # "reject" never renormalizes, and no step here overshoots, so this is
-    # the plain flow
-    traj = integrate_normalized(mu0, nu0, 2.0, KERNEL,
-                                SolverConfig(dt=0.01, t_end=5.0, sample_stride=50,
-                                             positivity="reject"))
-    assert traj.diagnostics.max_mass_drift < 1e-6 * 5.0
+def _criterion_5_start():
+    """Grid and initial measures of the acceptance criterion-5 flow."""
+    grid = TraitGrid(-8.0, 8.0, 512)
+    mu0 = gaussian_measure(grid, 0.7, 0.6)
+    nu0 = GridMeasure(grid, 0.5 * (gaussian_measure(grid, 0.2, 0.4).weights
+                                   + gaussian_measure(grid, 1.2, 0.4).weights))
+    return grid, mu0, nu0
+
+
+def test_normalized_masses_stay_unit_without_renormalization(monkeypatch):
+    # the criterion-5 flow, where unit mass is a saddle of the plain flow
+    # (the masses grow like e^(sqrt(1.5) t) from rounding) and the RHS alone
+    # now holds it; with no state change between steps the FSAL stage
+    # carries, so each accepted step costs six birth images
+    import dimorph.macro
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return birth_weights(*args)
+
+    monkeypatch.setattr(dimorph.macro, "birth_weights", counted)
+    grid, mu0, nu0 = _criterion_5_start()
+    traj = integrate_normalized(mu0, nu0, 1.5, AdditiveNoiseKernel(GaussianNoise(0.5)),
+                                SolverConfig(dt=0.01, t_end=30.0, sample_stride=100))
+    diag = traj.diagnostics
+    assert diag.max_mass_drift <= 1e-12
+    assert (diag.clipped_mass, diag.rejected_steps) == (0.0, 0)
+    assert len(calls) == 6 * diag.accepted_steps + 1
 
 
 def test_normalized_distance_strictly_decreases():
@@ -148,7 +166,7 @@ def test_time_step_refinement_order():
     def run(dt):
         traj = integrate_normalized(mu0, nu0, 1.5, KERNEL,
                                     SolverConfig(dt=dt, t_end=2.0, scheme="rk4",
-                                                 sample_stride=10**9, positivity="reject"))
+                                                 sample_stride=10**9))
         return np.concatenate([traj.mus[-1].weights, traj.nus[-1].weights])
 
     y1, y2, y4 = run(0.04), run(0.02), run(0.01)
@@ -187,23 +205,6 @@ def test_last_sample_at_t_end_when_stride_does_not_divide():
     norm = integrate_normalized(m0, m0, 1.0, KERNEL, cfg)
     for times in (raw.times, norm.times):
         np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-12)
-
-
-def test_reject_without_overshoot_matches_clip():
-    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=0.8)
-    f0 = gaussian_measure(GRID, -0.5, 0.7, mass=1.4)
-
-    def run(mode):
-        return integrate(MacroState(m0, f0), PERSIST, KERNEL,
-                         SolverConfig(dt=0.01, t_end=2.0, positivity=mode,
-                                      sample_stride=20))
-
-    clip, reject = run("clip"), run("reject")
-    assert clip.diagnostics.clipped_mass == 0.0
-    np.testing.assert_array_equal(clip.times, reject.times)
-    for a, b in zip(clip.states, reject.states):
-        np.testing.assert_array_equal(a.m.weights, b.m.weights)
-        np.testing.assert_array_equal(a.f.weights, b.f.weights)
 
 
 def test_negative_trait_rate_rejected():
@@ -312,25 +313,31 @@ def test_clip_only_zeroes_negative_weights():
     assert diag.clipped_mass == pytest.approx(0.5)
 
 
-def test_normalized_clip_renormalizes_every_step():
-    mu0 = gaussian_measure(GRID, 1.0, 0.5)
-    nu0 = gaussian_measure(GRID, -1.0, 0.5)
+def test_normalized_mass_off_unit_is_attracted_back():
+    # off unit mass the RHS gives m' = 1 - m and n' = A (1 - n): a start
+    # 5e-10 above unit mass, which the input check lets through, decays
+    # like e^-t and e^-At
+    mu0 = gaussian_measure(GRID, 1.0, 0.5, mass=1.0 + 5e-10)
+    nu0 = gaussian_measure(GRID, -1.0, 0.5, mass=1.0 + 5e-10)
     traj = integrate_normalized(mu0, nu0, 2.0, KERNEL,
                                 SolverConfig(dt=0.01, t_end=5.0, sample_stride=50))
-    assert traj.diagnostics.max_mass_drift > 0.0
-    for m, n in zip(traj.mus[1:], traj.nus[1:]):
-        assert abs(m.mass - 1.0) <= 1e-14 and abs(n.mass - 1.0) <= 1e-14
+    drift_m = np.array([m.mass for m in traj.mus]) - 1.0
+    drift_n = np.array([n.mass for n in traj.nus]) - 1.0
+    np.testing.assert_allclose(drift_m, drift_m[0] * np.exp(-traj.times), rtol=1e-6, atol=1e-15)
+    np.testing.assert_allclose(drift_n, drift_n[0] * np.exp(-2.0 * traj.times),
+                               rtol=1e-6, atol=1e-15)
+    assert traj.diagnostics.max_mass_drift <= drift_m[0]
 
 
 def test_positivity_modes_on_synthetic_overshoot():
-    # rhs drives the state negative within one step and clip zeroes it;
-    # test_default_scheme_rejects_an_overshoot_... drives it under reject
+    # rhs drives the state negative within one step, and the step is
+    # accepted with its negative weights zeroed and their mass reported
     def rhs(_t, y):
         return -200.0 * np.ones_like(y)
 
     diag = SolverDiagnostics()
-    cfg_clip = SolverConfig(dt=0.1, t_end=0.1, scheme="rk4", positivity="clip")
-    (_, _), (_, out) = march(np.full((1, 4), 0.5), 0.0, rhs, cfg_clip, diag)
+    cfg = SolverConfig(dt=0.1, t_end=0.1, scheme="rk4")
+    (_, _), (_, out) = march(np.full((1, 4), 0.5), 0.0, rhs, cfg, diag)
     assert np.all(out >= 0.0)
     assert diag.clipped_mass > 0.0
     assert (diag.accepted_steps, diag.rejected_steps) == (1, 0)
@@ -398,13 +405,9 @@ def test_normalized_moments_follow_the_closed_moment_system():
     """
     from scipy.integrate import solve_ivp
 
-    # the criterion-5 flow
-    grid = TraitGrid(-8.0, 8.0, 512)
+    grid, mu0, nu0 = _criterion_5_start()
     kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
     a_const = 1.5
-    mu0 = gaussian_measure(grid, 0.7, 0.6)
-    nu0 = GridMeasure(grid, 0.5 * (gaussian_measure(grid, 0.2, 0.4).weights
-                                   + gaussian_measure(grid, 1.2, 0.4).weights))
     traj = integrate_normalized(mu0, nu0, a_const, kernel,
                                 SolverConfig(dt=0.01, t_end=30.0, sample_stride=100))
     x = grid.centers
@@ -425,58 +428,62 @@ def test_normalized_moments_follow_the_closed_moment_system():
     assert np.abs(got - ref.y).max() <= 1e-9
 
 
-@pytest.mark.parametrize("scheme", ["dopri5", "rk4"])
-def test_default_scheme_rejects_an_overshoot_and_gives_up_when_the_budget_is_spent(scheme):
-    # a constant drain has no embedded error, so every rejection is an
-    # overshoot and halves the step, whichever the scheme; it empties the
-    # state at t = 0.0025, and from there on no step down to dt / 2**20
-    # keeps the weights non-negative
-    def rhs(_t, y):
-        return -200.0 * np.ones_like(y)
+def test_default_scheme_rejects_a_nan_step_and_gives_up_when_the_budget_is_spent():
+    # the rhs has no value past t = 0.0025: every step that reaches beyond
+    # it has a NaN error estimate and is rejected, and the steps that stop
+    # short of it shrink until none above dt / 2**20 is left
+    def rhs(t, y):
+        return -y if t <= 0.0025 else np.full_like(y, np.nan)
 
-    cfg = SolverConfig(dt=1e-3, t_end=0.01, scheme=scheme, positivity="reject")
+    cfg = SolverConfig(dt=1e-3, t_end=0.01)
     diag = SolverDiagnostics()
     samples = []
     with pytest.raises(StepRejected, match=r"dt / 2\*\*20"):
         for t, y in march(np.full((1, 4), 0.5), 0.0, rhs, cfg, diag):
             samples.append((t, y.copy()))
     assert [t for t, _ in samples] == [0.0, 0.001, 0.002]
-    assert all(y.min() >= 0.0 for _, y in samples)
+    assert all(np.isfinite(y).all() for _, y in samples)
     assert diag.accepted_steps >= 3
-    assert diag.rejected_steps >= 20
+    assert diag.rejected_steps >= 9
     assert diag.clipped_mass == 0.0
 
-    # under "clip" the same drain is zeroed and reported, never rejected
+    # a constant drain empties the state at t = 0.0025; its error estimate
+    # is zero, so every step is accepted and the negative weights are
+    # zeroed and reported
     diag = SolverDiagnostics()
-    samples = list(march(np.full((1, 4), 0.5), 0.0, rhs, replace(cfg, positivity="clip"), diag))
+    samples = list(march(np.full((1, 4), 0.5), 0.0, lambda _t, y: -200.0 * np.ones_like(y),
+                         cfg, diag))
     assert len(samples) == 11
     assert all(y.min() >= 0.0 for _, y in samples)
     assert diag.rejected_steps == 0
     assert diag.clipped_mass > 0.0
 
 
-def test_default_scheme_restarts_from_the_state_after_step_leaves():
-    # the last stage of a step is the next step's first only while nothing
-    # changed the state in between
-    evaluated = []
+def test_after_step_cannot_write_and_each_dopri5_step_costs_six_rhs_calls():
+    # the FSAL stage is carried to the next step, which is sound only while
+    # nothing changes the state between steps, so the state is read-only
+    calls = []
 
     def rhs(_t, y):
-        evaluated.append(y.copy())
+        calls.append(1)
         return -y
 
-    starts = []
-
-    def after_step(y):
+    def halve(y):
         y *= 0.5
-        starts.append(y.copy())
 
-    list(march(np.ones((2, 3)), 0.0, rhs, SolverConfig(dt=0.1, t_end=1.0),
-               SolverDiagnostics(), after_step))
-    # every state after_step left but the last, which starts no step, was
-    # evaluated; the final state's rhs is never wanted, so it is not taken
-    assert len(starts) >= 10
-    assert all(any(np.array_equal(s, y) for y in evaluated) for s in starts[:-1])
-    assert not any(np.array_equal(starts[-1], y) for y in evaluated)
+    cfg = SolverConfig(dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        list(march(np.ones((2, 3)), 0.0, rhs, cfg, SolverDiagnostics(), halve))
+
+    calls.clear()
+    diag = SolverDiagnostics()
+    seen = []
+    list(march(np.ones((2, 3)), 0.0, rhs, cfg, diag, seen.append))
+    assert diag.accepted_steps == len(seen) >= 10
+    # one first stage, then six per step tried, rejected ones included, so
+    # every accepted step's last stage was carried; the final state's rhs
+    # is never wanted, so it is not taken
+    assert len(calls) == 6 * (diag.accepted_steps + diag.rejected_steps) + 1
 
 
 @pytest.mark.parametrize("scheme", ["dopri5", "rk4"])
@@ -557,7 +564,12 @@ def test_rk4_through_march_matches_an_independent_fixed_step_rk4(stride):
     ({"t_end": float("inf")}, "positive and finite"),
     ({"t_end": float("nan")}, "positive and finite"),
     ({"scheme": "euler"}, "unknown scheme 'euler'"),
-], ids=["normalized-short", "raw-short", "dt-inf", "dt-nan", "t_end-inf", "t_end-nan", "euler"])
+    # a float stride would fail only in sample_times, and True would run as 1
+    ({"sample_stride": 2.5}, "sample_stride must be an int >= 1, got 2.5"),
+    ({"sample_stride": True}, "sample_stride must be an int >= 1, got True"),
+    ({"sample_stride": 0}, "sample_stride must be an int >= 1, got 0"),
+], ids=["normalized-short", "raw-short", "dt-inf", "dt-nan", "t_end-inf", "t_end-nan", "euler",
+        "stride-float", "stride-bool", "stride-zero"])
 def test_solver_config_needs_finite_times_a_step_and_a_known_scheme(fields, message):
     with pytest.raises(ValueError, match=message):
         SolverConfig(**({"dt": 0.01, "t_end": 1.0} | fields))
