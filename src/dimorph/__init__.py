@@ -9,7 +9,8 @@ limiting trait distribution of males and females.
 from .errors import (ConfigError, ConvergenceFailure, DegenerateRow, DimorphError,
                      ExtinctionDetected, ExtinctPopulation, GridMismatch,
                      InsufficientReplicas, IoError, MassMismatch, MeanConditionError,
-                     NoConvergence, StepRejected, UnsupportedKernel, ZeroMass)
+                     NoConvergence, NonFiniteState, StepRejected, UnsupportedKernel,
+                     ZeroMass)
 from .measures import (GridMeasure, TraitGrid, gaussian_measure,
                        measure_from_samples, moment, normalize, point_mass,
                        total_mass, total_variation, uniform_measure, wasserstein1)
@@ -20,7 +21,7 @@ from .kernels import (AdditiveNoiseKernel, CustomDensityKernel, GaussianNoise,
 from .totals import (Classification, RateSet, StationaryResult, TotalsState,
                      classify, integrate_totals, stationary_point, totals_rhs)
 from .macro import (MacroState, SolverConfig, coupled_full_run, integrate,
-                    integrate_normalized, rhs_general, suggest_dt)
+                    integrate_normalized, rhs_general)
 from .ibm import (BufferedRng, IbmParams, IbmTrajectory,
                   ScaledPopulation, Sex, event_rates, simulate, step)
 from .stability import (ConvergenceReport, FixedPointResult, LlnErrorTable,

@@ -37,6 +37,10 @@ class StepRejected(DimorphError):
     """The step-size control found no acceptable step above dt / 2**20."""
 
 
+class NonFiniteState(DimorphError):
+    """An accepted time step left a NaN or -inf weight in the state."""
+
+
 class ConvergenceFailure(DimorphError):
     """Stationary-point solve found no unique root meeting its residual target."""
 

@@ -10,16 +10,39 @@ Each family supplies only the raw in-grid cell masses of its rows; the
 base class alone truncates them to the grid, renormalizes them to unit
 mass and flags rows with no in-grid mass as degenerate. The birth
 operator pushes the product of two measures through the kernel; for the
-built-in families it runs in O(n^2) via the parent-sum convolution
-against a row table cached per grid. Every other kernel runs the direct
-contraction, which the tests keep as the fast path's slow reference. The
-cell edges of every additive row sit on one half-cell lattice of offsets
-from its center, so that table is gathered from the noise CDF at 4n - 1
-points.
+built-in families it runs via the parent-sum convolution, and every other
+kernel runs the direct contraction, which the tests keep as the fast
+paths' slow reference.
+
+The cell edges of every additive row sit on one half-cell lattice of
+offsets from its center, so row k, cell j of the (2n - 1) x n row table is
+g[2j - k + 2n - 2], one vector g of noise masses from the noise CDF at
+4n - 1 points. Multiplicative kernels, and additive ones on fewer than
+_FFT_MIN_CELLS = 1024 cells, take the O(n^2) product with the row table
+cached per grid, (2n - 1) n 8 bytes (4.2 MB at n = 512). From 1024 cells
+additive birth is b_j = (s * g)[2j + 2n - 2], with s the parent-sum
+convolution over the rows' in-grid masses; both convolutions run by
+numpy.fft, imported on the first such call, in O(n log n), and the grid's
+cache is four O(n) vectors of about 80 n bytes (82 kB at n = 1024, where
+the table takes 16.8 MB).
+
+The crossover is measured per call, with one BLAS thread on a 2-vCPU VM;
+table against FFT: 52-54 / 85-91 us at n = 256, 264-288 / 111-120 us at
+512, 922-979 / 173-184 us at 1024, 6.6-7.3 ms / 293-328 us at 2048. The
+FFT wins from 512, but there its round-off makes the criterion-5
+normalized flow clip 2.6e-17 of mass where the table clips none, and the
+shipped fixed-point config and acceptance criterion 5 run at 512; so the
+crossover is the next measured size.
+
+FFT round-off is absolute: each output errs by at most a first-order
+bound of 8 eps log2(L) max(1/inside) (|g|_1 + 5 |g|_2) |wa|_1 |wb|_1,
+about 1e-13 of the product mass. An output in [-bound, 0) is zeroed; for
+non-negative inputs one below raises FloatingPointError.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -51,6 +74,15 @@ __all__ = [
 
 # Rows whose in-grid mass falls below this are degenerate.
 _MIN_INSIDE = 1e-12
+
+# Additive kernels on grids of at least this many cells take the FFT birth
+# path instead of the row table (measured crossover; see the module docstring).
+_FFT_MIN_CELLS = 1024
+
+# The FFT path's round-off constant c in c eps log2(L), above Higham's 3.4
+# for radix-2 transforms with correctly rounded twiddles (Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., Thm 24.2).
+_FFT_ROUNDOFF = 8.0
 
 # Truncated tail mass above this triggers a diagnostic warning.
 TAIL_MASS_REPORT_THRESHOLD = 1e-6
@@ -169,13 +201,80 @@ class TabulatedNoise(NoiseDensity):
 # Kernels
 
 
-@dataclass(frozen=True)
 class _SumRowTable:
-    """Per-grid cache of kernel rows indexed by the parent-sum lattice."""
+    """Per-grid cache of kernel rows indexed by the parent-sum lattice, from
+    their raw in-grid masses."""
 
-    matrix: np.ndarray  # (2n-1, n) unit-sum row masses, zero where degenerate
-    degenerate: np.ndarray  # 1.0 on rows without in-grid mass, else 0.0
-    tails: np.ndarray  # truncated mass per row, zero where degenerate
+    def __init__(self, raw: np.ndarray):
+        rows, tails, degenerate = _truncate_renormalize(raw)
+        self.matrix = rows  # (2n-1, n) unit-sum row masses, zero where degenerate
+        self.degenerate = degenerate.astype(float)  # 1.0 on rows without in-grid mass
+        self.tails = tails  # truncated mass per row, zero where degenerate
+
+    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(parent-sum convolution, birth weights) of the weight pair."""
+        conv = np.convolve(wa, wb)
+        return conv, conv @ self.matrix
+
+
+class _NoiseSpectrum:
+    """Per-grid cache of the additive FFT path: O(n) vectors, no row table.
+
+    Built from the noise CDF c at the 4n - 1 half-cell offsets. Birth cell
+    j is (s * g)[2j + 2n - 2], with s the parent-sum convolution over the
+    in-grid row masses. Split by the parity of the parent sum, that is
+    (s_even * g_even + s_odd * g_odd)[j + n - 1], where g_even[m] = g[2m]
+    and g_odd[m] = g[2m - 1] (zero at m = 0). Every convolution then runs
+    at one power-of-two length >= 2n, at which none of the wanted outputs
+    wraps around.
+    """
+
+    def __init__(self, c: np.ndarray):
+        n = (c.size + 1) // 4
+        g = c[2:] - c[:-2]
+        # row k sums g over the parity-strided run 2n - 2 - k, 2n - k, ..,
+        # 4n - 4 - k, which telescopes to c[4n - 2 - k] - c[2n - 2 - k]
+        safe, tails, degenerate = _row_rule(c[:2 * n - 1:-1] - c[2 * n - 2::-1])
+        self.degenerate = degenerate.astype(float)  # (2n-1,) 1.0 on rows without in-grid mass
+        self.tails = tails  # (2n-1,) truncated mass per row, zero where degenerate
+        # (2n,) 1 / in-grid row mass, zero where degenerate and at k = 2n - 1
+        self.inv_inside = np.append(np.where(degenerate, 0.0, 1.0 / safe), 0.0)
+        self.length = 1 << (2 * n - 1).bit_length()
+        # (2, length/2 + 1) spectra of g_even and g_odd
+        self.g_hat = np.fft.rfft(np.stack([g[::2], np.append(0.0, g[1::2])]), self.length)
+        # round-off bound of one call per unit of |wa|_1 |wb|_1, first order
+        # in eps, with the l-infinity error bounded by the l2 one: an FFT
+        # convolution x * y errs by <= c eps log2(L) (|x|_2 |y|_1 +
+        # 2 |x|_1 |y|_2) (the reference at _FFT_ROUNDOFF), the division
+        # scales the parent-sum error by max 1/inside and the second
+        # convolution adds its own
+        self.dust = float(_FFT_ROUNDOFF * np.finfo(float).eps * math.log2(self.length)
+                          * self.inv_inside.max() * (g.sum() + 5.0 * math.sqrt(g @ g)))
+
+    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(parent-sum convolution, birth weights) of the weight pair.
+
+        Every output errs by at most bound = dust |wa|_1 |wb|_1, so one in
+        [-bound, 0) is zero to working accuracy and is set to zero. Below
+        -bound only inputs with negative weights (Runge-Kutta stages can
+        have some) give an output, kept as computed; for non-negative
+        inputs, whose exact product is non-negative, it raises
+        FloatingPointError.
+        """
+        fft = np.fft
+        n, length = wa.size, self.length
+        parents = fft.rfft(np.stack([wa, wb]), length)
+        conv = fft.irfft(parents[0] * parents[1], length)[:2 * n]
+        s = fft.rfft((conv * self.inv_inside).reshape(n, 2).T, length)
+        out = fft.irfft(s[0] * self.g_hat[0] + s[1] * self.g_hat[1], length)[n - 1:2 * n - 1]
+        low = out.min()
+        if low < 0.0:
+            bound = self.dust * np.abs(wa).sum() * np.abs(wb).sum()
+            if low < -bound and wa.min() >= 0.0 and wb.min() >= 0.0:
+                raise FloatingPointError(
+                    f"FFT birth output {low:.3e} lies below its round-off bound -{bound:.3e}")
+            out[(out < 0.0) & (out >= -bound)] = 0.0
+        return conv[:-1], out
 
 
 class InheritanceKernel:
@@ -185,7 +284,7 @@ class InheritanceKernel:
     sum_structured: bool = False
 
     def __init__(self):
-        self._tables: dict[TraitGrid, _SumRowTable] = {}
+        self._tables: dict[TraitGrid, _SumRowTable | _NoiseSpectrum] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -220,15 +319,27 @@ class InheritanceKernel:
         """Rows of a sum-structured kernel for the parent sums 2 x_min + (k + 1) dx,
         from its _raw_lattice(grid): the raw in-grid masses of those rows."""
         table = self._tables.get(grid)
-        if table is None:
-            rows, tails, degenerate = _truncate_renormalize(self._raw_lattice(grid))
-            table = _SumRowTable(rows, degenerate.astype(float), tails)
-            self._tables[grid] = table
+        if not isinstance(table, _SumRowTable):
+            table = self._tables[grid] = _SumRowTable(self._raw_lattice(grid))
         return table
+
+    def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseSpectrum:
+        """The cached parent-sum contraction of a sum-structured kernel on grid."""
+        return self._table(grid)
 
     def safe_parent_window(self, grid: TraitGrid) -> tuple[float, float]:
         """Parent-trait range on which discretized rows are essentially untruncated."""
         return (grid.x_min, grid.x_max)
+
+
+def _row_rule(inside):
+    """The truncation rule for rows of in-grid mass inside (<= 1): returns
+    (safe, tails, degenerate). Degenerate rows have no in-grid mass and get
+    zero tails; safe is inside with 1.0 on them, a divisor for the rows."""
+    degenerate = inside <= _MIN_INSIDE
+    safe = np.where(degenerate, 1.0, inside)
+    tails = np.where(degenerate, 0.0, 1.0 - inside)
+    return safe, tails, degenerate
 
 
 def _truncate_renormalize(raw: np.ndarray):
@@ -237,12 +348,9 @@ def _truncate_renormalize(raw: np.ndarray):
     raw has shape (..., n_cells) with total in-grid mass <= 1 per row.
     Degenerate rows (no in-grid mass) get zero rows and zero tails.
     """
-    inside = raw.sum(axis=-1)
-    degenerate = inside <= _MIN_INSIDE
-    safe = np.where(degenerate, 1.0, inside)
+    safe, tails, degenerate = _row_rule(raw.sum(axis=-1))
     rows = raw / safe[..., None]
     rows[degenerate] = 0.0
-    tails = np.where(degenerate, 0.0, 1.0 - inside)
     return rows, tails, degenerate
 
 
@@ -257,14 +365,26 @@ class AdditiveNoiseKernel(InheritanceKernel):
             raise ValueError(f"additive noise must have zero mean, got {noise.mean}")
         self.noise = noise
 
+    def _offset_cdf(self, grid):
+        """The noise CDF at the half-cell offsets (1 - 2n .. 2n - 1) dx/2."""
+        n = grid.n_cells
+        return self.noise.cdf(0.5 * grid.dx * np.arange(1 - 2 * n, 2 * n))
+
     def _raw_lattice(self, grid):
         # edge i sits at offset (2i - k - 1) dx/2 from the center of row k,
         # so row k, cell j holds g[2j - k + 2n - 2], the noise mass between
         # the half-cell offsets 2j - k - 2 and 2j - k (counted from 1 - 2n)
-        n = grid.n_cells
-        c = self.noise.cdf(0.5 * grid.dx * np.arange(1 - 2 * n, 2 * n))
+        c = self._offset_cdf(grid)
         g = c[2:] - c[:-2]
-        return sliding_window_view(g, 2 * n - 1)[::-1, ::2]
+        return sliding_window_view(g, 2 * grid.n_cells - 1)[::-1, ::2]
+
+    def _sum_path(self, grid):
+        if grid.n_cells < _FFT_MIN_CELLS:
+            return self._table(grid)
+        spectrum = self._tables.get(grid)
+        if not isinstance(spectrum, _NoiseSpectrum):
+            spectrum = self._tables[grid] = _NoiseSpectrum(self._offset_cdf(grid))
+        return spectrum
 
     def _raw_row(self, x, y, grid):
         return np.diff(self.noise.cdf(grid.edges - 0.5 * (x + y)))
@@ -418,29 +538,30 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
     """Array-level birth operator core; no measure validation.
 
     Sum-structured kernels take the parent-sum path against their cached
-    row table, every other kernel the direct contraction.
+    row table, or additive kernels on grids of _FFT_MIN_CELLS or more by
+    FFT; every other kernel takes the direct contraction.
     """
-    if kernel.sum_structured:
-        table = kernel._table(grid)
-        conv = np.convolve(wa, wb)
-        total = max(conv.sum(), 1e-300)
-        # rows without in-grid mass contribute nothing; that is fine up to
-        # the operator's documented 1e-9 mass tolerance
-        lost = float(conv @ table.degenerate)
-        if lost > DEGENERATE_MASS_TOLERANCE * total:
-            raise DegenerateRow(
-                f"parent pairs carrying {lost / total:.3e} of the mass fall on "
-                "rows without in-grid offspring mass")
-        # truncation bias actually incurred, weighted by parent-pair usage
-        shed = float(conv @ table.tails)
-        if shed > TAIL_MASS_REPORT_THRESHOLD * total:
-            warnings.warn(
-                "inheritance rows shed noticeable mass to grid truncation "
-                "before renormalization; widen the grid",
-                stacklevel=2,
-            )
-        return conv @ table.matrix
-    return _birth_weights_exact(kernel, wa, wb, grid)
+    if not kernel.sum_structured:
+        return _birth_weights_exact(kernel, wa, wb, grid)
+    rows = kernel._sum_path(grid)
+    conv, out = rows.contract(wa, wb)
+    total = max(conv.sum(), 1e-300)
+    # rows without in-grid mass contribute nothing; that is fine up to
+    # the operator's documented 1e-9 mass tolerance
+    lost = float(conv @ rows.degenerate)
+    if lost > DEGENERATE_MASS_TOLERANCE * total:
+        raise DegenerateRow(
+            f"parent pairs carrying {lost / total:.3e} of the mass fall on "
+            "rows without in-grid offspring mass")
+    # truncation bias actually incurred, weighted by parent-pair usage
+    shed = float(conv @ rows.tails)
+    if shed > TAIL_MASS_REPORT_THRESHOLD * total:
+        warnings.warn(
+            "inheritance rows shed noticeable mass to grid truncation "
+            "before renormalization; widen the grid",
+            stacklevel=2,
+        )
+    return out
 
 
 def _birth_weights_exact(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,

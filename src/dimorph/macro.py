@@ -32,7 +32,6 @@ __all__ = [
     "integrate",
     "integrate_normalized",
     "coupled_full_run",
-    "suggest_dt",
 ]
 
 # An explicit step is at most this fraction of 1 / (largest per-capita rate).
@@ -165,11 +164,6 @@ def rhs_general(state: MacroState, rates: RateSet, kernel: InheritanceKernel):
     birth, death_m, death_f, _ = _birth_and_death(gr, kernel, grid,
                                                   state.m.weights, state.f.weights)
     return birth - death_m * state.m.weights, birth - death_f * state.f.weights
-
-
-def suggest_dt(state: MacroState, rates: RateSet) -> float:
-    """Explicit-step bound from the largest per-capita rate at the given state."""
-    return _GridRates(rates, state.m.grid).dt_bound(state.m.weights, state.f.weights)
 
 
 # ---------------------------------------------------------------------------

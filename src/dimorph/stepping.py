@@ -8,9 +8,10 @@ sample_stride. Classic RK4 stays as the pinned reference, with steps of
 at most dt. Each sample interval is split into equal steps, so the last
 lands exactly on the sample time. Both schemes refuse a dt above the
 caller's bound before the first step and zero negative weights after every
-step, reporting their mass. The trait-resolved, normalized and planar
-total-mass integrators differ only in their right-hand sides, their bound
-and what they do with the samples.
+step, reporting their mass; an accepted state with a NaN weight raises.
+The trait-resolved, normalized and planar total-mass integrators differ
+only in their right-hand sides, their bound and what they do with the
+samples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import StepRejected
+from .errors import NonFiniteState, StepRejected
 
 __all__ = ["SolverConfig", "SolverDiagnostics", "march", "sample_index", "sample_times"]
 
@@ -133,9 +134,17 @@ def _rk4(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs):
 
 def _positive(y: np.ndarray, diag: SolverDiagnostics) -> np.ndarray:
     """y itself when no weight is negative, else a copy with the negative
-    weights zeroed and their mass added to diag.clipped_mass."""
+    weights zeroed and their mass added to diag.clipped_mass.
+
+    Raises NonFiniteState for a NaN or -inf weight. Both fail the sign test,
+    so the clean path pays nothing for the check; a +inf weight alone
+    passes it.
+    """
     if y.min() >= 0.0:
         return y
+    if not np.isfinite(y).all():
+        raise NonFiniteState(f"accepted state has {np.count_nonzero(~np.isfinite(y))} "
+                             f"non-finite weights")
     diag.clipped_mass += float(-y[y < 0].sum())
     return np.clip(y, 0.0, None)
 
@@ -149,10 +158,12 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
     Raises ValueError before the first step when dt exceeds diag.dt_bound.
     A step is accepted when its error estimate, if the scheme has one, is
     within tolerance (a NaN estimate never is); StepRejected is raised when
-    the step that would pass falls below dt / 2**20. after_step, when given,
-    sees each accepted state, read-only, before it is sampled. Yields (t, y)
-    at every time of sample_times(cfg, t0), so callers can convert each
-    sample before the next step is taken.
+    the step that would pass falls below dt / 2**20, and NonFiniteState
+    when an accepted state holds NaN (only rk4, with no estimate, accepts
+    one). after_step, when given, sees each accepted state, read-only,
+    before it is sampled. Yields (t, y) at every time of
+    sample_times(cfg, t0), so callers can convert each sample before the
+    next step is taken.
     """
     if cfg.dt > diag.dt_bound:
         raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")

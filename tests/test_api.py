@@ -44,3 +44,21 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_below_the_fft_crossover_load_no_numpy_fft():
+    # numpy.fft is imported on first use, by an additive birth at or above
+    # the FFT crossover; importing the CLI and smaller births never load it
+    src = str(Path(dimorph.__file__).resolve().parents[1])
+    code = ("import sys, dimorph.cli\n"
+            "from dimorph import kernels, measures\n"
+            "kernel = kernels.AdditiveNoiseKernel(kernels.GaussianNoise(0.5))\n"
+            "for n in (128, kernels._FFT_MIN_CELLS - 1, kernels._FFT_MIN_CELLS):\n"
+            "    grid = measures.TraitGrid(-8.0, 8.0, n)\n"
+            "    w = measures.gaussian_measure(grid, 0.0, 1.0).weights\n"
+            "    kernels.birth_weights(kernel, w, w, grid)\n"
+            "    print('numpy.fft' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "True"]

@@ -1,13 +1,19 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dimorph import kernels
 from dimorph.errors import DegenerateRow, GridMismatch, UnsupportedKernel
 from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
                              GaussianNoise, MultiplicativeNoiseKernel, NoiseDensity,
                              SamplerKernel, TabulatedNoise, UniformNoise,
-                             _birth_weights_exact, birth_operator, check_hypotheses,
+                             _birth_weights_exact, _NoiseSpectrum, _SumRowTable,
+                             birth_operator, birth_weights, check_hypotheses,
                              condition_i_contribution, tabulated_kernel_from_csv)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
                               measure_from_samples, point_mass, wasserstein1)
@@ -297,6 +303,144 @@ def test_additive_table_degenerate_rows():
     middle = point_mass(grid, grid.centers[3])
     with pytest.raises(DegenerateRow):
         birth_operator(kernel, middle, middle)
+
+
+# -- the FFT birth path of additive kernels ----------------------------------------
+
+
+@pytest.fixture
+def fft_everywhere(monkeypatch):
+    """Additive kernels take the FFT birth path on every grid."""
+    monkeypatch.setattr(kernels, "_FFT_MIN_CELLS", 1)
+
+
+def _by_table(noise, wa, wb, grid):
+    """The row-table product, from a kernel of its own."""
+    return np.convolve(wa, wb) @ AdditiveNoiseKernel(noise)._table(grid).matrix
+
+
+@pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
+@pytest.mark.parametrize("noise", list(ADDITIVE_NOISES))
+@pytest.mark.parametrize("span", [(-2.0, 2.0), (-1.0, 3.0)], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n", [2, 3, 64, 191])
+def test_fft_birth_matches_table_and_exact_contraction(n, span, noise, fft_everywhere):
+    grid = TraitGrid(*span, n)
+    density = ADDITIVE_NOISES[noise]()
+    kernel = AdditiveNoiseKernel(density)
+    rng = np.random.default_rng(n)
+    wa, wb = rng.uniform(0.05, 1.0, (2, n))
+    total = wa.sum() * wb.sum()
+    fft = birth_weights(kernel, wa, wb, grid)
+    spectrum = kernel._tables[grid]
+    assert isinstance(spectrum, _NoiseSpectrum)
+    np.testing.assert_allclose(fft, _by_table(density, wa, wb, grid), rtol=0, atol=1e-15 * total)
+    if n <= 64:  # the exact contraction evaluates n^2 rows
+        np.testing.assert_allclose(fft, _birth_weights_exact(kernel, wa, wb, grid),
+                                   rtol=0, atol=1e-15 * total)
+    # the O(n) row vectors are the table's
+    table = AdditiveNoiseKernel(density)._table(grid)
+    assert not table.degenerate.any()
+    np.testing.assert_array_equal(spectrum.degenerate, table.degenerate)
+    np.testing.assert_allclose(spectrum.tails, table.tails, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(spectrum.inv_inside[:-1] * (1.0 - table.tails), 1.0, rtol=1e-15)
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wa=st.lists(_WEIGHT, min_size=16, max_size=16),
+       wb=st.lists(_WEIGHT, min_size=16, max_size=16))
+def test_fft_birth_matches_both_references_on_drawn_weights(fft_everywhere, wa, wb):
+    # weights are 0 or >= 1e-3, so no pair falls under the exact
+    # contraction's 1e-12 skip
+    grid = TraitGrid(-3.0, 3.0, 16)
+    noise = GaussianNoise(0.5)
+    kernel = AdditiveNoiseKernel(noise)
+    wa, wb = np.array(wa), np.array(wb)
+    total = wa.sum() * wb.sum()
+    fft = birth_weights(kernel, wa, wb, grid)
+    assert fft.min() >= 0.0
+    np.testing.assert_allclose(fft, _by_table(noise, wa, wb, grid), rtol=0, atol=1e-15 * total)
+    np.testing.assert_allclose(fft, _birth_weights_exact(kernel, wa, wb, grid),
+                               rtol=0, atol=1e-15 * total)
+
+
+def _outcome(kernel, wa, wb, grid):
+    """('degenerate', None), ('shed', weights) or ('clean', weights)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = birth_weights(kernel, wa, wb, grid)
+        except DegenerateRow:
+            return "degenerate", None
+    return ("shed" if caught else "clean"), out
+
+
+@pytest.mark.parametrize("between", [0.0, 1e-14], ids=["empty", "dust"])
+def test_fft_birth_flags_degenerate_rows_and_shed_mass_as_the_table_does(monkeypatch, between):
+    # the bimodal noise of the degenerate-row tests: offspring centred within
+    # 0.5 of zero have no in-grid mass, every other row sheds half of it
+    z = np.array([-1.6, -1.5, -1.4, 1.4, 1.5, 1.6])
+    noise = TabulatedNoise(z, np.array([0.0, 5.0, between, between, 5.0, 0.0]))
+    grid = TraitGrid(-1.0, 1.0, 8)
+    table_kernel, fft_kernel = AdditiveNoiseKernel(noise), AdditiveNoiseKernel(noise)
+    seen = set()
+    inputs = [(point_mass(grid, a).weights, point_mass(grid, b).weights)
+              for a in grid.centers for b in grid.centers]
+    inputs.append((np.full(8, 0.125), np.full(8, 0.125)))
+    for wa, wb in inputs:
+        monkeypatch.setattr(kernels, "_FFT_MIN_CELLS", 10**9)
+        kind, want = _outcome(table_kernel, wa, wb, grid)
+        monkeypatch.setattr(kernels, "_FFT_MIN_CELLS", 1)
+        got_kind, got = _outcome(fft_kernel, wa, wb, grid)
+        assert got_kind == kind
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        seen.add(kind)
+    assert isinstance(table_kernel._tables[grid], _SumRowTable)
+    assert isinstance(fft_kernel._tables[grid], _NoiseSpectrum)
+    assert seen == {"degenerate", "shed"}
+
+
+def test_fft_round_off_below_zero_is_zeroed_within_its_bound(fft_everywhere, monkeypatch):
+    # narrow parents leave FFT round-off of about 1e-18 where the table's
+    # weights underflow to zero; it lies far inside the stated bound
+    grid = TraitGrid(-8.0, 8.0, 256)
+    noise = GaussianNoise(0.5)
+    wa = gaussian_measure(grid, 0.5, 0.3).weights
+    wb = gaussian_measure(grid, -1.0, 0.3).weights
+    out = birth_weights(AdditiveNoiseKernel(noise), wa, wb, grid)
+    assert out.min() == 0.0
+    np.testing.assert_allclose(out, _by_table(noise, wa, wb, grid), rtol=0, atol=1e-15)
+    # with a zero bound the same dust is an error for non-negative inputs
+    monkeypatch.setattr(kernels, "_FFT_ROUNDOFF", 0.0)
+    with pytest.raises(FloatingPointError, match="below its round-off bound"):
+        birth_weights(AdditiveNoiseKernel(noise), wa, wb, grid)
+    # while inputs with negative weights give a signed product, kept as is
+    signed = wa.copy()
+    signed[100] = -1e-3
+    out = birth_weights(AdditiveNoiseKernel(noise), signed, wb, grid)
+    assert out.min() < -1e-7
+    np.testing.assert_allclose(out, _by_table(noise, signed, wb, grid), rtol=0, atol=1e-15)
+
+
+def test_fft_cache_is_linear_in_n_and_never_pickled():
+    n = kernels._FFT_MIN_CELLS
+    grid = TraitGrid(-8.0, 8.0, n)
+    kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
+    mu = gaussian_measure(grid, 0.0, 1.0)
+    first = birth_operator(kernel, mu, mu).weights
+    (cache,) = kernel._tables.values()
+    assert isinstance(cache, _NoiseSpectrum)
+    arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) <= 4 * n
+    assert sum(a.nbytes for a in arrays) <= 100 * n  # the table takes 16 n^2 bytes
+    clone = pickle.loads(pickle.dumps(kernel))
+    assert clone._tables == {}
+    np.testing.assert_array_equal(birth_operator(clone, mu, mu).weights, first)
 
 
 def test_birth_operator_grid_mismatch(grid, add_kernel):

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dimorph.errors import StepRejected
-from dimorph.kernels import AdditiveNoiseKernel, GaussianNoise, birth_weights
-from dimorph.macro import (MacroState, SolverConfig, coupled_full_run, integrate,
-                           integrate_normalized, rhs_general, suggest_dt)
+from dimorph.errors import NonFiniteState, StepRejected
+from dimorph.kernels import _FFT_MIN_CELLS, AdditiveNoiseKernel, GaussianNoise, birth_weights
+from dimorph.macro import (MacroState, SolverConfig, _GridRates, coupled_full_run,
+                           integrate, integrate_normalized, rhs_general)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                               point_mass, wasserstein1)
 from dimorph.stability import limiting_mean
@@ -104,9 +104,9 @@ def test_point_mass_start_keeps_mean():
         assert mean(n) == pytest.approx(c, abs=1e-6)
 
 
-def _criterion_5_start():
+def _criterion_5_start(n_cells=512):
     """Grid and initial measures of the acceptance criterion-5 flow."""
-    grid = TraitGrid(-8.0, 8.0, 512)
+    grid = TraitGrid(-8.0, 8.0, n_cells)
     mu0 = gaussian_measure(grid, 0.7, 0.6)
     nu0 = GridMeasure(grid, 0.5 * (gaussian_measure(grid, 0.2, 0.4).weights
                                    + gaussian_measure(grid, 1.2, 0.4).weights))
@@ -265,7 +265,7 @@ def test_grid_refinement_order():
 
 def test_dt_bound_enforced():
     m0 = gaussian_measure(GRID, 0.0, 1.0)
-    bound = suggest_dt(MacroState(m0, m0), PERSIST)
+    bound = _GridRates(PERSIST, GRID).dt_bound(m0.weights, m0.weights)
     with pytest.raises(ValueError):
         integrate(MacroState(m0, m0), PERSIST, KERNEL,
                   SolverConfig(dt=2.0 * bound, t_end=1.0))
@@ -392,8 +392,9 @@ def test_default_scheme_matches_rk4_on_the_shipped_normalized_setup():
     assert fast.diagnostics.accepted_steps < 1_000
 
 
-def test_normalized_moments_follow_the_closed_moment_system():
-    """The first two moments obey a closed 4-ODE, whatever the step sizes.
+def _moment_oracle_error(grid, mu0, nu0):
+    """Largest gap between the first two moments of the normalized flow and
+    the closed moment system.
 
     For an additive kernel an offspring trait is X = (X1 + X2)/2 + Z with
     the parents X1 ~ mu, X2 ~ nu and Z independent. So the birth image P
@@ -405,7 +406,6 @@ def test_normalized_moments_follow_the_closed_moment_system():
     """
     from scipy.integrate import solve_ivp
 
-    grid, mu0, nu0 = _criterion_5_start()
     kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
     a_const = 1.5
     traj = integrate_normalized(mu0, nu0, a_const, kernel,
@@ -425,7 +425,18 @@ def test_normalized_moments_follow_the_closed_moment_system():
     ref = solve_ivp(closed, (0.0, 30.0), moments(mu0, nu0), method="DOP853",
                     rtol=1e-13, atol=1e-14, t_eval=traj.times)
     got = np.array([moments(mu, nu) for mu, nu in zip(traj.mus, traj.nus)]).T
-    assert np.abs(got - ref.y).max() <= 1e-9
+    return np.abs(got - ref.y).max()
+
+
+def test_normalized_moments_follow_the_closed_moment_system():
+    # the first two moments obey a closed 4-ODE, whatever the step sizes
+    assert _moment_oracle_error(*_criterion_5_start()) <= 1e-9
+
+
+def test_normalized_moments_follow_the_closed_moment_system_on_the_fft_path():
+    # the same flow on 1024 cells, where the birth operator runs by FFT
+    assert 1024 >= _FFT_MIN_CELLS
+    assert _moment_oracle_error(*_criterion_5_start(1024)) <= 1e-9
 
 
 def test_default_scheme_rejects_a_nan_step_and_gives_up_when_the_budget_is_spent():
@@ -457,6 +468,22 @@ def test_default_scheme_rejects_a_nan_step_and_gives_up_when_the_budget_is_spent
     assert all(y.min() >= 0.0 for _, y in samples)
     assert diag.rejected_steps == 0
     assert diag.clipped_mass > 0.0
+
+
+def test_rk4_raises_on_a_nan_state_instead_of_carrying_it():
+    # rk4 has no error estimate to reject a NaN step, so the positivity
+    # step owns the check: the rhs has no value past t = 0.0025
+    def rhs(t, y):
+        return -y if t <= 0.0025 else np.full_like(y, np.nan)
+
+    diag = SolverDiagnostics()
+    samples = []
+    with pytest.raises(NonFiniteState, match="4 non-finite weights"):
+        for t, y in march(np.full((1, 4), 0.5), 0.0, rhs,
+                          SolverConfig(dt=1e-3, t_end=0.01, scheme="rk4"), diag):
+            samples.append(t)
+    assert samples == [0.0, 0.001, 0.002]
+    assert (diag.accepted_steps, diag.clipped_mass) == (3, 0.0)
 
 
 def test_after_step_cannot_write_and_each_dopri5_step_costs_six_rhs_calls():
