@@ -113,7 +113,7 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
         times, pairs = traj.times, list(zip(traj.mus, traj.nus))
         summary = {"A": a_const, "snapshots": _snapshot_summary(times, pairs),
                    "diagnostics": _diagnostics(traj.diagnostics, "max_mass_drift",
-                                               "clipped_mass")}
+                                               "clipped_mass", "dt_bound")}
     elif mode == "coupled":
         run = coupled_full_run(m0, f0, rates, kernel, solver)
         times, pairs = run.times, list(zip(run.mus, run.nus))

@@ -11,27 +11,32 @@ base class alone truncates them to the grid, renormalizes them to unit
 mass and flags rows with no in-grid mass as degenerate. The birth
 operator pushes the product of two measures through the kernel; for the
 built-in families it runs via the parent-sum convolution, and every other
-kernel runs the direct contraction, which the tests keep as the fast
+kernel runs the exact contraction, which the tests keep as the fast
 paths' slow reference.
 
-The cell edges of every additive row sit on one half-cell lattice of
-offsets from its center, so row k, cell j of the (2n - 1) x n row table is
+Additive kernels compute birth without a row table. The cell edges of
+every additive row sit on one half-cell lattice of offsets from its
+center, so row k, cell j of the (2n - 1) x n row table would be
 g[2j - k + 2n - 2], one vector g of noise masses from the noise CDF at
-4n - 1 points. Multiplicative kernels, and additive ones on fewer than
-_FFT_MIN_CELLS = 1024 cells, take the O(n^2) product with the row table
-cached per grid, (2n - 1) n 8 bytes (4.2 MB at n = 512). From 1024 cells
-additive birth is b_j = (s * g)[2j + 2n - 2], with s the parent-sum
-convolution over the rows' in-grid masses; both convolutions run by
-numpy.fft, imported on the first such call, in O(n log n), and the grid's
-cache is four O(n) vectors of about 80 n bytes (82 kB at n = 1024, where
-the table takes 16.8 MB).
+4n - 1 points. Birth cell j is then (s * g)[2j + 2n - 2], with s the
+parent-sum convolution over the rows' in-grid masses, and split by the
+parity of the parent sum it is two length-n by length-(2n - 1)
+convolutions. Below _FFT_MIN_CELLS = 1024 cells they run directly, in
+O(n^2) products of non-negative numbers for non-negative inputs, so such
+births are exactly non-negative; from 1024 cells they run by numpy.fft,
+imported on the first such call, in O(n log n). Either way the grid's
+cache is O(n), about 80 n bytes (41 kB at n = 512, 82 kB at 1024, where
+the table would take 4.2 and 16.8 MB). Multiplicative kernels take the
+O(n^2) product with their row table, cached per grid.
 
-The crossover is measured per call, with one BLAS thread on a 2-vCPU VM;
-table against FFT: 52-54 / 85-91 us at n = 256, 264-288 / 111-120 us at
-512, 922-979 / 173-184 us at 1024, 6.6-7.3 ms / 293-328 us at 2048. The
-FFT wins from 512, but there its round-off makes the criterion-5
-normalized flow clip 2.6e-17 of mass where the table clips none, and the
-shipped fixed-point config and acceptance criterion 5 run at 512; so the
+Per birth_weights call, with one BLAS thread on a 2-vCPU VM, the table
+(kept as the tests' reference), direct sums and FFT took 14-15 / 20-23 /
+51-69 us at n = 128, 38-53 / 41-49 / 60-101 us at 256, 229-279 /
+118-172 / 81-117 us at 512, 962-1000 / 318-358 / 124-204 us at 1024 and
+4.6-7.4 ms / 1.5-1.8 ms / 230-350 us at 2048. The FFT is faster from
+512, but there its round-off makes the criterion-5 normalized flow clip
+2.6e-17 of mass where the direct sums clip none, and the shipped
+fixed-point config and acceptance criterion 5 run at 512; so the
 crossover is the next measured size.
 
 FFT round-off is absolute: each output errs by at most a first-order
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateRow, GridMismatch, UnsupportedKernel
 from .measures import GridMeasure, TraitGrid, gaussian_measure, normal_cdf
@@ -208,8 +212,9 @@ class _SumRowTable:
     def __init__(self, raw: np.ndarray):
         rows, tails, degenerate = _truncate_renormalize(raw)
         self.matrix = rows  # (2n-1, n) unit-sum row masses, zero where degenerate
-        self.degenerate = degenerate.astype(float)  # 1.0 on rows without in-grid mass
-        self.tails = tails  # truncated mass per row, zero where degenerate
+        # (2n-1, 2) per row: 1.0 if it has no in-grid mass, and its truncated
+        # mass (zero where degenerate)
+        self.checks = np.column_stack([degenerate, tails])
 
     def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(parent-sum convolution, birth weights) of the weight pair."""
@@ -217,16 +222,20 @@ class _SumRowTable:
         return conv, conv @ self.matrix
 
 
-class _NoiseSpectrum:
-    """Per-grid cache of the additive FFT path: O(n) vectors, no row table.
+class _NoiseLattice:
+    """Per-grid cache of the additive birth path: O(n) vectors, no row table.
 
-    Built from the noise CDF c at the 4n - 1 half-cell offsets. Birth cell
-    j is (s * g)[2j + 2n - 2], with s the parent-sum convolution over the
-    in-grid row masses. Split by the parity of the parent sum, that is
+    Built from the noise CDF c at the 4n - 1 half-cell offsets, with g =
+    c[2:] - c[:-2] the noise masses between them. Birth cell j is
+    (s * g)[2j + 2n - 2], with s the parent-sum convolution over the in-grid
+    row masses. Split by the parity of the parent sum, that is
     (s_even * g_even + s_odd * g_odd)[j + n - 1], where g_even[m] = g[2m]
-    and g_odd[m] = g[2m - 1] (zero at m = 0). Every convolution then runs
-    at one power-of-two length >= 2n, at which none of the wanted outputs
-    wraps around.
+    and g_odd[m] = g[2m - 1] (zero at m = 0). Below _FFT_MIN_CELLS the cache
+    keeps g_even and g_odd without its leading zero and sums both
+    convolutions directly, products of non-negative numbers for
+    non-negative inputs; from it, it keeps their spectra at one
+    power-of-two length >= 2n, at which none of the wanted outputs wraps
+    around.
     """
 
     def __init__(self, c: np.ndarray):
@@ -235,10 +244,13 @@ class _NoiseSpectrum:
         # row k sums g over the parity-strided run 2n - 2 - k, 2n - k, ..,
         # 4n - 4 - k, which telescopes to c[4n - 2 - k] - c[2n - 2 - k]
         safe, tails, degenerate = _row_rule(c[:2 * n - 1:-1] - c[2 * n - 2::-1])
-        self.degenerate = degenerate.astype(float)  # (2n-1,) 1.0 on rows without in-grid mass
-        self.tails = tails  # (2n-1,) truncated mass per row, zero where degenerate
+        self.checks = np.column_stack([degenerate, tails])  # as _SumRowTable's
         # (2n,) 1 / in-grid row mass, zero where degenerate and at k = 2n - 1
         self.inv_inside = np.append(np.where(degenerate, 0.0, 1.0 / safe), 0.0)
+        self.g_hat = None
+        if n < _FFT_MIN_CELLS:
+            self.g_even, self.g_odd = g[::2].copy(), g[1::2].copy()  # (2n-1,), (2n-2,)
+            return
         self.length = 1 << (2 * n - 1).bit_length()
         # (2, length/2 + 1) spectra of g_even and g_odd
         self.g_hat = np.fft.rfft(np.stack([g[::2], np.append(0.0, g[1::2])]), self.length)
@@ -254,13 +266,18 @@ class _NoiseSpectrum:
     def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(parent-sum convolution, birth weights) of the weight pair.
 
-        Every output errs by at most bound = dust |wa|_1 |wb|_1, so one in
-        [-bound, 0) is zero to working accuracy and is set to zero. Below
-        -bound only inputs with negative weights (Runge-Kutta stages can
-        have some) give an output, kept as computed; for non-negative
+        By FFT every output errs by at most bound = dust |wa|_1 |wb|_1, so
+        one in [-bound, 0) is zero to working accuracy and is set to zero.
+        Below -bound only inputs with negative weights (Runge-Kutta stages
+        can have some) give an output, kept as computed; for non-negative
         inputs, whose exact product is non-negative, it raises
         FloatingPointError.
         """
+        if self.g_hat is None:
+            conv = np.convolve(wa, wb)
+            s = conv * self.inv_inside[:-1]
+            return conv, (np.convolve(self.g_even, s[::2], "valid")
+                          + np.convolve(self.g_odd, s[1::2], "valid"))
         fft = np.fft
         n, length = wa.size, self.length
         parents = fft.rfft(np.stack([wa, wb]), length)
@@ -284,7 +301,7 @@ class InheritanceKernel:
     sum_structured: bool = False
 
     def __init__(self):
-        self._tables: dict[TraitGrid, _SumRowTable | _NoiseSpectrum] = {}
+        self._tables: dict[TraitGrid, _SumRowTable | _NoiseLattice] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -323,7 +340,7 @@ class InheritanceKernel:
             table = self._tables[grid] = _SumRowTable(self._raw_lattice(grid))
         return table
 
-    def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseSpectrum:
+    def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice:
         """The cached parent-sum contraction of a sum-structured kernel on grid."""
         return self._table(grid)
 
@@ -370,21 +387,11 @@ class AdditiveNoiseKernel(InheritanceKernel):
         n = grid.n_cells
         return self.noise.cdf(0.5 * grid.dx * np.arange(1 - 2 * n, 2 * n))
 
-    def _raw_lattice(self, grid):
-        # edge i sits at offset (2i - k - 1) dx/2 from the center of row k,
-        # so row k, cell j holds g[2j - k + 2n - 2], the noise mass between
-        # the half-cell offsets 2j - k - 2 and 2j - k (counted from 1 - 2n)
-        c = self._offset_cdf(grid)
-        g = c[2:] - c[:-2]
-        return sliding_window_view(g, 2 * grid.n_cells - 1)[::-1, ::2]
-
     def _sum_path(self, grid):
-        if grid.n_cells < _FFT_MIN_CELLS:
-            return self._table(grid)
-        spectrum = self._tables.get(grid)
-        if not isinstance(spectrum, _NoiseSpectrum):
-            spectrum = self._tables[grid] = _NoiseSpectrum(self._offset_cdf(grid))
-        return spectrum
+        lattice = self._tables.get(grid)
+        if lattice is None:
+            lattice = self._tables[grid] = _NoiseLattice(self._offset_cdf(grid))
+        return lattice
 
     def _raw_row(self, x, y, grid):
         return np.diff(self.noise.cdf(grid.edges - 0.5 * (x + y)))
@@ -537,24 +544,24 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                   grid: TraitGrid) -> np.ndarray:
     """Array-level birth operator core; no measure validation.
 
-    Sum-structured kernels take the parent-sum path against their cached
-    row table, or additive kernels on grids of _FFT_MIN_CELLS or more by
-    FFT; every other kernel takes the direct contraction.
+    Sum-structured kernels take the parent-sum path: multiplicative ones
+    against their cached row table, additive ones without a table, by
+    direct sums below _FFT_MIN_CELLS cells and by FFT from there. Every
+    other kernel takes the exact contraction, _birth_weights_exact.
     """
     if not kernel.sum_structured:
         return _birth_weights_exact(kernel, wa, wb, grid)
     rows = kernel._sum_path(grid)
     conv, out = rows.contract(wa, wb)
     total = max(conv.sum(), 1e-300)
-    # rows without in-grid mass contribute nothing; that is fine up to
-    # the operator's documented 1e-9 mass tolerance
-    lost = float(conv @ rows.degenerate)
+    # mass on rows without in-grid mass, which contribute nothing (fine up
+    # to the operator's documented 1e-9 mass tolerance), and the truncation
+    # bias actually incurred, both weighted by parent-pair usage
+    lost, shed = conv @ rows.checks
     if lost > DEGENERATE_MASS_TOLERANCE * total:
         raise DegenerateRow(
             f"parent pairs carrying {lost / total:.3e} of the mass fall on "
             "rows without in-grid offspring mass")
-    # truncation bias actually incurred, weighted by parent-pair usage
-    shed = float(conv @ rows.tails)
     if shed > TAIL_MASS_REPORT_THRESHOLD * total:
         warnings.warn(
             "inheritance rows shed noticeable mass to grid truncation "

@@ -92,36 +92,42 @@ class NormalizedTrajectory:
 class _GridRates:
     """Demographic rates precompiled onto a grid.
 
-    Constant competition kernels stay scalars so the death term is a
-    plain axpy; trait-dependent kernels become dense matrices.
+    Constant rates stay scalars, so constant-rate death fields are floats;
+    trait-dependent rates become vectors, and competition kernels dense
+    matrices.
     """
 
     def __init__(self, rates: RateSet, grid: TraitGrid):
         c = grid.centers
-        self.pf = rates.at("p_f", c)
-        self.pm = rates.at("p_m", c)
-        self.df = rates.at("D_f", c)
-        self.dm = rates.at("D_m", c)
-        self.u = {}
-        for name in ("U_ff", "U_fm", "U_mf", "U_mm"):
-            entry = getattr(rates, name)
-            self.u[name] = rates.at(name, c[:, None], c[None, :]) if callable(entry) \
-                else float(entry)
 
-    def competition(self, name: str, weights: np.ndarray) -> np.ndarray | float:
+        def on_grid(name, *traits):
+            entry = getattr(rates, name)
+            return rates.at(name, *traits) if callable(entry) else float(entry)
+
+        self.pf, self.pm, self.df, self.dm = (on_grid(name, c)
+                                              for name in ("p_f", "p_m", "D_f", "D_m"))
+        self.u = {name: on_grid(name, c[:, None], c[None, :])
+                  for name in ("U_ff", "U_fm", "U_mf", "U_mm")}
+
+    def competition(self, name: str, weights: np.ndarray, mass: float) -> np.ndarray | float:
+        """Competition of kernel `name` against weights of total mass `mass`."""
         u = self.u[name]
         if isinstance(u, float):
-            return u * weights.sum()
+            return u * mass
         return u @ weights
 
-    def deaths(self, mw: np.ndarray, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-capita (male, female) death fields at the given weights."""
-        return (self.dm + self.competition("U_mm", mw) + self.competition("U_mf", fw),
-                self.df + self.competition("U_fm", mw) + self.competition("U_ff", fw))
+    def deaths(self, mw: np.ndarray, fw: np.ndarray, m_mass: float,
+               f_mass: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-capita (male, female) death fields at the given weights and
+        their masses."""
+        return (self.dm + self.competition("U_mm", mw, m_mass)
+                + self.competition("U_mf", fw, f_mass),
+                self.df + self.competition("U_fm", mw, m_mass)
+                + self.competition("U_ff", fw, f_mass))
 
     def dt_bound(self, mw: np.ndarray, fw: np.ndarray) -> float:
         """Explicit-step bound from the largest per-capita rate."""
-        death_m, death_f = self.deaths(mw, fw)
+        death_m, death_f = self.deaths(mw, fw, mw.sum(), fw.sum())
         rmax = float(max(np.max(death_m + self.pm), np.max(death_f + self.pf)))
         return _DT_SAFETY / rmax if rmax > 0 else float("inf")
 
@@ -150,7 +156,7 @@ def _birth_and_death(gr: _GridRates, kernel: InheritanceKernel, grid: TraitGrid,
             empty = True
     else:
         empty = True
-    return (birth, *gr.deaths(mw, fw), empty)
+    return (birth, *gr.deaths(mw, fw, m_mass, f_mass), empty)
 
 
 def rhs_general(state: MacroState, rates: RateSet, kernel: InheritanceKernel):
@@ -187,7 +193,10 @@ def integrate(state0: MacroState, rates: RateSet, kernel: InheritanceKernel,
         nonlocal empty_in_step
         birth, death_m, death_f, empty = _birth_and_death(gr, kernel, grid, y[0], y[1])
         empty_in_step |= empty
-        return np.stack([birth - death_m * y[0], birth - death_f * y[1]])
+        dy = np.empty_like(y)
+        np.multiply(death_m, y[0], out=dy[0])
+        np.multiply(death_f, y[1], out=dy[1])
+        return np.subtract(birth, dy, out=dy)
 
     def after_step(_y):
         nonlocal empty_in_step
@@ -227,9 +236,9 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     diag = SolverDiagnostics(dt_bound=_DT_SAFETY / max(1.0, a0))
 
     def rhs(t, y):
-        p = birth_weights(kernel, y[0], y[1], grid) / (y[0].sum() * y[1].sum())
-        a = float(a_of(t))
-        return np.stack([p - y[0], a * (p - y[1])])
+        dy = birth_weights(kernel, y[0], y[1], grid) / (y[0].sum() * y[1].sum()) - y
+        dy[1] *= float(a_of(t))
+        return dy
 
     def after_step(y):
         diag.max_mass_drift = max(diag.max_mass_drift,

@@ -108,7 +108,8 @@ def sample_index(times: Sequence[float], t: float) -> int:
 
 
 def _combine(weights, ks: list) -> np.ndarray:
-    return sum(w * k for w, k in zip(weights, ks) if w)
+    first, *rest = (w * k for w, k in zip(weights, ks) if w)
+    return sum(rest, first)
 
 
 def _dopri(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs):

@@ -637,6 +637,16 @@ def test_boolean_in_any_shipped_integer_field_is_rejected(tmp_path, capsys, name
     assert f"field {field} must" in err
 
 
+def test_macro_normalized_summary_reports_its_dt_bound(tmp_path):
+    # as in raw mode: the bound the run was checked against, 0.1 / max(1, A)
+    cfg = _shipped("macro_normalized")
+    cfg["solver"]["t_end"] = 0.5
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main(["macro", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    diag = json.loads((tmp_path / "out" / "summary.json").read_text())["diagnostics"]
+    assert diag["dt_bound"] == pytest.approx(0.1 / max(1.0, cfg["A"]), rel=1e-15)
+
+
 @pytest.mark.parametrize("mode", ["raw", "normalized", "coupled"])
 def test_macro_summary_reports_step_counts(tmp_path, mode):
     cfg = _shipped(f"macro_{mode}")

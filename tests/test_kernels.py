@@ -1,18 +1,20 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dimorph import kernels
 from dimorph.errors import DegenerateRow, GridMismatch, UnsupportedKernel
 from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
-                             GaussianNoise, MultiplicativeNoiseKernel, NoiseDensity,
-                             SamplerKernel, TabulatedNoise, UniformNoise,
-                             _birth_weights_exact, _NoiseSpectrum, _SumRowTable,
+                             GaussianNoise, InheritanceKernel, MultiplicativeNoiseKernel,
+                             NoiseDensity, SamplerKernel, TabulatedNoise, UniformNoise,
+                             _birth_weights_exact, _NoiseLattice, _SumRowTable,
                              birth_operator, birth_weights, check_hypotheses,
                              condition_i_contribution, tabulated_kernel_from_csv)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
@@ -227,7 +229,28 @@ def test_birth_operator_fast_matches_exact():
     np.testing.assert_allclose(fast, exact, rtol=1e-9, atol=1e-11)
 
 
-# -- the gathered additive row table -----------------------------------------------
+# -- the gathered additive row table, the reference of the table-free paths -------
+
+
+class _TableKernel(AdditiveNoiseKernel):
+    """An additive kernel whose births run through the (2n - 1) x n row table.
+
+    Edge i sits at offset (2i - k - 1) dx/2 from the center of row k, so row
+    k, cell j holds g[2j - k + 2n - 2], the noise mass between the half-cell
+    offsets 2j - k - 2 and 2j - k (counted from 1 - 2n).
+    """
+
+    _sum_path = InheritanceKernel._sum_path
+
+    def _raw_lattice(self, grid):
+        c = self._offset_cdf(grid)
+        g = c[2:] - c[:-2]
+        return sliding_window_view(g, 2 * grid.n_cells - 1)[::-1, ::2]
+
+
+def _reference_table(noise, grid):
+    return _TableKernel(noise)._table(grid)
+
 
 _TRI = np.linspace(-1.0, 1.0, 41)
 ADDITIVE_NOISES = {
@@ -246,14 +269,14 @@ def test_additive_table_matches_row_by_row_build(n, span, noise):
     # in mass, while a gather off by one cell moves masses by O(dx)
     grid = TraitGrid(*span, n)
     density = ADDITIVE_NOISES[noise]()
-    table = AdditiveNoiseKernel(density)._table(grid)
+    table = _reference_table(density, grid)
     sums = 2.0 * grid.x_min + (np.arange(2 * n - 1) + 1.0) * grid.dx
     raw = np.array([np.diff(density.cdf(grid.edges - 0.5 * s)) for s in sums])
     inside = raw.sum(axis=1)
     assert table.matrix.shape == (2 * n - 1, n)
     np.testing.assert_allclose(table.matrix, raw / inside[:, None], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(table.tails, 1.0 - inside, rtol=0, atol=1e-15)
-    assert not table.degenerate.any()
+    np.testing.assert_allclose(table.checks[:, 1], 1.0 - inside, rtol=0, atol=1e-15)
+    assert not table.checks[:, 0].any()
 
 
 class _CountingNoise(NoiseDensity):
@@ -289,11 +312,11 @@ def test_additive_table_degenerate_rows():
     z = np.array([-1.6, -1.5, -1.4, 1.4, 1.5, 1.6])
     kernel = AdditiveNoiseKernel(TabulatedNoise(z, np.array([0.0, 5.0, 0.0, 0.0, 5.0, 0.0])))
     grid = TraitGrid(-1.0, 1.0, 8)
-    table = kernel._table(grid)
+    table = _reference_table(kernel.noise, grid)
     centers = grid.x_min + (np.arange(15) + 1.0) * grid.dx / 2
-    bad = table.degenerate == 1.0
+    bad = table.checks[:, 0] == 1.0
     np.testing.assert_array_equal(bad, np.abs(centers) < 0.5)
-    assert np.all(table.matrix[bad] == 0.0) and np.all(table.tails[bad] == 0.0)
+    assert np.all(table.matrix[bad] == 0.0) and np.all(table.checks[bad, 1] == 0.0)
     np.testing.assert_allclose(table.matrix[~bad].sum(axis=1), 1.0, rtol=0, atol=1e-15)
     edge = point_mass(grid, grid.centers[-1])
     with pytest.warns(UserWarning, match="shed noticeable mass"):
@@ -316,7 +339,7 @@ def fft_everywhere(monkeypatch):
 
 def _by_table(noise, wa, wb, grid):
     """The row-table product, from a kernel of its own."""
-    return np.convolve(wa, wb) @ AdditiveNoiseKernel(noise)._table(grid).matrix
+    return np.convolve(wa, wb) @ _reference_table(noise, grid).matrix
 
 
 @pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
@@ -332,17 +355,18 @@ def test_fft_birth_matches_table_and_exact_contraction(n, span, noise, fft_every
     total = wa.sum() * wb.sum()
     fft = birth_weights(kernel, wa, wb, grid)
     spectrum = kernel._tables[grid]
-    assert isinstance(spectrum, _NoiseSpectrum)
+    assert isinstance(spectrum, _NoiseLattice) and spectrum.g_hat is not None
     np.testing.assert_allclose(fft, _by_table(density, wa, wb, grid), rtol=0, atol=1e-15 * total)
     if n <= 64:  # the exact contraction evaluates n^2 rows
         np.testing.assert_allclose(fft, _birth_weights_exact(kernel, wa, wb, grid),
                                    rtol=0, atol=1e-15 * total)
     # the O(n) row vectors are the table's
-    table = AdditiveNoiseKernel(density)._table(grid)
-    assert not table.degenerate.any()
-    np.testing.assert_array_equal(spectrum.degenerate, table.degenerate)
-    np.testing.assert_allclose(spectrum.tails, table.tails, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(spectrum.inv_inside[:-1] * (1.0 - table.tails), 1.0, rtol=1e-15)
+    table = _reference_table(density, grid)
+    assert not table.checks[:, 0].any()
+    np.testing.assert_array_equal(spectrum.checks[:, 0], table.checks[:, 0])
+    np.testing.assert_allclose(spectrum.checks[:, 1], table.checks[:, 1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(spectrum.inv_inside[:-1] * (1.0 - table.checks[:, 1]), 1.0,
+                               rtol=1e-15)
 
 
 _WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -386,22 +410,24 @@ def test_fft_birth_flags_degenerate_rows_and_shed_mass_as_the_table_does(monkeyp
     z = np.array([-1.6, -1.5, -1.4, 1.4, 1.5, 1.6])
     noise = TabulatedNoise(z, np.array([0.0, 5.0, between, between, 5.0, 0.0]))
     grid = TraitGrid(-1.0, 1.0, 8)
-    table_kernel, fft_kernel = AdditiveNoiseKernel(noise), AdditiveNoiseKernel(noise)
+    table_kernel = _TableKernel(noise)
+    direct_kernel, fft_kernel = AdditiveNoiseKernel(noise), AdditiveNoiseKernel(noise)
     seen = set()
     inputs = [(point_mass(grid, a).weights, point_mass(grid, b).weights)
               for a in grid.centers for b in grid.centers]
     inputs.append((np.full(8, 0.125), np.full(8, 0.125)))
     for wa, wb in inputs:
-        monkeypatch.setattr(kernels, "_FFT_MIN_CELLS", 10**9)
         kind, want = _outcome(table_kernel, wa, wb, grid)
-        monkeypatch.setattr(kernels, "_FFT_MIN_CELLS", 1)
-        got_kind, got = _outcome(fft_kernel, wa, wb, grid)
-        assert got_kind == kind
-        if want is not None:
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        for kernel, crossover in ((direct_kernel, 10**9), (fft_kernel, 1)):
+            monkeypatch.setattr(kernels, "_FFT_MIN_CELLS", crossover)
+            got_kind, got = _outcome(kernel, wa, wb, grid)
+            assert got_kind == kind
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         seen.add(kind)
     assert isinstance(table_kernel._tables[grid], _SumRowTable)
-    assert isinstance(fft_kernel._tables[grid], _NoiseSpectrum)
+    assert direct_kernel._tables[grid].g_hat is None
+    assert fft_kernel._tables[grid].g_hat is not None
     assert seen == {"degenerate", "shed"}
 
 
@@ -428,19 +454,121 @@ def test_fft_round_off_below_zero_is_zeroed_within_its_bound(fft_everywhere, mon
 
 
 def test_fft_cache_is_linear_in_n_and_never_pickled():
-    n = kernels._FFT_MIN_CELLS
+    # below the crossover the cache keeps g's parity halves, from it their
+    # spectra, never both
+    for n in (512, kernels._FFT_MIN_CELLS):
+        grid = TraitGrid(-8.0, 8.0, n)
+        kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
+        mu = gaussian_measure(grid, 0.0, 1.0)
+        first = birth_operator(kernel, mu, mu).weights
+        (cache,) = kernel._tables.values()
+        assert isinstance(cache, _NoiseLattice)
+        direct = n < kernels._FFT_MIN_CELLS
+        assert (cache.g_hat is None) == direct
+        assert hasattr(cache, "g_even") == hasattr(cache, "g_odd") == direct
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= 4 * n
+        assert sum(a.nbytes for a in arrays) <= 100 * n  # the table takes 16 n^2 bytes
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone._tables == {}
+        np.testing.assert_array_equal(birth_operator(clone, mu, mu).weights, first)
+
+
+# -- the direct birth path of additive kernels below the FFT crossover ------------
+
+
+def _bilinear_exact(kernel, wa, wb, grid):
+    """The exact contraction of signed weights, summed over their positive and
+    negative parts (it skips pairs of non-positive weight itself)."""
+    out = np.zeros(grid.n_cells)
+    for sa, a in ((1.0, np.clip(wa, 0.0, None)), (-1.0, np.clip(-wa, 0.0, None))):
+        for sb, b in ((1.0, np.clip(wb, 0.0, None)), (-1.0, np.clip(-wb, 0.0, None))):
+            if a.any() and b.any():
+                out += sa * sb * _birth_weights_exact(kernel, a, b, grid)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
+@pytest.mark.parametrize("noise", list(ADDITIVE_NOISES))
+@pytest.mark.parametrize("span", [(-2.0, 2.0), (-1.0, 3.0)], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n", [2, 3, 64, 191])
+def test_direct_birth_matches_table_and_exact_contraction(n, span, noise):
+    grid = TraitGrid(*span, n)
+    density = ADDITIVE_NOISES[noise]()
+    kernel = AdditiveNoiseKernel(density)
+    rng = np.random.default_rng(n)
+    wa, wb = rng.uniform(0.05, 1.0, (2, n))
+    total = wa.sum() * wb.sum()
+    out = birth_weights(kernel, wa, wb, grid)
+    lattice = kernel._tables[grid]
+    assert isinstance(lattice, _NoiseLattice) and lattice.g_hat is None
+    assert out.min() >= 0.0  # a sum of non-negative products
+    np.testing.assert_allclose(out, _by_table(density, wa, wb, grid), rtol=0, atol=1e-15 * total)
+    if n <= 64:  # the exact contraction evaluates n^2 rows
+        np.testing.assert_allclose(out, _birth_weights_exact(kernel, wa, wb, grid),
+                                   rtol=0, atol=1e-15 * total)
+    table = _reference_table(density, grid)
+    np.testing.assert_array_equal(lattice.checks[:, 0], table.checks[:, 0])
+    np.testing.assert_allclose(lattice.checks[:, 1], table.checks[:, 1], rtol=0, atol=1e-15)
+    # Runge-Kutta stages can carry negative weights; the product stays bilinear
+    signed = wa - 0.6
+    scale = np.abs(signed).sum() * wb.sum()
+    out = birth_weights(kernel, signed, wb, grid)
+    np.testing.assert_allclose(out, _by_table(density, signed, wb, grid), rtol=0,
+                               atol=1e-15 * scale)
+    if n <= 64:
+        np.testing.assert_allclose(out, _bilinear_exact(kernel, signed, wb, grid), rtol=0,
+                                   atol=1e-15 * scale)
+
+
+_SIGNED_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
+@settings(max_examples=60, deadline=None)
+@given(wa=st.lists(_SIGNED_WEIGHT, min_size=16, max_size=16),
+       wb=st.lists(_SIGNED_WEIGHT, min_size=16, max_size=16))
+def test_direct_birth_matches_both_references_on_drawn_signed_weights(wa, wb):
+    # weights are 0 or at least 1e-3 in size, so no pair falls under the
+    # exact contraction's 1e-12 skip
+    grid = TraitGrid(-3.0, 3.0, 16)
+    noise = GaussianNoise(0.5)
+    kernel = AdditiveNoiseKernel(noise)
+    wa, wb = np.array(wa), np.array(wb)
+    scale = np.abs(wa).sum() * np.abs(wb).sum()
+    out = birth_weights(kernel, wa, wb, grid)
+    if wa.min() >= 0.0 and wb.min() >= 0.0:
+        assert out.min() >= 0.0
+    np.testing.assert_allclose(out, _by_table(noise, wa, wb, grid), rtol=0, atol=1e-15 * scale)
+    np.testing.assert_allclose(out, _bilinear_exact(kernel, wa, wb, grid),
+                               rtol=0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("n", [kernels._FFT_MIN_CELLS - 1, kernels._FFT_MIN_CELLS])
+def test_both_sides_of_the_fft_crossover_match_the_table(n):
     grid = TraitGrid(-8.0, 8.0, n)
+    noise = GaussianNoise(0.5)
+    kernel = AdditiveNoiseKernel(noise)
+    wa = gaussian_measure(grid, 0.5, 1.0).weights
+    wb = gaussian_measure(grid, -1.0, 1.5).weights
+    out = birth_weights(kernel, wa, wb, grid)
+    assert (kernel._tables[grid].g_hat is None) == (n < kernels._FFT_MIN_CELLS)
+    assert out.min() >= 0.0
+    np.testing.assert_allclose(out, _by_table(noise, wa, wb, grid), rtol=0, atol=1e-15)
+
+
+def test_first_additive_birth_below_the_crossover_builds_no_row_table():
+    # the (2n - 1) x n row table alone would take 4.2 MB at n = 512
+    grid = TraitGrid(-8.0, 8.0, 512)
     kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
-    mu = gaussian_measure(grid, 0.0, 1.0)
-    first = birth_operator(kernel, mu, mu).weights
-    (cache,) = kernel._tables.values()
-    assert isinstance(cache, _NoiseSpectrum)
-    arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
-    assert max(a.size for a in arrays) <= 4 * n
-    assert sum(a.nbytes for a in arrays) <= 100 * n  # the table takes 16 n^2 bytes
-    clone = pickle.loads(pickle.dumps(kernel))
-    assert clone._tables == {}
-    np.testing.assert_array_equal(birth_operator(clone, mu, mu).weights, first)
+    mu = gaussian_measure(grid, 0.0, 1.0).weights
+    tracemalloc.start()
+    try:
+        birth_weights(kernel, mu, mu, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_birth_operator_grid_mismatch(grid, add_kernel):
@@ -538,14 +666,14 @@ def test_degenerate_rows_with_dust_are_zero_in_the_table():
     z = np.array([-1.6, -1.5, -1.4, 1.4, 1.5, 1.6])
     kernel = AdditiveNoiseKernel(TabulatedNoise(z, np.array([0.0, 5.0, 1e-14, 1e-14, 5.0, 0.0])))
     grid = TraitGrid(-1.0, 1.0, 8)
-    table = kernel._table(grid)
+    table = _reference_table(kernel.noise, grid)
     sums = 2.0 * grid.x_min + (np.arange(15) + 1.0) * grid.dx
-    bad = table.degenerate == 1.0
+    bad = table.checks[:, 0] == 1.0
     np.testing.assert_array_equal(bad, np.abs(sums) < 1.0)
     for k, s in enumerate(sums):
         if bad[k]:
             assert 0.0 < np.diff(kernel.noise.cdf(grid.edges - 0.5 * s)).sum() <= 1e-12
-            assert np.all(table.matrix[k] == 0.0) and table.tails[k] == 0.0
+            assert np.all(table.matrix[k] == 0.0) and table.checks[k, 1] == 0.0
             with pytest.raises(DegenerateRow):
                 kernel.row_masses(0.5 * s, 0.5 * s, grid)
         else:

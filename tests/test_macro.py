@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dimorph import macro
 from dimorph.errors import NonFiniteState, StepRejected
-from dimorph.kernels import _FFT_MIN_CELLS, AdditiveNoiseKernel, GaussianNoise, birth_weights
+from dimorph.kernels import (_FFT_MIN_CELLS, AdditiveNoiseKernel, GaussianNoise,
+                             _birth_weights_exact, birth_weights)
 from dimorph.macro import (MacroState, SolverConfig, _GridRates, coupled_full_run,
                            integrate, integrate_normalized, rhs_general)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
@@ -42,6 +44,82 @@ def test_rhs_birth_mass_equals_birth_rate():
     death = (PERSIST.D_m + PERSIST.U_mm * m0.mass + PERSIST.U_mf * f0.mass) * m0.weights
     lam = 0.5 * (PERSIST.p_f * f0.mass + PERSIST.p_m * m0.mass)
     assert (dm + death).sum() == pytest.approx(lam, abs=1e-12)
+
+
+def _rhs_handed_to_march(monkeypatch, solve, *args):
+    """The right-hand side a solver passes to march, from a one-step run."""
+    seen = []
+
+    def spy(y0, t0, rhs, *rest):
+        seen.append(rhs)
+        return march(y0, t0, rhs, *rest)
+
+    monkeypatch.setattr(macro, "march", spy)
+    solve(*args, SolverConfig(dt=0.01, t_end=0.01))
+    return seen[0]
+
+
+def _rate(rates, name, *traits):
+    entry = getattr(rates, name)
+    return float(entry(*traits)) if callable(entry) else entry
+
+
+def _model_rhs(rates, kernel, grid, m, f):
+    """The raw system written out cell by cell: every female mates at rate
+    p_f with a male drawn from p_m m / <p_m, m>, every male at rate p_m with
+    a female drawn from p_f f / <p_f, f>, half the young are of each sex, and
+    a sex-a individual at x dies at rate D_a(x) + sum_y U_ab(x, y) b(y) over
+    both sexes b."""
+    x = grid.centers
+    wf = np.array([_rate(rates, "p_f", xi) for xi in x]) * f
+    wm = np.array([_rate(rates, "p_m", xi) for xi in x]) * m
+    birth = 0.5 * (1.0 / wm.sum() + 1.0 / wf.sum()) * _birth_weights_exact(kernel, wf, wm, grid)
+    out = []
+    for a, w in (("m", m), ("f", f)):
+        death = [_rate(rates, f"D_{a}", xi)
+                 + sum(_rate(rates, f"U_{a}m", xi, yj) * m[j] for j, yj in enumerate(x))
+                 + sum(_rate(rates, f"U_{a}f", xi, yj) * f[j] for j, yj in enumerate(x))
+                 for xi in x]
+        out.append(birth - np.array(death) * w)
+    return np.array(out)
+
+
+_TRAIT_RATES = RateSet(p_f=lambda x: 1.0 + 0.2 * x * x, p_m=2.0,
+                       D_f=1.0, D_m=lambda x: 0.5 + 0.1 * np.abs(x),
+                       U_ff=lambda x, y: 0.2 + 0.05 * (x - y) ** 2, U_fm=0.25,
+                       U_mf=lambda x, y: 0.1 + 0.02 * np.abs(x + y), U_mm=0.3)
+
+
+@pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
+@pytest.mark.parametrize("rates", [PERSIST, _TRAIT_RATES], ids=["constant", "callable"])
+def test_integrate_rhs_follows_the_model_equations(monkeypatch, rates):
+    # weights bounded away from zero, so the exact contraction skips no pair
+    grid = TraitGrid(-3.0, 3.0, 24)
+    rng = np.random.default_rng(7)
+    m, f = rng.uniform(0.1, 1.0, (2, 24)) * np.array([[0.05], [0.08]])
+    state = MacroState(GridMeasure(grid, m), GridMeasure(grid, f))
+    rhs = _rhs_handed_to_march(monkeypatch, integrate, state, rates, KERNEL)
+    want = _model_rhs(rates, KERNEL, grid, m, f)
+    got = rhs(0.0, np.stack([m, f]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    np.testing.assert_allclose(np.stack(rhs_general(state, rates, KERNEL)), want, rtol=0,
+                               atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
+def test_integrate_normalized_rhs_follows_the_model_equations(monkeypatch):
+    # mu' = P(mu, nu) - mu and nu' = A(t) (P(mu, nu) - nu), with P taken of
+    # the normalized inputs, also off unit mass
+    grid = TraitGrid(-3.0, 3.0, 24)
+    rng = np.random.default_rng(8)
+    mu, nu = rng.uniform(0.1, 1.0, (2, 24))
+    mu0, nu0 = (GridMeasure(grid, w / w.sum()) for w in (mu, nu))
+    rhs = _rhs_handed_to_march(monkeypatch, integrate_normalized, mu0, nu0,
+                               lambda t: 2.0 + t, KERNEL)
+    p = _birth_weights_exact(KERNEL, mu / mu.sum(), nu / nu.sum(), grid)
+    want = np.array([p - mu, (2.0 + 0.5) * (p - nu)])
+    got = rhs(0.5, np.stack([mu, nu]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_empty_sex_class_means_pure_death():
