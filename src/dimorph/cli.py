@@ -191,7 +191,7 @@ def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
         write_measure_csv(out / "mu_star_measure.csv", fp.mu_star),
         write_json(out / "summary.json", {k: getattr(fp, k) for k in (
             "iterations", "final_step_distance", "mean", "variance", "mean_drift",
-            "residual", "damped")}),
+            "residual")}),
     ]
 
 

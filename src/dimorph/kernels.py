@@ -9,10 +9,11 @@ parental midpoint, which is what the stability analysis relies on.
 Each family supplies only the raw in-grid cell masses of its rows; the
 base class alone truncates them to the grid, renormalizes them to unit
 mass and flags rows with no in-grid mass as degenerate. The birth
-operator pushes the product of two measures through the kernel; for the
-built-in families it runs via the parent-sum convolution, and every other
-kernel runs the exact contraction, which the tests keep as the fast
-paths' slow reference.
+operator pushes the product of two measures through the kernel. Its one
+hook is InheritanceKernel._sum_path(grid): each built-in family returns
+its cached parent-sum contraction there, and for every other kernel it
+returns None and births run the exact contraction, which the tests keep
+as the fast paths' slow reference.
 
 Additive kernels compute birth without a row table. The cell edges of
 every additive row sit on one half-cell lattice of offsets from its
@@ -29,15 +30,11 @@ cache is O(n), about 80 n bytes (41 kB at n = 512, 82 kB at 1024, where
 the table would take 4.2 and 16.8 MB). Multiplicative kernels take the
 O(n^2) product with their row table, cached per grid.
 
-Per birth_weights call, with one BLAS thread on a 2-vCPU VM, the table
-(kept as the tests' reference), direct sums and FFT took 14-15 / 20-23 /
-51-69 us at n = 128, 38-53 / 41-49 / 60-101 us at 256, 229-279 /
-118-172 / 81-117 us at 512, 962-1000 / 318-358 / 124-204 us at 1024 and
-4.6-7.4 ms / 1.5-1.8 ms / 230-350 us at 2048. The FFT is faster from
-512, but there its round-off makes the criterion-5 normalized flow clip
-2.6e-17 of mass where the direct sums clip none, and the shipped
-fixed-point config and acceptance criterion 5 run at 512; so the
-crossover is the next measured size.
+The FFT is faster from 512 cells (README, "Performance notes"), but there
+its round-off makes the criterion-5 normalized flow clip 2.6e-17 of mass
+where the direct sums clip none, and the shipped fixed-point config and
+acceptance criterion 5 run at 512; so the crossover is the next measured
+size.
 
 FFT round-off is absolute: each output errs by at most a first-order
 bound of 8 eps log2(L) max(1/inside) (|g|_1 + 5 |g|_2) |wa|_1 |wb|_1,
@@ -80,7 +77,7 @@ __all__ = [
 _MIN_INSIDE = 1e-12
 
 # Additive kernels on grids of at least this many cells take the FFT birth
-# path instead of the row table (measured crossover; see the module docstring).
+# path instead of the direct sums (measured crossover; see the module docstring).
 _FFT_MIN_CELLS = 1024
 
 # The FFT path's round-off constant c in c eps log2(L), above Higham's 3.4
@@ -297,9 +294,6 @@ class _NoiseLattice:
 class InheritanceKernel:
     """Offspring-trait law k(x, y, dz) with sampling and discretized rows."""
 
-    #: rows depend on (x, y) only through x + y, enabling the fast birth path
-    sum_structured: bool = False
-
     def __init__(self):
         self._tables: dict[TraitGrid, _SumRowTable | _NoiseLattice] = {}
 
@@ -321,10 +315,6 @@ class InheritanceKernel:
         """In-grid cell masses of k(x, y, .) before truncation."""
         raise UnsupportedKernel(f"{type(self).__name__} has no density rows")
 
-    def density_row(self, x: float, y: float, grid: TraitGrid) -> np.ndarray:
-        """Cell-averaged density of k(x, y, .); sums to 1/dx per cell width."""
-        return self.row_masses(x, y, grid) / grid.dx
-
     # -- sampling -----------------------------------------------------------
 
     def sample_offspring(self, x: float, y: float, rng) -> float:
@@ -332,17 +322,10 @@ class InheritanceKernel:
 
     # -- internals ----------------------------------------------------------
 
-    def _table(self, grid: TraitGrid) -> _SumRowTable:
-        """Rows of a sum-structured kernel for the parent sums 2 x_min + (k + 1) dx,
-        from its _raw_lattice(grid): the raw in-grid masses of those rows."""
-        table = self._tables.get(grid)
-        if not isinstance(table, _SumRowTable):
-            table = self._tables[grid] = _SumRowTable(self._raw_lattice(grid))
-        return table
-
-    def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice:
-        """The cached parent-sum contraction of a sum-structured kernel on grid."""
-        return self._table(grid)
+    def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice | None:
+        """The cached parent-sum contraction on grid, for kernels whose rows
+        depend on (x, y) only through x + y; None runs the exact contraction."""
+        return None
 
     def safe_parent_window(self, grid: TraitGrid) -> tuple[float, float]:
         """Parent-trait range on which discretized rows are essentially untruncated."""
@@ -373,8 +356,6 @@ def _truncate_renormalize(raw: np.ndarray):
 
 class AdditiveNoiseKernel(InheritanceKernel):
     """Offspring trait = (x + y)/2 + Z with zero-mean noise Z."""
-
-    sum_structured = True
 
     def __init__(self, noise: NoiseDensity):
         super().__init__()
@@ -415,8 +396,6 @@ class MultiplicativeNoiseKernel(InheritanceKernel):
     point mass at zero, the limit of the scaled law.
     """
 
-    sum_structured = True
-
     def __init__(self, noise: NoiseDensity):
         super().__init__()
         lo, hi = noise.support
@@ -439,9 +418,13 @@ class MultiplicativeNoiseKernel(InheritanceKernel):
             raw[zero, grid.cell_of(0.0)] = 1.0
         return raw
 
-    def _raw_lattice(self, grid):
-        return self._raw(2.0 * grid.x_min + (np.arange(2 * grid.n_cells - 1) + 1.0) * grid.dx,
-                         grid)
+    def _sum_path(self, grid):
+        # rows for the parent sums 2 x_min + (k + 1) dx, k = 0 .. 2n - 2
+        table = self._tables.get(grid)
+        if table is None:
+            sums = 2.0 * grid.x_min + (np.arange(2 * grid.n_cells - 1) + 1.0) * grid.dx
+            table = self._tables[grid] = _SumRowTable(self._raw(sums, grid))
+        return table
 
     def _raw_row(self, x, y, grid):
         if x < 0 or y < 0:
@@ -544,14 +527,15 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                   grid: TraitGrid) -> np.ndarray:
     """Array-level birth operator core; no measure validation.
 
-    Sum-structured kernels take the parent-sum path: multiplicative ones
-    against their cached row table, additive ones without a table, by
-    direct sums below _FFT_MIN_CELLS cells and by FFT from there. Every
-    other kernel takes the exact contraction, _birth_weights_exact.
+    Kernels with a parent-sum contraction (kernel._sum_path) take it:
+    multiplicative ones against their cached row table, additive ones
+    without a table, by direct sums below _FFT_MIN_CELLS cells and by FFT
+    from there. Every other kernel takes the exact contraction,
+    _birth_weights_exact.
     """
-    if not kernel.sum_structured:
-        return _birth_weights_exact(kernel, wa, wb, grid)
     rows = kernel._sum_path(grid)
+    if rows is None:
+        return _birth_weights_exact(kernel, wa, wb, grid)
     conv, out = rows.contract(wa, wb)
     total = max(conv.sum(), 1e-300)
     # mass on rows without in-grid mass, which contribute nothing (fine up

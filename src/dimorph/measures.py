@@ -37,10 +37,6 @@ __all__ = [
 #: Absolute tolerance when two masses must agree.
 MASS_TOLERANCE = 1e-9
 
-# Negative weights smaller than this (relative to the largest weight) are
-# treated as floating-point dust and clipped to zero on construction.
-_DUST = 1e-12
-
 
 _erf = np.frompyfunc(math.erf, 1, 1)
 
@@ -117,11 +113,7 @@ class GridMeasure:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
-            worst = float(w.min())
-            scale = float(np.abs(w).max())
-            if -worst > _DUST * max(scale, 1.0):
-                raise ValueError(f"weights must be non-negative, min = {worst}")
-            w = np.where(w < 0, 0.0, w)
+            raise ValueError(f"weights must be non-negative, min = {float(w.min())}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_mass", float(w.sum()))

@@ -1,8 +1,7 @@
 """Long-time behavior of the trait distributions.
 
 The shared limiting distribution of males and females is the fixed point
-of the quadratic birth map, computed by direct iteration with a damping
-fallback. The module also grades solver trajectories against that limit
+of the quadratic birth map, computed by direct iteration. The module also grades solver trajectories against that limit
 and compares stochastic runs at several population scales with the
 deterministic solution.
 """
@@ -45,7 +44,6 @@ class FixedPointResult:
     variance: float
     mean_drift: float
     residual: float
-    damped: bool
 
 
 def _check_mean_condition(kernel: InheritanceKernel, grid, tol: float) -> None:
@@ -69,9 +67,7 @@ def fixed_point(kernel: InheritanceKernel, mu0: GridMeasure, tol: float = 1e-8,
     than tol in Wasserstein distance.
 
     The map preserves the mean, so the limit is the unique fixed point with
-    the mean of mu0. Plain iteration is used until step sizes stop
-    improving for five consecutive iterations, after which updates are
-    damped halfway. Raises NoConvergence when the budget runs out, and
+    the mean of mu0. Raises NoConvergence when the budget runs out, and
     ValueError unless tol > 0 and max_iter >= 1.
     """
     if not tol > 0:
@@ -85,14 +81,10 @@ def fixed_point(kernel: InheritanceKernel, mu0: GridMeasure, tol: float = 1e-8,
 
     mean0 = mean(mu0)
     cur = mu0
-    damped = False
-    stall = 0
-    prev_step = np.inf
     mean_drift = 0.0
     history: list[float] = []
     for it in range(1, max_iter + 1):
-        image = birth_operator(kernel, cur, cur)
-        w = image.weights if not damped else 0.5 * cur.weights + 0.5 * image.weights
+        w = birth_operator(kernel, cur, cur).weights
         # mass squares under the map, so rounding drift compounds; renormalize
         nxt = GridMeasure(grid, w / w.sum())
         step = wasserstein1(nxt, cur)
@@ -100,7 +92,6 @@ def fixed_point(kernel: InheritanceKernel, mu0: GridMeasure, tol: float = 1e-8,
         mean_drift = max(mean_drift, abs(mean(nxt) - mean0))
         cur = nxt
         if step < tol:
-            image = birth_operator(kernel, cur, cur)
             return FixedPointResult(
                 mu_star=cur,
                 iterations=it,
@@ -108,16 +99,8 @@ def fixed_point(kernel: InheritanceKernel, mu0: GridMeasure, tol: float = 1e-8,
                 mean=mean(cur),
                 variance=variance(cur),
                 mean_drift=mean_drift,
-                residual=wasserstein1(image, cur),
-                damped=damped,
+                residual=wasserstein1(birth_operator(kernel, cur, cur), cur),
             )
-        if step >= prev_step:
-            stall += 1
-            if stall >= 5:
-                damped = True
-        else:
-            stall = 0
-        prev_step = step
     raise NoConvergence(
         f"no convergence after {max_iter} iterations (last step {history[-1]:.3e})",
         last_iterate=cur,

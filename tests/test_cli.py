@@ -277,6 +277,14 @@ def test_measure_csv_round_trip_and_tabulated_input(tmp_path):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "out" / "mu_star_measure.csv").exists()
 
+    # a tabulated weight of -1e-15 is refused, not clipped to zero
+    weights = m.weights.copy()
+    weights[5] = -1e-15
+    path.write_text(csv_text("cell_center,weight", zip(grid.centers, weights)))
+    res = run_cli("fixed-point", "--config", str(cfg), "--out", str(tmp_path / "refused"))
+    assert res.returncode == 2
+    assert "field initial: weights must be non-negative, min = -1e-15" in res.stderr
+
 
 def test_lln_parallel_jobs(tmp_path):
     cfg = _write(tmp_path, "lln.json", {

@@ -131,6 +131,8 @@ def test_step_single_male_death_only():
     assert pop.size == 0
     with pytest.raises(ExtinctPopulation):
         step(pop, KERNEL, rng)
+    with pytest.raises(IndexError, match="no male individual at index 0"):
+        pop.remove(Sex.MALE, 0)
 
 
 def test_events_change_count_by_one():
@@ -334,6 +336,15 @@ def test_params_validation():
         IbmParams(grid=GRID, rates=PERSIST, kernel=KERNEL, N=1, t_end=1.0,
                   sample_times=(0.5,), seed=0,
                   initial_female=np.array([99.0]), initial_male=np.array([0.0]))
+    with pytest.raises(ValueError, match="sorted"):
+        IbmParams(grid=GRID, rates=PERSIST, kernel=KERNEL, N=1, t_end=1.0,
+                  sample_times=(0.5, 0.2), seed=0,
+                  initial_female=np.array([0.0]), initial_male=np.array([0.0]))
+    empty = IbmParams(grid=GRID, rates=PERSIST, kernel=KERNEL, N=1, t_end=1.0,
+                      sample_times=(0.5,), seed=0,
+                      initial_female=np.array([]), initial_male=np.array([]))
+    with pytest.raises(ValueError, match="nonempty"):
+        simulate(empty)
 
 
 @pytest.mark.parametrize("field, value", [

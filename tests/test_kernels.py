@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dimorph import kernels
 from dimorph.errors import DegenerateRow, GridMismatch, UnsupportedKernel
 from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
-                             GaussianNoise, InheritanceKernel, MultiplicativeNoiseKernel,
+                             GaussianNoise, MultiplicativeNoiseKernel,
                              NoiseDensity, SamplerKernel, TabulatedNoise, UniformNoise,
                              _birth_weights_exact, _NoiseLattice, _SumRowTable,
                              birth_operator, birth_weights, check_hypotheses,
@@ -78,19 +78,18 @@ def test_family_constructor_guards():
 # -- density rows ---------------------------------------------------------------
 
 
-def test_density_row_mean_and_normalization(grid, add_kernel):
-    row = add_kernel.density_row(1.0, 3.0, grid)
+def test_row_masses_mean_and_normalization(grid, add_kernel):
+    row = add_kernel.row_masses(1.0, 3.0, grid)
     assert np.all(row >= 0.0)
-    assert row.sum() * grid.dx == pytest.approx(1.0, abs=1e-12)
-    mean = float(np.sum(grid.centers * row) * grid.dx)
-    assert mean == pytest.approx(2.0, abs=1e-3)
+    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float(grid.centers @ row) == pytest.approx(2.0, abs=1e-3)
 
 
-def test_density_row_symmetric_in_parents(grid, add_kernel, mult_grid, mult_kernel):
-    np.testing.assert_array_equal(add_kernel.density_row(-1.0, 2.5, grid),
-                                  add_kernel.density_row(2.5, -1.0, grid))
-    np.testing.assert_array_equal(mult_kernel.density_row(0.5, 2.0, mult_grid),
-                                  mult_kernel.density_row(2.0, 0.5, mult_grid))
+def test_row_masses_symmetric_in_parents(grid, add_kernel, mult_grid, mult_kernel):
+    np.testing.assert_array_equal(add_kernel.row_masses(-1.0, 2.5, grid),
+                                  add_kernel.row_masses(2.5, -1.0, grid))
+    np.testing.assert_array_equal(mult_kernel.row_masses(0.5, 2.0, mult_grid),
+                                  mult_kernel.row_masses(2.0, 0.5, mult_grid))
 
 
 def test_row_mean_error_bound_inside_safe_window(grid, add_kernel):
@@ -112,6 +111,31 @@ def test_degenerate_row_raises():
     k = AdditiveNoiseKernel(GaussianNoise(0.01))
     with pytest.raises(DegenerateRow):
         k.row_masses(10.0, 10.0, tight)
+
+
+@pytest.mark.parametrize("share, raises", [(1e-8, True), (1e-10, False)],
+                         ids=["above-tolerance", "below-tolerance"])
+def test_exact_contraction_tolerates_degenerate_parents_up_to_a_mass_share(share, raises):
+    # the density vanishes on the grid for mothers in the top cell; they carry
+    # `share` of the product mass, each pair above the contraction's 1e-12 skip
+    def dens(x, y, z):
+        return np.exp(-0.5 * ((z - 0.5 * (x + y)) / 0.5) ** 2) * (x < 1.75)
+
+    grid = TraitGrid(-2.0, 2.0, 16)
+    kernel = CustomDensityKernel(dens)
+    wa = np.full(16, 1.0 / 15.0)
+    wa[-1] = share
+    wb = np.full(16, 1.0 / 16.0)
+    total = wa.sum()
+    if raises:
+        with pytest.raises(DegenerateRow, match="1.000e-08 of the mass"):
+            birth_weights(kernel, wa, wb, grid)
+        return
+    out = birth_weights(kernel, wa, wb, grid)
+    # the degenerate pairs add nothing; every other row keeps unit mass
+    assert out.sum() == pytest.approx(total - share, rel=1e-12)
+    wa[-1] = 0.0
+    np.testing.assert_array_equal(out, _birth_weights_exact(kernel, wa, wb, grid))
 
 
 def test_sampler_kernel_has_no_rows():
@@ -240,16 +264,18 @@ class _TableKernel(AdditiveNoiseKernel):
     offsets 2j - k - 2 and 2j - k (counted from 1 - 2n).
     """
 
-    _sum_path = InheritanceKernel._sum_path
-
-    def _raw_lattice(self, grid):
-        c = self._offset_cdf(grid)
-        g = c[2:] - c[:-2]
-        return sliding_window_view(g, 2 * grid.n_cells - 1)[::-1, ::2]
+    def _sum_path(self, grid):
+        table = self._tables.get(grid)
+        if table is None:
+            c = self._offset_cdf(grid)
+            g = c[2:] - c[:-2]
+            raw = sliding_window_view(g, 2 * grid.n_cells - 1)[::-1, ::2]
+            table = self._tables[grid] = _SumRowTable(raw)
+        return table
 
 
 def _reference_table(noise, grid):
-    return _TableKernel(noise)._table(grid)
+    return _TableKernel(noise)._sum_path(grid)
 
 
 _TRI = np.linspace(-1.0, 1.0, 41)
@@ -633,6 +659,8 @@ def test_check_hypotheses_flags_violating_kernel():
     assert rep.condition_ii.l_est > 1.0
     assert not rep.condition_ii.holds
     assert rep.mean_condition_max_error > 10.0 * g.dx
+    with pytest.raises(ValueError, match="parent window is empty"):
+        check_hypotheses(CustomDensityKernel(dens), g, parent_window=(1.0, 1.0))
 
 
 # -- tabulated kernels ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from dimorph.macro import (MacroState, SolverConfig, _GridRates, coupled_full_ru
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                               point_mass, wasserstein1)
 from dimorph.stability import limiting_mean
-from dimorph.stepping import SolverDiagnostics, march, sample_times
+from dimorph.stepping import SolverDiagnostics, march, sample_index, sample_times
 from dimorph.totals import RateSet, TotalsState, integrate_totals, stationary_point
 
 GRID = TraitGrid(-8.0, 8.0, 128)
@@ -138,6 +138,49 @@ def test_empty_sex_class_means_pure_death():
                      SolverConfig(dt=0.01, t_end=2.0, sample_stride=50))
     diag = traj.diagnostics
     assert 0 < diag.empty_denominator_steps == diag.accepted_steps < 200
+
+
+def _zero(x):
+    return 0 * x
+
+
+@pytest.mark.parametrize("silent", ["male", "female"])
+def test_sex_without_mating_capability_is_chosen_uniformly(silent):
+    # with no capability on one side, each individual of the other sex mates
+    # at its own rate with a partner drawn from the silent sex's trait law,
+    # as the stochastic engine does; masses are off one so that a missing
+    # normalization shows
+    p_f, p_m = (1.5, _zero) if silent == "male" else (_zero, 1.5)
+    rates = RateSet(p_f=p_f, p_m=p_m, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25, U_mf=0.25,
+                    U_mm=0.25)
+    m = gaussian_measure(GRID, 0.5, 1.0, mass=1.7).weights
+    f = gaussian_measure(GRID, -0.3, 0.8, mass=0.6).weights
+    birth, *_, empty = macro._birth_and_death(_GridRates(rates, GRID), KERNEL, GRID, m, f)
+    if silent == "male":
+        want = 0.5 * birth_weights(KERNEL, 1.5 * f, m / m.sum(), GRID)
+    else:
+        want = 0.5 * birth_weights(KERNEL, f / f.sum(), 1.5 * m, GRID)
+    np.testing.assert_array_equal(birth, want)
+    # half of the young born at the mating sex's total rate are of each sex
+    mating_mass = f.sum() if silent == "male" else m.sum()
+    assert birth.sum() == pytest.approx(0.5 * 1.5 * mating_mass, rel=1e-12)
+    assert not empty
+
+
+def test_no_mating_capability_on_either_side_is_pure_death():
+    rates = RateSet(p_f=_zero, p_m=_zero, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25, U_mf=0.25,
+                    U_mm=0.25)
+    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.2)
+    f0 = gaussian_measure(GRID, -0.3, 0.8, mass=0.7)
+    dm, df = rhs_general(MacroState(m0, f0), rates, KERNEL)
+    death = 1.0 + 0.25 * (m0.mass + f0.mass)
+    np.testing.assert_allclose(dm, -death * m0.weights, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(df, -death * f0.weights, rtol=1e-14, atol=0)
+    traj = integrate(MacroState(m0, f0), rates, KERNEL,
+                     SolverConfig(dt=0.01, t_end=1.0, sample_stride=50))
+    diag = traj.diagnostics
+    assert 0 < diag.empty_denominator_steps == diag.accepted_steps
+    assert traj.states[-1].m.mass < m0.mass and traj.states[-1].f.mass < f0.mass
     assert traj.states[-1].m.mass < m0.mass
 
 
@@ -347,6 +390,8 @@ def test_dt_bound_enforced():
     with pytest.raises(ValueError):
         integrate(MacroState(m0, m0), PERSIST, KERNEL,
                   SolverConfig(dt=2.0 * bound, t_end=1.0))
+    with pytest.raises(ValueError, match="share one grid"):
+        MacroState(m0, gaussian_measure(TraitGrid(-8.0, 8.0, 64), 0.0, 1.0))
 
 
 def test_normalized_dt_bound_enforced():
@@ -357,6 +402,13 @@ def test_normalized_dt_bound_enforced():
     traj = integrate_normalized(m0, m0, 5.0, KERNEL,
                                 SolverConfig(dt=0.02, t_end=0.1, sample_stride=5))
     assert traj.diagnostics.dt_bound == pytest.approx(0.02)
+    cfg = SolverConfig(dt=0.01, t_end=0.1)
+    for mu0, nu0, a, message in (
+            (m0, gaussian_measure(TraitGrid(-8.0, 8.0, 64), 0.0, 1.0), 1.0, "share one grid"),
+            (m0, gaussian_measure(GRID, 0.0, 1.0, mass=1.5), 1.0, "nu0 must be a probability"),
+            (m0, m0, lambda _t: 0.0, "sex-ratio constant must be positive")):
+        with pytest.raises(ValueError, match=message):
+            integrate_normalized(mu0, nu0, a, KERNEL, cfg)
 
 
 def test_march_refuses_dt_above_bound_before_first_step():
@@ -598,6 +650,11 @@ def test_march_yields_exactly_the_sample_times(scheme):
                                  SolverDiagnostics())]
     assert times == sample_times(cfg, 0.3)
     assert times == [0.3 + k * 0.01 for k in (0, 30, 60, 90, 100)]
+    assert [sample_index(times, t) for t in (0.3, 0.9, 1.3)] == [0, 2, 4]
+    with pytest.raises(KeyError, match="nearest is 0.6"):
+        sample_index(times, 0.65)
+    with pytest.raises(KeyError, match="no snapshot at t = 0.3"):
+        sample_index([], 0.3)
 
 
 def test_default_scheme_steps_grow_to_the_sample_interval():

@@ -43,6 +43,11 @@ def test_measure_weights_immutable(grid):
 def test_measure_rejects_negative_and_nonfinite(grid):
     with pytest.raises(ValueError):
         GridMeasure(grid, -np.ones(grid.n_cells))
+    # however small: no construction clips a negative weight away
+    w = np.ones(grid.n_cells)
+    w[3] = -1e-15
+    with pytest.raises(ValueError, match="non-negative, min = -1e-15"):
+        GridMeasure(grid, w)
     w = np.ones(grid.n_cells)
     w[3] = np.inf
     with pytest.raises(ValueError):

@@ -97,6 +97,8 @@ def test_convergence_report_at_fixed_point():
                              monotone_floor=1e-8)
     assert np.max(rep.d_max) < 1e-7
     assert rep.monotone_max_distance
+    with pytest.raises(ValueError, match="matching lengths"):
+        convergence_report(traj.times[:-1], traj.mus, traj.nus, fp.mu_star)
 
 
 def test_convergence_report_gaussian_scenario():

@@ -58,6 +58,10 @@ def test_totals_rhs_examples():
     sp = stationary_point(ASYM)
     dM, dF = totals_rhs(TotalsState(sp.M_bar, sp.F_bar), ASYM)
     assert abs(dM) < 1e-10 and abs(dF) < 1e-10
+    for masses, message in (((np.nan, 1.0), "finite"), ((1.0, np.inf), "finite"),
+                            ((-0.1, 1.0), "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            TotalsState(*masses)
     # a stacked (2, k) state gives the k single-state values
     states = np.array([[0.0, 1.3, sp.M_bar, 0.4], [0.0, 1.3, sp.F_bar, 3.1]])
     dM, dF = totals_rhs(states, ASYM)
