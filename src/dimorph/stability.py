@@ -1,9 +1,9 @@
 """Long-time behavior of the trait distributions.
 
 The shared limiting distribution of males and females is the fixed point
-of the quadratic birth map, computed by direct iteration. The module also grades solver trajectories against that limit
-and compares stochastic runs at several population scales with the
-deterministic solution.
+of the quadratic birth map, computed by direct iteration. The module also
+grades solver trajectories against that limit and compares stochastic runs
+at several population scales with the deterministic solution.
 """
 
 from __future__ import annotations
