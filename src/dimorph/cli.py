@@ -13,25 +13,42 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import acceptance as acc
 from .config import (_get, _integer, _on_lattice, _positive, _run_length, _scales, _seed,
                      _times, checked, flag_integer, load_config, parse_grid, parse_kernel,
                      parse_measure, parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
-from .ibm import IbmParams, simulate, simulate_all
-from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_rows,
+from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_blocks,
                  write_json, write_manifest, write_measure_csv)
-from .macro import MacroState, coupled_full_run, integrate, integrate_normalized
 from .measures import normalize, wasserstein1
-from .stability import MIN_REPLICAS, fixed_point, lln_compare
 from .totals import (TAIL_FLOOR, TotalsState, fit_exponential_tail, integrate_totals,
                      stationary_point)
+
+# Names from modules that only some subcommands run, imported on first use:
+# `cli.simulate` resolves through __getattr__ below, and main binds the names
+# of its subcommand's modules before the runner starts. A name already bound
+# (say, replaced by a test or a tracer) is kept.
+_DEFERRED = {name: module for module, names in (
+    ("ibm", "IbmParams simulate simulate_all"),
+    ("macro", "MacroState coupled_full_run integrate integrate_normalized"),
+    ("stability", "MIN_REPLICAS fixed_point lln_compare"),
+    ("acceptance", "format_table run_all"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 OUT_DIR_ENV = "DIMORPH_OUT"
 
@@ -67,7 +84,7 @@ def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     summary.update({"fit_slope": slope, "fit_r2": r2,
                     "final_M": float(series.M[-1]), "final_F": float(series.F[-1])})
     return [atomic_write_text(out / "totals_series.csv", csv_text(
-                "time,M,F", zip(series.t.tolist(), series.M.tolist(), series.F.tolist()))),
+                "time,M,F", [(series.t, series.M, series.F)])),
             write_json(out / "summary.json", summary)]
 
 
@@ -119,8 +136,8 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
         times, pairs = run.times, list(zip(run.mus, run.nus))
         files.append(atomic_write_text(out / "distances.csv", csv_text(
             "time,A,d_between,d_male_limit,d_female_limit",
-            zip(run.times.tolist(), run.A_series.tolist(), run.report.d_between.tolist(),
-                run.report.d_mu.tolist(), run.report.d_nu.tolist()))))
+            [(run.times, run.A_series, run.report.d_between, run.report.d_mu,
+              run.report.d_nu)])))
         summary = {
             "A_limit": run.A_limit,
             "A_fit_slope": run.A_fit[0],
@@ -134,7 +151,7 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
         }
     else:
         raise ConfigError(f"field mode must be raw, normalized or coupled, got {mode!r}")
-    return [emit_distribution_csv(out / "distributions.csv", trajectory_rows(times, pairs)),
+    return [emit_distribution_csv(out / "distributions.csv", trajectory_blocks(times, pairs)),
             *files, write_json(out / "summary.json", {"mode": mode, **summary})]
 
 
@@ -161,7 +178,7 @@ def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     pairs = [(s.male, s.female) for s in traj.snapshots]
     times = [s.time for s in traj.snapshots]
     return [
-        emit_distribution_csv(out / "distributions.csv", trajectory_rows(times, pairs)),
+        emit_distribution_csv(out / "distributions.csv", trajectory_blocks(times, pairs)),
         write_json(out / "run.json", {
             "seed": run_seed,
             "N": n_scale,
@@ -187,7 +204,7 @@ def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     fp = fixed_point(kernel, mu0, tol=tol, max_iter=max_iter)
     return [
         emit_distribution_csv(out / "mu_star.csv",
-                              trajectory_rows([0.0], [(fp.mu_star,)], components=("limit",))),
+                              trajectory_blocks([0.0], [(fp.mu_star,)], components=("limit",))),
         write_measure_csv(out / "mu_star_measure.csv", fp.mu_star),
         write_json(out / "summary.json", {k: getattr(fp, k) for k in (
             "iterations", "final_step_distance", "mean", "variance", "mean_drift",
@@ -233,11 +250,11 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     macro = integrate(MacroState(m0, f0), rates, kernel, solver)
     table = lln_compare(runs, macro, checkpoints)
 
-    err_rows = [(n, float(t), float(table.means[i, j]), float(table.stderrs[i, j]))
-                for i, n in enumerate(table.Ns) for j, t in enumerate(table.times)]
+    err_blocks = [(n, table.times, table.means[i], table.stderrs[i])
+                  for i, n in enumerate(table.Ns)]
     return [
         atomic_write_text(out / "lln_errors.csv",
-                          csv_text("N,checkpoint,mean_error,stderr", err_rows)),
+                          csv_text("N,checkpoint,mean_error,stderr", err_blocks)),
         write_json(out / "lln_report.json", {
             "N_list": list(table.Ns),
             "checkpoints": table.times.tolist(),
@@ -255,8 +272,8 @@ def run_acceptance(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     only = _get(cfg, "only", "", expected=list, required=False)
     jobs = _integer(cfg, "jobs", "", 1, default=jobs)
     with checked():  # only the check of `only`: criteria report their own errors
-        results = acc.run_all(only=only, jobs=jobs)
-    print(acc.format_table(results))
+        results = run_all(only=only, jobs=jobs)
+    print(format_table(results))
     n_failed = sum(not r.passed for r in results)
     files = [write_json(out / "acceptance_report.json", {
         "results": [{"id": r.cid, "title": r.title, "passed": r.passed,
@@ -269,14 +286,15 @@ def run_acceptance(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     return files
 
 
+# subcommand -> (runner, the modules of its deferred names)
 _RUNNERS = {
-    "totals": run_totals,
-    "stationary": run_stationary,
-    "macro": run_macro,
-    "ibm": run_ibm,
-    "fixed-point": run_fixed_point,
-    "lln": run_lln,
-    "acceptance": run_acceptance,
+    "totals": (run_totals, ()),
+    "stationary": (run_stationary, ()),
+    "macro": (run_macro, ("macro",)),
+    "ibm": (run_ibm, ("ibm",)),
+    "fixed-point": (run_fixed_point, ("stability",)),
+    "lln": (run_lln, ("ibm", "macro", "stability")),
+    "acceptance": (run_acceptance, ("acceptance",)),
 }
 
 
@@ -306,7 +324,11 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.command:
             raise ConfigError(f"field kind is {declared!r} but the subcommand is {args.command!r}")
         out.mkdir(parents=True, exist_ok=True)
-        files = _RUNNERS[args.command](cfg, out, args.seed, args.jobs)
+        runner, modules = _RUNNERS[args.command]
+        for name, module in _DEFERRED.items():
+            if module in modules and name not in globals():
+                __getattr__(name)
+        files = runner(cfg, out, args.seed, args.jobs)
         files.append(write_manifest(out, files))
         for f in files:
             print(f"wrote {f}")

@@ -11,19 +11,19 @@ import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, IoError
-from .kernels import (AdditiveNoiseKernel, GaussianNoise, InheritanceKernel,
-                      MultiplicativeNoiseKernel, TabulatedNoise, UniformNoise,
-                      tabulated_kernel_from_csv)
 from .io import read_measure_csv
-from .macro import SolverConfig
 from .measures import (GridMeasure, TraitGrid, gaussian_measure, point_mass,
                        uniform_measure)
-from .stepping import sample_index, sample_times
+from .stepping import SolverConfig, sample_index, sample_times
 from .totals import RateSet
+
+if TYPE_CHECKING:
+    from .kernels import InheritanceKernel
 
 __all__ = [
     "load_config",
@@ -193,31 +193,33 @@ def parse_rates(d: dict, ctx: str = "rates.") -> RateSet:
 
 
 def _parse_noise(d: dict, ctx: str):
+    from . import kernels  # only the runs that take a kernel load it
     kind = _get(d, "kind", ctx, expected=str)
     with checked(ctx):
         if kind == "gaussian":
-            return GaussianNoise(_number(d, "sigma", ctx))
+            return kernels.GaussianNoise(_number(d, "sigma", ctx))
         if kind == "uniform":
-            return UniformNoise(_number(d, "lo", ctx), _number(d, "hi", ctx))
+            return kernels.UniformNoise(_number(d, "lo", ctx), _number(d, "hi", ctx))
         if kind == "tabulated":
             z = _get(d, "z", ctx, expected=list)
             pdf = _get(d, "pdf", ctx, expected=list)
-            return TabulatedNoise(np.asarray(z, dtype=float), np.asarray(pdf, dtype=float))
+            return kernels.TabulatedNoise(np.asarray(z, dtype=float), np.asarray(pdf, dtype=float))
     raise ConfigError(f"field {ctx}kind must be gaussian, uniform or tabulated, got {kind!r}")
 
 
 def parse_kernel(d: dict, ctx: str = "kernel.",
                  sample_grid: TraitGrid | None = None) -> InheritanceKernel:
+    from . import kernels
     _section(d, ctx)
     family = _get(d, "family", ctx, expected=str)
     with checked(ctx):
         if family == "additive":
-            return AdditiveNoiseKernel(_parse_noise(_get(d, "noise", ctx, expected=dict), ctx + "noise."))
+            return kernels.AdditiveNoiseKernel(_parse_noise(_get(d, "noise", ctx, expected=dict), ctx + "noise."))
         if family == "multiplicative":
-            return MultiplicativeNoiseKernel(_parse_noise(_get(d, "noise", ctx, expected=dict), ctx + "noise."))
+            return kernels.MultiplicativeNoiseKernel(_parse_noise(_get(d, "noise", ctx, expected=dict), ctx + "noise."))
         if family == "custom":
             path = _get(d, "table_csv", ctx, expected=str)
-            return tabulated_kernel_from_csv(path, sample_grid=sample_grid)
+            return kernels.tabulated_kernel_from_csv(path, sample_grid=sample_grid)
     raise ConfigError(f"field {ctx}family must be additive, multiplicative or custom, got {family!r}")
 
 

@@ -18,11 +18,11 @@ from .errors import IoError
 from .measures import GridMeasure, TraitGrid
 
 __all__ = [
-    "fmt",
     "csv_text",
     "atomic_write_text",
     "write_json",
     "emit_distribution_csv",
+    "trajectory_blocks",
     "read_distribution_csv",
     "write_measure_csv",
     "read_measure_csv",
@@ -32,15 +32,42 @@ __all__ = [
 CSV_HEADER = "time,component,cell_center,weight"
 
 
-def fmt(x: float) -> str:
-    """Locale-independent float formatting that round-trips float64."""
-    return format(float(x), ".17g")
+def _field(v) -> str:
+    """A float (numpy float64 included) as %.17g, which round-trips float64;
+    anything else through str."""
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
-def csv_text(header: str, rows) -> str:
-    """The lines of a CSV file: floats through fmt, anything else through str."""
-    lines = (",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    return "\n".join((header, *lines)) + "\n"
+def csv_text(header: str, blocks) -> str:
+    """The lines of a CSV file, written block by block.
+
+    A block is a tuple of fields. A field that is a list or a numpy array
+    is a column, with one value per line of the block (all columns of a
+    block have one length); any other field is repeated on every line. A
+    block without columns is one line. Every value is written as _field
+    writes it; a float64 array column goes through one %.17g template per
+    block, which gives the same bytes.
+    """
+    lines = [header]
+    for block in blocks:
+        parts, cols = [], []
+        for v in block:
+            if isinstance(v, np.ndarray) and v.dtype == np.float64:
+                parts.append("%.17g")
+                cols.append(v.tolist())
+            elif isinstance(v, (list, np.ndarray)):
+                parts.append("%s")
+                cols.append([_field(x) for x in v])
+            else:
+                parts.append(_field(v).replace("%", "%%"))
+        # one % over the whole block: its lines are one string, not one each
+        n, k = (len(cols[0]) if cols else 1), len(cols)
+        values = [None] * (n * k)
+        for i, col in enumerate(cols):
+            values[i::k] = col  # a column of another length raises ValueError
+        if n:
+            lines.append("\n".join([",".join(parts)] * n) % tuple(values))
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -59,22 +86,21 @@ def write_json(path: str | Path, payload) -> Path:
     return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def emit_distribution_csv(path: str | Path, rows) -> Path:
-    """Write (time, component, cell_center, weight) rows under the fixed header.
+def emit_distribution_csv(path: str | Path, blocks) -> Path:
+    """Write (time, component, cell_center, weight) lines under the fixed header.
 
-    rows is any iterable of 4-tuples; an empty iterable yields a
-    header-only file.
+    blocks is any iterable of csv_text blocks with those four fields, such
+    as trajectory_blocks gives; an empty iterable yields a header-only file.
     """
-    return atomic_write_text(path, csv_text(CSV_HEADER, rows))
+    return atomic_write_text(path, csv_text(CSV_HEADER, blocks))
 
 
-def trajectory_rows(times, measure_pairs, components=("male", "female")):
-    """Yield CSV rows for a sequence of (measure, measure) snapshot pairs."""
+def trajectory_blocks(times, measure_pairs, components=("male", "female")):
+    """Yield one (time, component, cell centers, weights) block per measure
+    of a sequence of (measure, measure) snapshot pairs."""
     for t, pair in zip(times, measure_pairs):
         for component, m in zip(components, pair):
-            centers = m.grid.centers
-            for c, w in zip(centers, m.weights):
-                yield t, component, float(c), float(w)
+            yield t, component, m.grid.centers, m.weights
 
 
 def read_distribution_csv(path: str | Path):
@@ -108,7 +134,7 @@ def write_measure_csv(path: str | Path, measure: GridMeasure) -> Path:
     tabulated initial-condition input.
     """
     return atomic_write_text(path, csv_text("cell_center,weight",
-                                            zip(measure.grid.centers, measure.weights)))
+                                            [(measure.grid.centers, measure.weights)]))
 
 
 def read_measure_csv(path: str | Path, grid: TraitGrid) -> GridMeasure:

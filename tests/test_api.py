@@ -1,8 +1,8 @@
-"""Every exported or re-exported name of the package resolves, and the CLI
-imports without scipy."""
+"""Every exported or re-exported name of the package resolves, and each CLI
+subcommand imports only the modules it runs (no scipy at all)."""
 
-import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dimorph
+from dimorph import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dimorph.__path__)
                  if m.name != "__main__")
@@ -24,41 +25,108 @@ def test_module_all_resolves(name):
     assert not missing, f"dimorph.{name}.__all__ names missing attributes: {missing}"
 
 
+def _fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter on this checkout's package."""
+    src = str(Path(dimorph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_package_imports_resolve():
-    tree = ast.parse(Path(dimorph.__file__).read_text())
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert imported
-    for module, name in imported:
+    # the package exports come from one name -> module table, loaded on first use
+    exports = dimorph._EXPORTS
+    assert exports and dimorph.__all__ == list(exports)
+    listed = dir(dimorph)
+    for name, module in exports.items():
         source = importlib.import_module(f"dimorph.{module}")
         assert hasattr(source, name), f"dimorph.{module} has no {name}"
         assert getattr(dimorph, name) is getattr(source, name)
+        assert name in listed, f"{name} missing from dir(dimorph)"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dimorph.no_such_name  # noqa: B018
+    # in a new interpreter: `import dimorph` loads no submodule, `import *`
+    # binds every export, and `from dimorph import config` gives the submodule
+    out = _fresh("import sys, dimorph\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('dimorph.')))\n"
+                 "ns = {}\n"
+                 "exec('from dimorph import *', ns)\n"
+                 "print(sorted(set(dimorph.__all__) - set(ns)))\n"
+                 "from dimorph import config\n"
+                 "print(config is sys.modules['dimorph.config'], config.__name__)\n"
+                 "print(dimorph.kernels.__name__)\n").splitlines()
+    assert out == ["[]", "[]", "True dimorph.config", "dimorph.kernels"]
+
+
+def test_cli_deferred_names_resolve_before_any_run():
+    # bench/tracing.py and the monkeypatch tests look up and replace these
+    # names on `cli` before a runner has bound them
+    out = _fresh("import importlib, sys\n"
+                 "from dimorph import cli\n"
+                 "print(sorted(m for m in cli._DEFERRED.values() if 'dimorph.' + m in sys.modules))\n"
+                 "for name, module in sorted(cli._DEFERRED.items()):\n"
+                 "    home = importlib.import_module('dimorph.' + module)\n"
+                 "    print(name, getattr(cli, name) is getattr(home, name))\n").splitlines()
+    assert out[0] == "[]"
+    resolved = dict(line.split() for line in out[1:])
+    assert {"simulate", "simulate_all", "integrate", "integrate_normalized",
+            "coupled_full_run", "fixed_point", "lln_compare"} <= resolved.keys()
+    assert set(resolved.values()) == {"True"}, resolved
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+# shipped config -> the dimorph modules its subcommand must not load
+NOT_LOADED = {
+    "totals": ("kernels", "macro", "stability", "ibm", "acceptance"),
+    "stationary": ("kernels", "macro", "stability", "ibm", "acceptance"),
+    "macro_raw": ("ibm", "acceptance"),
+    "macro_normalized": ("ibm", "acceptance"),
+    "macro_coupled": ("ibm", "acceptance"),
+    "ibm": ("macro", "stability", "acceptance"),
+    "fixed_point": ("macro", "ibm", "acceptance"),
+}
+
+
+@pytest.mark.parametrize("config", NOT_LOADED)
+def test_subcommand_loads_only_its_modules(tmp_path, config):
+    path = CONFIGS / f"{config}.json"
+    kind = json.loads(path.read_text())["kind"]
+    out = _fresh("import contextlib, io, runpy, sys\n"
+                 f"sys.argv = ['dimorph', {kind!r}, '--config', {str(path)!r}, "
+                 f"'--out', {str(tmp_path)!r}]\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    try:\n"
+                 "        runpy.run_module('dimorph', run_name='__main__', alter_sys=True)\n"
+                 "    except SystemExit as exc:\n"
+                 "        assert exc.code == 0, exc.code\n"
+                 "print(' '.join(m for m in sys.modules if m.startswith('dimorph.')))\n")
+    loaded = {m.split(".", 1)[1] for m in out.split()}
+    assert (tmp_path / "manifest.json").exists()
+    assert {"cli", "config", "io"} <= loaded
+    unwanted = loaded & set(NOT_LOADED[config])
+    assert not unwanted, f"{kind} loaded {sorted(unwanted)}"
 
 
 def test_cli_import_loads_no_scipy():
     # scipy is only needed to read custom kernel tables from CSV
-    src = str(Path(dimorph.__file__).resolve().parents[1])
-    code = ("import sys, dimorph.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = _fresh("import sys, dimorph.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
 
 
 def test_runs_below_the_fft_crossover_load_no_numpy_fft():
     # numpy.fft is imported on first use, by an additive birth at or above
     # the FFT crossover; importing the CLI and smaller births never load it
-    src = str(Path(dimorph.__file__).resolve().parents[1])
-    code = ("import sys, dimorph.cli\n"
-            "from dimorph import kernels, measures\n"
-            "kernel = kernels.AdditiveNoiseKernel(kernels.GaussianNoise(0.5))\n"
-            "for n in (128, kernels._FFT_MIN_CELLS - 1, kernels._FFT_MIN_CELLS):\n"
-            "    grid = measures.TraitGrid(-8.0, 8.0, n)\n"
-            "    w = measures.gaussian_measure(grid, 0.0, 1.0).weights\n"
-            "    kernels.birth_weights(kernel, w, w, grid)\n"
-            "    print('numpy.fft' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["False", "False", "True"]
+    out = _fresh("import sys, dimorph.cli\n"
+                 "from dimorph import kernels, measures\n"
+                 "kernel = kernels.AdditiveNoiseKernel(kernels.GaussianNoise(0.5))\n"
+                 "for n in (128, kernels._FFT_MIN_CELLS - 1, kernels._FFT_MIN_CELLS):\n"
+                 "    grid = measures.TraitGrid(-8.0, 8.0, n)\n"
+                 "    w = measures.gaussian_measure(grid, 0.0, 1.0).weights\n"
+                 "    kernels.birth_weights(kernel, w, w, grid)\n"
+                 "    print('numpy.fft' in sys.modules)\n")
+    assert out.split() == ["False", "False", "True"]

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimorph import acceptance as acc
 from dimorph import cli
 from dimorph.io import (csv_text, emit_distribution_csv, read_distribution_csv,
-                        trajectory_rows)
+                        trajectory_blocks)
 from dimorph.measures import GridMeasure, TraitGrid, gaussian_measure
 
 
@@ -209,7 +211,7 @@ def test_emit_distribution_csv_shape(tmp_path):
     m = gaussian_measure(grid, 0.5, 0.2)
     f = gaussian_measure(grid, 0.4, 0.1)
     path = tmp_path / "d.csv"
-    emit_distribution_csv(path, trajectory_rows([0.0], [(m, f)]))
+    emit_distribution_csv(path, trajectory_blocks([0.0], [(m, f)]))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "time,component,cell_center,weight"
     assert len(lines) == 1 + 8  # two components, four cells each
@@ -221,7 +223,7 @@ def test_distribution_csv_round_trip(tmp_path):
     m = GridMeasure(grid, rng.random(32))
     f = GridMeasure(grid, rng.random(32))
     path = tmp_path / "d.csv"
-    emit_distribution_csv(path, trajectory_rows([0.25], [(m, f)]))
+    emit_distribution_csv(path, trajectory_blocks([0.25], [(m, f)]))
     _t, comps, _centers, weights = read_distribution_csv(path)
     np.testing.assert_array_equal(weights[comps == "male"], m.weights)
     np.testing.assert_array_equal(weights[comps == "female"], f.weights)
@@ -238,6 +240,62 @@ def test_csv_text_writes_floats_round_trip_and_the_rest_as_text():
     assert csv_text("N,x", [(3, 0.1), (10, 1 / 3)]) \
         == "N,x\n3,0.10000000000000001\n10,0.33333333333333331\n"
     assert csv_text("N,x", []) == "N,x\n"
+
+
+def _reference_field(v):
+    # the per-value formatting the CSV artifacts have always had
+    return format(float(v), ".17g") if isinstance(v, float) else str(v)
+
+
+def _reference_csv(header, rows):
+    return "\n".join((header, *(",".join(map(_reference_field, row)) for row in rows))) + "\n"
+
+
+# finite float64 values, the edge cases drawn often
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+    st.integers(-2**60, 2**60).map(float))
+_WEIGHTS = st.lists(_FLOATS, max_size=12).map(np.array)
+_SCALARS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_SCALARS, st.sampled_from(["male", "female", "limit", "a%sb"]),
+                          _WEIGHTS), max_size=5))
+def test_distribution_csv_matches_the_per_value_format_and_round_trips(tmp_path_factory, drawn):
+    blocks = [(t, comp, w[::-1].copy(), w) for t, comp, w in drawn]
+    rows = [(t, comp, float(c), float(w)) for t, comp, cs, ws in blocks for c, w in zip(cs, ws)]
+    text = csv_text("time,component,cell_center,weight", blocks)
+    assert text == _reference_csv("time,component,cell_center,weight", rows)
+    path = emit_distribution_csv(tmp_path_factory.getbasetemp() / "drawn.csv", blocks)
+    times, comps, centers, weights = read_distribution_csv(path)
+    assert times.tobytes() == np.array([r[0] for r in rows], dtype=float).tobytes()
+    assert list(comps) == [r[1] for r in rows]
+    assert centers.tobytes() == np.array([r[2] for r in rows], dtype=float).tobytes()
+    assert weights.tobytes() == np.array([r[3] for r in rows], dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.sampled_from(["x", "50%"]),
+                          _FLOATS, _FLOATS.map(np.float64), st.integers(0, 10**6)),
+                max_size=8),
+       st.integers(1, 10**4))
+def test_csv_columns_of_every_kind_match_the_per_value_format(rows, n):
+    # integer and string columns as in lln_errors.csv, float64 scalars in a
+    # list column, an integer array column and a repeated integer field
+    ints, strs, floats, scalars, counts = [list(c) for c in zip(*rows)] or [[]] * 5
+    block = (n, ints, strs, np.array(floats), scalars, np.array(counts, dtype=np.int64))
+    expected = _reference_csv("N,i,s,x,y,k", [(n, *row) for row in rows])
+    assert csv_text("N,i,s,x,y,k", [block]) == expected
+    assert csv_text("N,i,s,x,y,k", [(n, *row) for row in rows]) == expected  # one-line blocks
+
+
+def test_csv_block_columns_must_have_one_length():
+    with pytest.raises(ValueError, match="size"):
+        csv_text("a,b", [(np.zeros(2), np.zeros(3))])
 
 
 def test_measure_csv_errors(tmp_path):
