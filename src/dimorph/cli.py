@@ -32,8 +32,8 @@ from .totals import (TAIL_FLOOR, TotalsState, fit_exponential_tail, integrate_to
 
 # Names from modules that only some subcommands run, imported on first use:
 # `cli.simulate` resolves through __getattr__ below, and main binds the names
-# of its subcommand's modules before the runner starts. A name already bound
-# (say, replaced by a test or a tracer) is kept.
+# its runner looks up before the runner starts. A name already bound (say,
+# replaced by a test or a tracer) is kept.
 _DEFERRED = {name: module for module, names in (
     ("ibm", "IbmParams simulate simulate_all"),
     ("macro", "MacroState coupled_full_run integrate integrate_normalized"),
@@ -46,6 +46,12 @@ def __getattr__(name: str):
     if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __package__), name)
+    # The home module's own definition, as an import at cli's load would have
+    # bound it: a wrapper set on the home module since then (one made with
+    # functools.wraps records `__wrapped__`) is peeled off, so whoever wraps
+    # `cli.<name>` next, as bench/tracing.py does, wraps the definition once.
+    while hasattr(value, "__wrapped__"):
+        value = value.__wrapped__
     globals()[name] = value
     return value
 
@@ -286,15 +292,14 @@ def run_acceptance(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     return files
 
 
-# subcommand -> (runner, the modules of its deferred names)
 _RUNNERS = {
-    "totals": (run_totals, ()),
-    "stationary": (run_stationary, ()),
-    "macro": (run_macro, ("macro",)),
-    "ibm": (run_ibm, ("ibm",)),
-    "fixed-point": (run_fixed_point, ("stability",)),
-    "lln": (run_lln, ("ibm", "macro", "stability")),
-    "acceptance": (run_acceptance, ("acceptance",)),
+    "totals": run_totals,
+    "stationary": run_stationary,
+    "macro": run_macro,
+    "ibm": run_ibm,
+    "fixed-point": run_fixed_point,
+    "lln": run_lln,
+    "acceptance": run_acceptance,
 }
 
 
@@ -324,9 +329,11 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.command:
             raise ConfigError(f"field kind is {declared!r} but the subcommand is {args.command!r}")
         out.mkdir(parents=True, exist_ok=True)
-        runner, modules = _RUNNERS[args.command]
-        for name, module in _DEFERRED.items():
-            if module in modules and name not in globals():
+        runner = _RUNNERS[args.command]
+        # the deferred names the runner's own code looks up (co_names also
+        # lists attribute names: a match there only binds a name early)
+        for name in _DEFERRED.keys() & runner.__code__.co_names:
+            if name not in globals():
                 __getattr__(name)
         files = runner(cfg, out, args.seed, args.jobs)
         files.append(write_manifest(out, files))
