@@ -273,6 +273,6 @@ def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
         return SolverConfig(
             dt=_number(d, "dt", ctx),
             t_end=_number(d, "t_end", ctx),
-            scheme=_get(d, "scheme", ctx, expected=str, required=False, default="dopri5"),
+            scheme=_get(d, "scheme", ctx, expected=str, required=False, default="dop853"),
             sample_stride=_get(d, "sample_stride", ctx, expected=int, required=False, default=1),
         )

@@ -4,7 +4,7 @@ Covers the raw two-sex system (male and female trait measures with
 mating, inheritance, natural death and competition), and the normalized
 probability-measure system driven by a constant or time-varying sex
 ratio. Both are advanced by the shared stepping core in
-``dimorph.stepping``, error-controlled Dormand-Prince 5(4) by default.
+``dimorph.stepping``, the error-controlled DOP853 pair by default.
 """
 
 from __future__ import annotations

@@ -628,10 +628,13 @@ def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatc
     ("macro_raw", {"dt": 0.01, "t_end": 0.004},
      "field solver: t_end = 0.004 is under half a step of dt = 0.01"),
     ("macro_raw", {"scheme": "euler"}, "field solver: unknown scheme 'euler'"),
+    # the former default, replaced by DOP853 under its own name
+    ("macro_coupled", {"scheme": "dopri5"},
+     "config error: field solver: unknown scheme 'dopri5'; scheme must be 'dop853' or 'rk4'"),
     # negative weights are always zeroed and reported, so the field that
     # chose between that and rejecting the step is no longer read
     ("macro_raw", {"positivity": "clip"}, "field solver.positivity is not a solver setting"),
-], ids=["normalized-short", "raw-short", "euler", "positivity"])
+], ids=["normalized-short", "raw-short", "euler", "dopri5", "positivity"])
 def test_macro_solver_without_a_step_or_scheme_exits_two(tmp_path, capsys, monkeypatch,
                                                           name, solver, message):
     for runner in ("integrate", "integrate_normalized", "coupled_full_run"):

@@ -238,7 +238,7 @@ def test_normalized_masses_stay_unit_without_renormalization(monkeypatch):
     # the criterion-5 flow, where unit mass is a saddle of the plain flow
     # (the masses grow like e^(sqrt(1.5) t) from rounding) and the RHS alone
     # now holds it; with no state change between steps the FSAL stage
-    # carries, so each accepted step costs six birth images
+    # carries, so each accepted step costs twelve birth images
     import dimorph.macro
 
     calls = []
@@ -254,7 +254,7 @@ def test_normalized_masses_stay_unit_without_renormalization(monkeypatch):
     diag = traj.diagnostics
     assert diag.max_mass_drift <= 1e-12
     assert (diag.clipped_mass, diag.rejected_steps) == (0.0, 0)
-    assert len(calls) == 6 * diag.accepted_steps + 1
+    assert len(calls) == 12 * diag.accepted_steps + 1
 
 
 def test_normalized_distance_strictly_decreases():
@@ -616,7 +616,7 @@ def test_rk4_raises_on_a_nan_state_instead_of_carrying_it():
     assert (diag.accepted_steps, diag.clipped_mass) == (3, 0.0)
 
 
-def test_after_step_cannot_write_and_each_dopri5_step_costs_six_rhs_calls():
+def test_after_step_cannot_write_and_each_dop853_step_costs_twelve_rhs_calls():
     # the FSAL stage is carried to the next step, which is sound only while
     # nothing changes the state between steps, so the state is read-only
     calls = []
@@ -637,13 +637,13 @@ def test_after_step_cannot_write_and_each_dopri5_step_costs_six_rhs_calls():
     seen = []
     list(march(np.ones((2, 3)), 0.0, rhs, cfg, diag, seen.append))
     assert diag.accepted_steps == len(seen) >= 10
-    # one first stage, then six per step tried, rejected ones included, so
+    # one first stage, then twelve per step tried, rejected ones included, so
     # every accepted step's last stage was carried; the final state's rhs
     # is never wanted, so it is not taken
-    assert len(calls) == 6 * (diag.accepted_steps + diag.rejected_steps) + 1
+    assert len(calls) == 12 * (diag.accepted_steps + diag.rejected_steps) + 1
 
 
-@pytest.mark.parametrize("scheme", ["dopri5", "rk4"])
+@pytest.mark.parametrize("scheme", ["dop853", "rk4"])
 def test_march_yields_exactly_the_sample_times(scheme):
     cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme, sample_stride=30)
     times = [t for t, _ in march(np.ones((1, 2)), 0.3, lambda _t, y: -y, cfg,
