@@ -331,36 +331,25 @@ def criterion_9_ibm_exactness() -> CriterionResult:
     grid = TraitGrid(-6.0, 6.0, 192)
     kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
 
-    rng0 = np.random.default_rng(91)
-    pop = ScaledPopulation(rng0.normal(0, 0.5, 250), rng0.normal(0, 0.5, 250),
-                           500, _PERSIST, grid)
-    rng = BufferedRng(91)
-    start = pop.size
-    for _ in range(10_000):
-        step(pop, kernel, rng)
-    cache_err = pop.cache_consistency()
-    checks.append((cache_err <= 1e-6,
-                   f"constant rates: cache error {cache_err:.2e} <= 1e-6 after 1e4 events"))
-    net = (pop.births_female + pop.births_male) - pop.deaths
-    checks.append((net == pop.size - start, "event accounting exact (constant rates)"))
-
     trait_rates = RateSet(
         p_f=lambda x: 2.0 + 0.2 * np.tanh(x), p_m=2.0,
         D_f=1.0, D_m=lambda x: 1.0 + 0.05 * x**2,
         U_ff=lambda x, y: 0.2 + 0.02 * np.abs(x - y), U_fm=0.25,
         U_mf=0.25, U_mm=lambda x, y: 0.25 + 0.01 * np.cos(x - y))
-    rng1 = np.random.default_rng(92)
-    popg = ScaledPopulation(rng1.normal(0, 0.5, 150), rng1.normal(0, 0.5, 150),
-                            300, trait_rates, grid)
-    rngg = BufferedRng(92)
-    startg = popg.size
-    for _ in range(10_000):
-        step(popg, kernel, rngg)
-    cache_err_g = popg.cache_consistency()
-    checks.append((cache_err_g <= 1e-6,
-                   f"trait rates: cache error {cache_err_g:.2e} <= 1e-6 after 1e4 events"))
-    netg = (popg.births_female + popg.births_male) - popg.deaths
-    checks.append((netg == popg.size - startg, "event accounting exact (trait rates)"))
+    for label, rates, seed, per_sex in (("constant", _PERSIST, 91, 250),
+                                        ("trait", trait_rates, 92, 150)):
+        init = np.random.default_rng(seed)
+        pop = ScaledPopulation(init.normal(0, 0.5, per_sex), init.normal(0, 0.5, per_sex),
+                               2 * per_sex, rates, grid)
+        rng = BufferedRng(seed)
+        start = pop.size
+        for _ in range(10_000):
+            step(pop, kernel, rng)
+        cache_err = pop.cache_consistency()
+        checks.append((cache_err <= 1e-6,
+                       f"{label} rates: cache error {cache_err:.2e} <= 1e-6 after 1e4 events"))
+        net = (pop.births_female + pop.births_male) - pop.deaths
+        checks.append((net == pop.size - start, f"event accounting exact ({label} rates)"))
 
     params = _lln_params(300, seed=93)
     t1 = simulate(params)

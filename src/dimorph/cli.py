@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (_get, _integer, _on_lattice, _positive, _run_length, _scales, _seed,
-                     _times, checked, flag_integer, load_config, parse_grid, parse_kernel,
+from .config import (_flag_or_field, _get, _integer, _on_lattice, _positive, _run_length,
+                     _scales, _times, checked, flag_integer, load_config, parse_grid, parse_kernel,
                      parse_measure, parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
 from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_blocks,
@@ -168,7 +168,7 @@ def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     n_scale = _integer(cfg, "N", "", 1)
     t_end = _positive(cfg, "t_end", "")
     sample_times = tuple(_times(cfg, "sample_times", ""))
-    run_seed = _seed(cfg, seed)
+    run_seed = _flag_or_field(cfg, "seed", 0, seed)
     rng = np.random.default_rng(run_seed)
     inits = {}
     for name in ("initial_female", "initial_male"):
@@ -225,7 +225,7 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     scales = _scales(cfg, "N_list", "")
     replicas = _integer(cfg, "replicas", "", MIN_REPLICAS)
     checkpoints = _times(cfg, "checkpoints", "", empty_ok=False)
-    base_seed = _seed(cfg, seed)
+    base_seed = _flag_or_field(cfg, "seed", 0, seed)
     spec_f = _get(cfg, "initial_female", "", expected=dict)
     spec_m = _get(cfg, "initial_male", "", expected=dict)
     mass_f = _positive(spec_f, "mass", "initial_female.", required=False, default=1.0)
@@ -251,7 +251,7 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
                                              t_end=t_end, sample_times=tuple(checkpoints),
                                              seed=run_seed, initial_female=init_f,
                                              initial_male=init_m))
-    trajs = simulate_all(params_list, jobs)
+    trajs = simulate_all(params_list, jobs or 1)
     runs = {n: trajs[i * replicas:(i + 1) * replicas] for i, n in enumerate(scales)}
     macro = integrate(MacroState(m0, f0), rates, kernel, solver)
     table = lln_compare(runs, macro, checkpoints)
@@ -276,7 +276,7 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
 def run_acceptance(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     """Run the gate; a failed criterion raises once the report and manifest are written."""
     only = _get(cfg, "only", "", expected=list, required=False)
-    jobs = _integer(cfg, "jobs", "", 1, default=jobs)
+    jobs = _flag_or_field(cfg, "jobs", 1, jobs)
     with checked():  # only the check of `only`: criteria report their own errors
         results = run_all(only=only, jobs=jobs)
     print(format_table(results))
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON scenario config")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or CWD)")
-        p.add_argument("--jobs", type=flag_integer(1), default=1, help="parallel replicas")
+        p.add_argument("--jobs", type=flag_integer(1),
+                       help="parallel replicas (wins over an acceptance config's jobs; default 1)")
         p.add_argument("--seed", type=flag_integer(0), help="override the config seed")
     return parser
 

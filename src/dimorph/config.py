@@ -127,10 +127,11 @@ def _run_length(d: dict, t_end: float, dt: float) -> tuple[float, float]:
     return t_end, dt
 
 
-def _seed(cfg: dict, flag: int | None) -> int:
-    """The --seed flag if given, else the config `seed` (default 0)."""
-    seed = _integer(cfg, "seed", "", 0, default=0)
-    return seed if flag is None else flag
+def _flag_or_field(cfg: dict, field: str, minimum: int, flag: int | None) -> int:
+    """The --<field> flag if given, else the config field (default `minimum`),
+    which is checked either way."""
+    value = _integer(cfg, field, "", minimum, default=minimum)
+    return value if flag is None else flag
 
 
 def flag_integer(minimum: int):
@@ -265,14 +266,13 @@ def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.nda
 
 def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
     _section(d, ctx)
-    unknown = sorted(d.keys() - {"dt", "t_end", "scheme", "sample_stride"})
+    unknown = sorted(d.keys() - {"dt", "t_end", "sample_stride"})
     if unknown:
         raise ConfigError(f"field {ctx}{unknown[0]} is not a solver setting; "
-                          f"the solver takes dt, t_end, scheme and sample_stride")
+                          f"the solver takes dt, t_end and sample_stride")
     with checked(ctx):
         return SolverConfig(
             dt=_number(d, "dt", ctx),
             t_end=_number(d, "t_end", ctx),
-            scheme=_get(d, "scheme", ctx, expected=str, required=False, default="dop853"),
             sample_stride=_get(d, "sample_stride", ctx, expected=int, required=False, default=1),
         )

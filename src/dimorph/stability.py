@@ -142,7 +142,7 @@ def convergence_report(times: Sequence[float] | np.ndarray,
                        monotone_floor: float = 0.0) -> ConvergenceReport:
     """Grade snapshots of the normalized system against the limit measure;
     the tail fit, like the monotone flag, reads d_max only above
-    monotone_floor (and never at or below fit_exponential_tail's 1e-12)."""
+    monotone_floor (and never at or below 1e-12)."""
     times = np.asarray(times, dtype=float)
     if not (len(times) == len(mus) == len(nus)):
         raise ValueError("times, mus and nus must have matching lengths")

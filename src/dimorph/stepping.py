@@ -8,12 +8,14 @@ step is dt and its steps grow up to the sample interval dt * sample_stride.
 A step costs twelve right-hand sides, its last stage being the next step's
 first. On the negative real axis it is stable up to h*lambda = -6.39,
 against -3.31 for the Dormand-Prince 5(4) pair it replaced, both from
-R(z) = 1 + z b^T (I - zA)^-1 1. Classic RK4 stays as the pinned reference,
-with steps of at most dt. Each sample interval is split into equal steps,
-so the last lands exactly on the sample time. Both schemes refuse a dt
-above the caller's bound before the first step and zero negative weights
-after every step, reporting their mass; an accepted state with a NaN
-weight raises. The trait-resolved, normalized and planar total-mass
+R(z) = 1 + z b^T (I - zA)^-1 1. Every solve a config sets up runs DOP853.
+Classic RK4, with steps of at most dt, runs only where the code picks it:
+for the planar totals, which are sampled at every step, and as the tests'
+pinned reference. Each sample interval is split into equal steps, so the
+last lands exactly on the sample time. Both schemes refuse a dt above the
+caller's bound before the first step and zero negative weights after
+every step, reporting their mass; an accepted state with a NaN weight
+raises. The trait-resolved, normalized and planar total-mass
 integrators differ only in their right-hand sides, their bound and what
 they do with the samples.
 """
@@ -84,7 +86,8 @@ class SolverConfig:
     """Explicit solver settings.
 
     scheme: "dop853" (error-controlled, first step dt, largest step
-    dt * sample_stride) or "rk4" (steps of at most dt).
+    dt * sample_stride), the one a config runs, or "rk4" (steps of at
+    most dt), which only callers in code pick.
     dt and t_end must be finite and give at least one step; sample_stride
     is an int of at least 1.
     """

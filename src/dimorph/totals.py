@@ -293,8 +293,7 @@ def integrate_totals(state0: TotalsState, rates: RateSet, t_end: float,
 TAIL_FLOOR = 1e3 * _RTOL
 
 
-def fit_exponential_tail(t: np.ndarray, dist: np.ndarray,
-                         floor: float = 1e-12) -> tuple[float, float]:
+def fit_exponential_tail(t: np.ndarray, dist: np.ndarray, floor: float) -> tuple[float, float]:
     """Least-squares slope and R^2 of log(dist) vs t on the usable tail.
 
     Points at or below the floor are dropped; returns (nan, nan) when

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,15 @@ from dimorph.io import (csv_text, emit_distribution_csv, read_distribution_csv,
 from dimorph.measures import GridMeasure, TraitGrid, gaussian_measure
 
 
+# the src/ directory this package was imported from: a child interpreter
+# gets it on PYTHONPATH, so the CLI runs the same checkout, installed or not
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "dimorph", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": SRC})
 
 
 TOTALS_CFG = {
@@ -383,9 +390,8 @@ def test_runtime_failure_exits_one(tmp_path):
 
 
 def test_out_dir_env_var(tmp_path):
-    import os
     cfg = _write(tmp_path, "totals.json", TOTALS_CFG)
-    env = dict(os.environ, DIMORPH_OUT=str(tmp_path / "envout"))
+    env = dict(os.environ, DIMORPH_OUT=str(tmp_path / "envout"), PYTHONPATH=SRC)
     res = subprocess.run([sys.executable, "-m", "dimorph", "totals",
                           "--config", str(cfg)],
                          capture_output=True, text=True, env=env)
@@ -423,6 +429,31 @@ def test_acceptance_config_rejected(tmp_path, capsys, field, value):
     assert cli.main(["acceptance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"field {field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out" / "acceptance_report.json").exists()
+
+
+@pytest.mark.parametrize("config_jobs, flag, expected", [
+    (2, ["--jobs", "1"], 1),
+    (2, ["--jobs", "3"], 3),
+    (2, [], 2),
+    (None, [], 1),
+], ids=["flag-1-over-config", "flag-3-over-config", "config", "default"])
+def test_acceptance_jobs_flag_wins_over_the_config(tmp_path, monkeypatch, config_jobs, flag,
+                                                   expected):
+    # as --seed wins over a config's seed
+    seen = []
+
+    def run_all(only=None, jobs=1):
+        seen.append(jobs)
+        return []
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    cfg = {"schema_version": 1, "kind": "acceptance", "only": ["4"]}
+    if config_jobs is not None:
+        cfg["jobs"] = config_jobs
+    path = _write(tmp_path, "acc.json", cfg)
+    assert cli.main(["acceptance", "--config", str(path), "--out", str(tmp_path / "out"),
+                     *flag]) == 0
+    assert seen == [expected]
 
 
 def test_acceptance_failed_criterion_exits_one(tmp_path, monkeypatch, capsys):
@@ -627,14 +658,18 @@ def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatc
      "field solver: t_end = 0.01 is under half a step of dt = 0.04"),
     ("macro_raw", {"dt": 0.01, "t_end": 0.004},
      "field solver: t_end = 0.004 is under half a step of dt = 0.01"),
-    ("macro_raw", {"scheme": "euler"}, "field solver: unknown scheme 'euler'"),
-    # the former default, replaced by DOP853 under its own name
+    # every configured solve runs DOP853, so a config names no scheme, not
+    # even a known one
+    ("macro_raw", {"scheme": "euler"}, "field solver.scheme is not a solver setting"),
     ("macro_coupled", {"scheme": "dopri5"},
-     "config error: field solver: unknown scheme 'dopri5'; scheme must be 'dop853' or 'rk4'"),
+     "config error: field solver.scheme is not a solver setting; "
+     "the solver takes dt, t_end and sample_stride"),
+    ("macro_raw", {"scheme": "rk4"}, "field solver.scheme is not a solver setting"),
+    ("macro_normalized", {"scheme": "dop853"}, "field solver.scheme is not a solver setting"),
     # negative weights are always zeroed and reported, so the field that
     # chose between that and rejecting the step is no longer read
     ("macro_raw", {"positivity": "clip"}, "field solver.positivity is not a solver setting"),
-], ids=["normalized-short", "raw-short", "euler", "dopri5", "positivity"])
+], ids=["normalized-short", "raw-short", "euler", "dopri5", "rk4", "dop853", "positivity"])
 def test_macro_solver_without_a_step_or_scheme_exits_two(tmp_path, capsys, monkeypatch,
                                                           name, solver, message):
     for runner in ("integrate", "integrate_normalized", "coupled_full_run"):
@@ -719,7 +754,6 @@ def test_macro_normalized_summary_reports_its_dt_bound(tmp_path):
 @pytest.mark.parametrize("mode", ["raw", "normalized", "coupled"])
 def test_macro_summary_reports_step_counts(tmp_path, mode):
     cfg = _shipped(f"macro_{mode}")
-    cfg["solver"].pop("scheme", None)
     path = _write(tmp_path, "cfg.json", cfg)
     assert cli.main(["macro", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     diag = json.loads((tmp_path / "out" / "summary.json").read_text())["diagnostics"]

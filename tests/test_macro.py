@@ -522,6 +522,31 @@ def test_default_scheme_matches_rk4_on_the_shipped_normalized_setup():
     assert fast.diagnostics.accepted_steps < 1_000
 
 
+def test_default_scheme_matches_rk4_on_the_shipped_raw_setup():
+    # configs/macro_raw.json, where RK4 takes 2,000 steps of dt = 0.01
+    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.0)
+    f0 = gaussian_measure(GRID, -0.5, 0.8, mass=1.5)
+    cfg = SolverConfig(dt=0.01, t_end=20.0, sample_stride=100)
+    runs = [integrate(MacroState(m0, f0), PERSIST, KERNEL, c) for c in (
+        cfg, replace(cfg, scheme="rk4"), replace(cfg, dt=0.005, scheme="rk4", sample_stride=200))]
+    fast, rk4, rk4_half = ([np.concatenate([s.m.weights, s.f.weights]) for s in r.states]
+                           for r in runs)
+    np.testing.assert_allclose(runs[0].times, runs[2].times, rtol=0, atol=1e-12)
+
+    def gap(a, b):
+        return max(float(np.abs(x - y).max()) for x, y in zip(a, b, strict=True))
+
+    # RK4 is of order 4: its error at dt is e = C dt^4 + O(dt^5), at dt/2 it
+    # is e/16, so the gap g between the two runs is 15e/16, RK4(dt) is
+    # (16/15)g from the solution and RK4(dt/2) is g/15. DOP853, at least as
+    # accurate as the RK4 run it replaces, thus lies within 16g/15 + g/15 =
+    # 17g/15 of RK4(dt/2).
+    assert gap(fast, rk4_half) <= 17.0 / 15.0 * gap(rk4, rk4_half)
+    assert runs[1].diagnostics.accepted_steps == 2_000
+    assert runs[0].diagnostics.accepted_steps < 200
+    assert runs[0].diagnostics.rejected_steps == 0
+
+
 def _moment_oracle_error(grid, mu0, nu0):
     """Largest gap between the first two moments of the normalized flow and
     the closed moment system.

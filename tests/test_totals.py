@@ -144,7 +144,7 @@ def test_integrate_converges_from_any_start():
 def test_exponential_tail_fit():
     series = integrate_totals(TotalsState(1.0, 1.0), PERSIST, t_end=30.0, dt=0.01)
     dist = np.hypot(series.M - 2.0, series.F - 2.0)
-    slope, r2 = fit_exponential_tail(series.t, dist)
+    slope, r2 = fit_exponential_tail(series.t, dist, floor=1e-12)
     assert slope < 0.0
     assert r2 > 0.99
 
@@ -161,7 +161,7 @@ def test_strict_extinction_is_exponential():
     rates = RateSet.constant(p_f=1.0, p_m=1.0, D_f=2.0, D_m=2.0, U=0.25)
     series = integrate_totals(TotalsState(1.0, 1.0), rates, t_end=60.0, dt=0.01)
     assert series.M[-1] < 1e-6 and series.F[-1] < 1e-6
-    slope, r2 = fit_exponential_tail(series.t, np.hypot(series.M, series.F))
+    slope, r2 = fit_exponential_tail(series.t, np.hypot(series.M, series.F), floor=1e-12)
     assert slope < -0.5 and r2 > 0.99
 
 
