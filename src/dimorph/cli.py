@@ -88,7 +88,9 @@ def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     scale = float(np.hypot(series.M, series.F).max())
     slope, r2 = fit_exponential_tail(series.t, dist, floor=TAIL_FLOOR * scale)
     summary.update({"fit_slope": slope, "fit_r2": r2,
-                    "final_M": float(series.M[-1]), "final_F": float(series.F[-1])})
+                    "final_M": float(series.M[-1]), "final_F": float(series.F[-1]),
+                    "diagnostics": _diagnostics(series.diagnostics, "clipped_mass",
+                                                "clipped_interpolated_mass")})
     return [atomic_write_text(out / "totals_series.csv", csv_text(
                 "time,M,F", [(series.t, series.M, series.F)])),
             write_json(out / "summary.json", summary)]

@@ -153,6 +153,19 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_totals_and_macro_solves_load_no_scipy(tmp_path):
+    # the DOP853 tableau and its continuous extension are float literals
+    code = "import contextlib, io, sys\nfrom dimorph import cli\n"
+    for kind, name in (("totals", "totals"), ("macro", "macro_raw")):
+        code += (f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert cli.main(['{kind}', '--config', {str(CONFIGS / name) + '.json'!r},"
+                 f" '--out', {str(tmp_path / name)!r}]) == 0\n")
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh(code).strip() == "[]"
+    assert (tmp_path / "totals" / "manifest.json").exists()
+    assert (tmp_path / "macro_raw" / "manifest.json").exists()
+
+
 def test_runs_below_the_fft_crossover_load_no_numpy_fft():
     # numpy.fft is imported on first use, by an additive birth at or above
     # the FFT crossover; importing the CLI and smaller births never load it

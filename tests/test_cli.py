@@ -54,6 +54,11 @@ def test_totals_scenario(tmp_path):
     assert summary["M_bar"] == pytest.approx(2.0, abs=1e-9)
     assert summary["A"] == pytest.approx(1.0)
     assert summary["fit_slope"] < 0.0
+    # DOP853 steps, and no mass was clipped from a stepped or a read state
+    diag = summary["diagnostics"]
+    assert diag == {"accepted_steps": diag["accepted_steps"], "clipped_interpolated_mass": 0.0,
+                    "clipped_mass": 0.0, "rejected_steps": diag["rejected_steps"]}
+    assert 0 < diag["accepted_steps"] + diag["rejected_steps"] < 100
     assert (tmp_path / "out" / "manifest.json").exists()
 
 

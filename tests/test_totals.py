@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from dimorph.totals import (Classification, RateSet, TotalsState, classify,
-                            fit_exponential_tail, integrate_totals,
+from dimorph.stepping import _RTOL
+from dimorph.totals import (Classification, RateSet, TotalsState, _jacobian_radius,
+                            classify, fit_exponential_tail, integrate_totals,
                             poly_relative_residual, positive_roots, stationary_point,
                             totals_rhs)
 
 PERSIST = RateSet.constant(p_f=2.0, p_m=2.0, D_f=1.0, D_m=1.0, U=0.25)
 BOUNDARY = RateSet.constant(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U=0.25)
+STRICT_EXTINCT = RateSet.constant(p_f=1.0, p_m=1.0, D_f=2.0, D_m=2.0, U=0.25)
+NO_MALE = RateSet.constant(p_f=3.0, p_m=0.0, D_f=1.0, D_m=2.0, U=0.25)
 ASYM = RateSet(p_f=3.0, p_m=1.0, D_f=0.8, D_m=1.2,
                U_ff=0.3, U_fm=0.2, U_mf=0.15, U_mm=0.4)
 
@@ -139,6 +143,49 @@ def test_integrate_converges_from_any_start():
     assert a.M[-1] == pytest.approx(2.0, abs=1e-6)
     assert b.M[-1] == pytest.approx(2.0, abs=1e-6)
     assert a.F[-1] == pytest.approx(b.F[-1], abs=1e-8)
+
+
+# the shipped totals run from five starts drawn as the cli-batch benchmark draws them
+_CLI_STARTS = [tuple(s) for s in np.random.default_rng(0).uniform(0.5, 1.5, size=(5, 2))]
+
+
+@pytest.mark.parametrize("rates, start, t_end", [
+    (PERSIST, (1.0, 1.0), 60.0), (ASYM, (1.0, 1.0), 60.0), (BOUNDARY, (1.0, 1.0), 100.0),
+    (STRICT_EXTINCT, (1.0, 1.0), 100.0), (NO_MALE, (1.0, 1.0), 60.0),
+    (PERSIST, (0.1, 5.0), 60.0), *((PERSIST, s, 60.0) for s in _CLI_STARTS),
+], ids=["persist", "asymmetric", "boundary", "strict-extinct", "no-male", "skewed",
+        *(f"cli-start-{i}" for i in range(5))])
+def test_dense_series_stays_within_its_step_tolerances_of_a_tight_reference(
+        rates, start, t_end):
+    # The error test holds each accepted step's local error under _RTOL times
+    # (max(|y|, |y_new|) + max|y|) <= 2 _RTOL max|y|; k contracting steps add
+    # at most k of those, and a sample read inside a step within the
+    # stability cap errs by the same order. A tolerance-1e-13 DOP853 run is
+    # the reference.
+    series = integrate_totals(TotalsState(*start), rates, t_end=t_end, dt=0.01)
+    ref = solve_ivp(lambda _t, y: np.array(totals_rhs(y, rates)), (0.0, t_end),
+                    np.array(start, dtype=float), method="DOP853", rtol=1e-13, atol=1e-16,
+                    t_eval=series.t)
+    got = np.stack([series.M, series.F])
+    diag = series.diagnostics
+    bound = diag.accepted_steps * _RTOL * 2.0 * np.abs(got).max()
+    assert np.abs(got - ref.y).max() <= bound
+    assert series.t.size == round(t_end / 0.01) + 1
+    assert diag.accepted_steps + diag.rejected_steps < 400
+    assert diag.clipped_mass == diag.clipped_interpolated_mass == 0.0
+
+
+@pytest.mark.parametrize("rates", [PERSIST, ASYM, BOUNDARY, NO_MALE],
+                         ids=["persist", "asymmetric", "boundary", "no-male"])
+def test_jacobian_radius_is_the_largest_eigenvalue_modulus(rates):
+    rng = np.random.default_rng(3)
+    for M, F in rng.uniform(0.0, 5.0, size=(20, 2)):
+        h = 1e-6
+        jac = np.column_stack([
+            (np.array(totals_rhs((M + h, F), rates)) - totals_rhs((M - h, F), rates)) / (2 * h),
+            (np.array(totals_rhs((M, F + h), rates)) - totals_rhs((M, F - h), rates)) / (2 * h)])
+        want = np.abs(np.linalg.eigvals(jac)).max()
+        assert _jacobian_radius(rates, M, F) == pytest.approx(want, rel=1e-7)
 
 
 def test_exponential_tail_fit():
