@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in (
     ("totals", "Classification RateSet StationaryResult TotalsState classify integrate_totals "
                "stationary_point totals_rhs"),
     ("stepping", "SolverConfig"),
-    ("macro", "MacroState coupled_full_run integrate integrate_normalized rhs_general"),
+    ("macro", "MacroState coupled_full_run integrate integrate_normalized"),
     ("ibm", "BufferedRng IbmParams IbmTrajectory ScaledPopulation Sex event_rates simulate step"),
     ("stability", "ConvergenceReport FixedPointResult LlnErrorTable convergence_report "
                   "fixed_point limiting_mean lln_compare"),

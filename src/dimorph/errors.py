@@ -38,7 +38,7 @@ class StepRejected(DimorphError):
 
 
 class NonFiniteState(DimorphError):
-    """An accepted time step left a NaN or -inf weight in the state."""
+    """A step left a NaN or -inf weight in a state or an interpolated sample."""
 
 
 class ConvergenceFailure(DimorphError):

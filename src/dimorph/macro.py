@@ -4,7 +4,8 @@ Covers the raw two-sex system (male and female trait measures with
 mating, inheritance, natural death and competition), and the normalized
 probability-measure system driven by a constant or time-varying sex
 ratio. Both are advanced by the shared stepping core in
-``dimorph.stepping``, the error-controlled DOP853 pair by default.
+``dimorph.stepping``, the error-controlled DOP853 pair; a step with a NaN
+stage fails its error test, so no accepted state holds NaN.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "MacroTrajectory",
     "NormalizedTrajectory",
     "CoupledRunResult",
-    "rhs_general",
     "integrate",
     "integrate_normalized",
     "coupled_full_run",
@@ -157,19 +157,6 @@ def _birth_and_death(gr: _GridRates, kernel: InheritanceKernel, grid: TraitGrid,
     else:
         empty = True
     return (birth, *gr.deaths(mw, fw, m_mass, f_mass), empty)
-
-
-def rhs_general(state: MacroState, rates: RateSet, kernel: InheritanceKernel):
-    """Time derivative (dm, df) of the raw two-sex system.
-
-    The birth term is identical in both components; when a mating
-    denominator vanishes the dynamics degrade to pure death.
-    """
-    grid = state.m.grid
-    gr = _GridRates(rates, grid)
-    birth, death_m, death_f, _ = _birth_and_death(gr, kernel, grid,
-                                                  state.m.weights, state.f.weights)
-    return birth - death_m * state.m.weights, birth - death_f * state.f.weights
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Explicit time stepping shared by the deterministic solvers.
 
-One loop advances a stacked state array (one row per component). The
-default scheme is DOP853, the embedded Runge-Kutta pair of order 8 with
-error estimates of orders 5 and 3 (Prince & Dormand 1981; Hairer, Norsett
-& Wanner, Solving ODEs I, II.10), with step-size control: its first trial
-step is dt. A step costs twelve right-hand sides, its last stage being the
-next step's first. On the negative real axis it is stable up to
-h*lambda = -6.39, against -3.31 for the Dormand-Prince 5(4) pair it
-replaced, both from R(z) = 1 + z b^T (I - zA)^-1 1. Every solver in the
-package runs DOP853; classic RK4, with steps of at most dt, is kept as the
-tests' pinned reference.
+One loop advances a stacked state array (one row per component) with
+DOP853, the embedded Runge-Kutta pair of order 8 with error estimates of
+orders 5 and 3 (Prince & Dormand 1981; Hairer, Norsett & Wanner, Solving
+ODEs I, II.10), with step-size control: its first trial step is dt. A step
+costs twelve right-hand sides, its last stage being the next step's first.
+On the negative real axis it is stable up to h*lambda = -6.39, against
+-3.31 for the Dormand-Prince 5(4) pair it replaced, both from
+R(z) = 1 + z b^T (I - zA)^-1 1. It is the package's only scheme; the tests
+pin it against a classic RK4 of their own.
 
 By default a step grows up to the sample interval dt * sample_stride, and
 each sample interval is split into equal steps, so every sample time is a
@@ -18,12 +17,14 @@ starts from (march's step_cap). Steps then run over the sample times, and
 a sample time strictly inside an accepted step is read from Hairer's
 continuous extension of DOP853 (Solving ODEs I, II.6; CONTD8 in
 dop853.f), an order-7 interpolant for three more right-hand sides per
-such step. Both schemes refuse a dt above the caller's bound before the
-first step and zero negative weights after every step, reporting their
+such step. The loop refuses a dt above the caller's bound before the
+first step and zeroes negative weights after every step, reporting their
 mass, and an interpolated sample is treated the same way under its own
-counter; an accepted state with a NaN weight raises. The trait-resolved,
-normalized and planar total-mass integrators differ only in their
-right-hand sides, their bound and what they do with the samples.
+counter. A NaN stage makes the error estimate NaN, so no step holding one
+is accepted; a NaN in an interpolated sample, whose three extra stages no
+error test sees, raises. The trait-resolved, normalized and planar
+total-mass integrators differ only in their right-hand sides, their bound
+and what they do with the samples.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ __all__ = ["SolverConfig", "SolverDiagnostics", "march", "sample_index", "sample
 # The error test may shrink a step to dt / 2**_MAX_HALVINGS before the run
 # gives up.
 _MAX_HALVINGS = 20
-# Relative tolerance of the error-controlled scheme, fixed by design.
+# Relative tolerance of the error test, fixed by design.
 _RTOL = 1e-10
 # DOP853 is stable on the negative real axis for h*lambda down to -6.3937.
 _STABLE_REAL = 6.39
@@ -126,19 +126,15 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Explicit solver settings.
-
-    scheme: "dop853" (error-controlled, first step dt, largest step
-    dt * sample_stride unless march is given a step cap), which every
-    solver runs, or "rk4" (steps of at most dt), the tests' pinned
-    reference.
+    """Explicit solver settings: the first trial step dt, the run's length
+    t_end and a sample at every dt * sample_stride, which is also the
+    largest step unless march is given a step cap.
     dt and t_end must be finite and give at least one step; sample_stride
     is an int of at least 1.
     """
 
     dt: float
     t_end: float
-    scheme: str = "dop853"
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -148,8 +144,6 @@ class SolverConfig:
         if round(self.t_end / self.dt) < 1:
             raise ValueError(f"t_end = {self.t_end} is under half a step of dt = {self.dt}, "
                              f"so the run would take no step")
-        if self.scheme not in ("dop853", "rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}; scheme must be 'dop853' or 'rk4'")
         if type(self.sample_stride) is not int or self.sample_stride < 1:
             raise ValueError(f"sample_stride must be an int >= 1, got {self.sample_stride!r}")
 
@@ -204,15 +198,6 @@ def _dop853(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs, ks: np.
     out = np.einsum("ki,ij->kj", _OUT, ks[:12])
     y_new = y + h * out[0].reshape(y.shape)
     return y_new, rhs(t + h, y_new), out[1:]
-
-
-def _rk4(y: np.ndarray, t: float, h: float, k1: np.ndarray, rhs: Rhs):
-    """One classic RK4 step from (t, y) with first stage k1; no stage to
-    carry over, no error estimate."""
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None, None
 
 
 def _dense(y: np.ndarray, t: float, h: float, y_new: np.ndarray, k_new: np.ndarray,
@@ -270,33 +255,25 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
     """Advance y0 from t0 to t0 + round(t_end / dt) * dt.
 
     Raises ValueError before the first step when dt exceeds diag.dt_bound.
-    A step is accepted when its error estimate, if the scheme has one, is
-    within tolerance (a NaN estimate never is); StepRejected is raised when
-    the step that would pass falls below dt / 2**20, and NonFiniteState
-    when an accepted state holds NaN (only rk4, with no estimate, accepts
-    one). after_step, when given, sees each accepted state, read-only,
-    before it is sampled. Yields (t, y) at every time of
-    sample_times(cfg, t0), so callers can convert each sample before the
-    next step is taken.
+    A step is accepted when its error estimate is within tolerance; a NaN
+    estimate, which any NaN stage gives, never is, so no accepted state
+    holds NaN. StepRejected is raised when the step that would pass falls
+    below dt / 2**20, and NonFiniteState when an interpolated sample holds
+    NaN, or a state or sample -inf. after_step, when given, sees each
+    accepted state, read-only, before it is sampled. Yields (t, y) at every
+    time of sample_times(cfg, t0), so callers can convert each sample
+    before the next step is taken.
 
-    step_cap (dop853 only), when given, caps each step at step_cap(y) of
-    the state it starts from instead of at the sample interval, and steps
-    run toward the last sample time. A sample time strictly inside an
-    accepted step is then read from the continuous extension, negative
-    weights zeroed into diag.clipped_interpolated_mass; one on a step end
-    is the stepped state.
+    step_cap, when given, caps each step at step_cap(y) of the state it
+    starts from instead of at the sample interval, and steps run toward
+    the last sample time. A sample time strictly inside an accepted step
+    is then read from the continuous extension, negative weights zeroed
+    into diag.clipped_interpolated_mass; one on a step end is the stepped
+    state.
     """
     if cfg.dt > diag.dt_bound:
         raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
-    dop853 = cfg.scheme == "dop853"
-    if step_cap is not None and not dop853:
-        raise ValueError("step_cap needs the dop853 scheme's continuous extension")
-    if dop853:
-        ks = np.empty((12 if step_cap is None else 16, np.size(y0)))
-        scheme = partial(_dop853, ks=ks)
-        h_max = cfg.dt * cfg.sample_stride
-    else:
-        scheme, h_max = _rk4, cfg.dt
+    ks = np.empty((12 if step_cap is None else 16, np.size(y0)))
     times = sample_times(cfg, t0)
     t, y, h, k1 = t0, y0, cfg.dt, None
     yield t, y
@@ -305,21 +282,19 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
         if k1 is None:
             k1 = rhs(t, y)
         if step_cap is None:
-            target, cap = times[i], h_max
+            target, cap = times[i], cfg.dt * cfg.sample_stride
         else:
             target, cap = times[-1], step_cap(y)
         # equal steps of at most h to the target, so none is a sliver
         n = max(1, math.ceil((target - t) / min(h, cap) - 1e-9))
         step = (target - t) / n
-        y_new, k_new, err = scheme(y, t, step, k1, rhs)
-        ratio = 0.0
-        if dop853:
-            scale = max(float(np.abs(y).max()), 1e-300)
-            tol = _RTOL * (np.maximum(np.abs(y), np.abs(y_new)) + scale)
-            e5, e3 = map(float, (np.abs(err) / tol.reshape(-1)).max(axis=1))
-            # Hairer's blend of the two estimates; 0/0 only when both vanish
-            den = e5 * e5 + 0.01 * e3 * e3
-            ratio = step * e5 * e5 / math.sqrt(den) if den else 0.0
+        y_new, k_new, err = _dop853(y, t, step, k1, rhs, ks)
+        scale = max(float(np.abs(y).max()), 1e-300)
+        tol = _RTOL * (np.maximum(np.abs(y), np.abs(y_new)) + scale)
+        e5, e3 = map(float, (np.abs(err) / tol.reshape(-1)).max(axis=1))
+        # Hairer's blend of the two estimates; 0/0 only when both vanish
+        den = e5 * e5 + 0.01 * e3 * e3
+        ratio = step * e5 * e5 / math.sqrt(den) if den else 0.0
         fac = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.125
         if not ratio <= 1.0:  # a NaN error is rejected too
             diag.rejected_steps += 1

@@ -1,14 +1,16 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dimorph import macro
-from dimorph.errors import NonFiniteState, StepRejected
+from dimorph.config import parse_solver
+from dimorph.errors import ConfigError, StepRejected
 from dimorph.kernels import (_FFT_MIN_CELLS, AdditiveNoiseKernel, GaussianNoise,
                              _birth_weights_exact, birth_weights)
 from dimorph.macro import (MacroState, SolverConfig, _GridRates, coupled_full_run,
-                           integrate, integrate_normalized, rhs_general)
+                           integrate, integrate_normalized)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
                               point_mass, wasserstein1)
 from dimorph.stability import limiting_mean
@@ -18,32 +20,6 @@ from dimorph.totals import RateSet, TotalsState, integrate_totals, stationary_po
 GRID = TraitGrid(-8.0, 8.0, 128)
 KERNEL = AdditiveNoiseKernel(GaussianNoise(0.5))
 PERSIST = RateSet.constant(p_f=2.0, p_m=2.0, D_f=1.0, D_m=1.0, U=0.25)
-
-
-def test_rhs_zero_state_is_fixed_point():
-    zero = GridMeasure(GRID, np.zeros(GRID.n_cells))
-    dm, df = rhs_general(MacroState(zero, zero), PERSIST, KERNEL)
-    assert np.all(dm == 0.0) and np.all(df == 0.0)
-
-
-def test_rhs_mass_balance_matches_planar_system():
-    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.2)
-    f0 = gaussian_measure(GRID, -0.3, 0.8, mass=0.7)
-    dm, df = rhs_general(MacroState(m0, f0), PERSIST, KERNEL)
-    lam = 0.5 * (PERSIST.p_f * f0.mass + PERSIST.p_m * m0.mass)
-    dM_expected = lam - (PERSIST.D_m + PERSIST.U_mm * m0.mass + PERSIST.U_mf * f0.mass) * m0.mass
-    dF_expected = lam - (PERSIST.D_f + PERSIST.U_fm * m0.mass + PERSIST.U_ff * f0.mass) * f0.mass
-    assert dm.sum() == pytest.approx(dM_expected, abs=1e-12)
-    assert df.sum() == pytest.approx(dF_expected, abs=1e-12)
-
-
-def test_rhs_birth_mass_equals_birth_rate():
-    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.2)
-    f0 = gaussian_measure(GRID, -0.3, 0.8, mass=0.7)
-    dm, _df = rhs_general(MacroState(m0, f0), PERSIST, KERNEL)
-    death = (PERSIST.D_m + PERSIST.U_mm * m0.mass + PERSIST.U_mf * f0.mass) * m0.weights
-    lam = 0.5 * (PERSIST.p_f * f0.mass + PERSIST.p_m * m0.mass)
-    assert (dm + death).sum() == pytest.approx(lam, abs=1e-12)
 
 
 def _rhs_handed_to_march(monkeypatch, solve, *args):
@@ -57,6 +33,38 @@ def _rhs_handed_to_march(monkeypatch, solve, *args):
     monkeypatch.setattr(macro, "march", spy)
     solve(*args, SolverConfig(dt=0.01, t_end=0.01))
     return seen[0]
+
+
+def _raw_rhs(monkeypatch, m0, f0, rates=PERSIST):
+    """(dm, df) at (m0, f0) from the right-hand side integrate runs."""
+    rhs = _rhs_handed_to_march(monkeypatch, integrate, MacroState(m0, f0), rates, KERNEL)
+    return rhs(0.0, np.stack([m0.weights, f0.weights]))
+
+
+def test_rhs_zero_state_is_fixed_point(monkeypatch):
+    zero = GridMeasure(GRID, np.zeros(GRID.n_cells))
+    dm, df = _raw_rhs(monkeypatch, zero, zero)
+    assert np.all(dm == 0.0) and np.all(df == 0.0)
+
+
+def test_rhs_mass_balance_matches_planar_system(monkeypatch):
+    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.2)
+    f0 = gaussian_measure(GRID, -0.3, 0.8, mass=0.7)
+    dm, df = _raw_rhs(monkeypatch, m0, f0)
+    lam = 0.5 * (PERSIST.p_f * f0.mass + PERSIST.p_m * m0.mass)
+    dM_expected = lam - (PERSIST.D_m + PERSIST.U_mm * m0.mass + PERSIST.U_mf * f0.mass) * m0.mass
+    dF_expected = lam - (PERSIST.D_f + PERSIST.U_fm * m0.mass + PERSIST.U_ff * f0.mass) * f0.mass
+    assert dm.sum() == pytest.approx(dM_expected, abs=1e-12)
+    assert df.sum() == pytest.approx(dF_expected, abs=1e-12)
+
+
+def test_rhs_birth_mass_equals_birth_rate(monkeypatch):
+    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.2)
+    f0 = gaussian_measure(GRID, -0.3, 0.8, mass=0.7)
+    dm, _df = _raw_rhs(monkeypatch, m0, f0)
+    death = (PERSIST.D_m + PERSIST.U_mm * m0.mass + PERSIST.U_mf * f0.mass) * m0.weights
+    lam = 0.5 * (PERSIST.p_f * f0.mass + PERSIST.p_m * m0.mass)
+    assert (dm + death).sum() == pytest.approx(lam, abs=1e-12)
 
 
 def _rate(rates, name, *traits):
@@ -102,8 +110,6 @@ def test_integrate_rhs_follows_the_model_equations(monkeypatch, rates):
     want = _model_rhs(rates, KERNEL, grid, m, f)
     got = rhs(0.0, np.stack([m, f]))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
-    np.testing.assert_allclose(np.stack(rhs_general(state, rates, KERNEL)), want, rtol=0,
-                               atol=1e-14 * np.abs(want).max())
 
 
 @pytest.mark.filterwarnings("ignore:inheritance rows shed noticeable mass")
@@ -122,18 +128,13 @@ def test_integrate_normalized_rhs_follows_the_model_equations(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
-def test_empty_sex_class_means_pure_death():
+def test_empty_sex_class_means_pure_death(monkeypatch):
     zero = GridMeasure(GRID, np.zeros(GRID.n_cells))
     m0 = gaussian_measure(GRID, 0.0, 1.0)
-    dm, df = rhs_general(MacroState(m0, zero), PERSIST, KERNEL)
+    dm, df = _raw_rhs(monkeypatch, m0, zero)
     assert np.all(dm <= 0.0)
     assert np.all(df == 0.0)
-    traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
-                     SolverConfig(dt=0.01, t_end=2.0, scheme="rk4", sample_stride=50))
-    # each of the 200 steps counted once, not once per RK4 stage
-    assert traj.diagnostics.empty_denominator_steps == 200
-    assert traj.states[-1].m.mass < m0.mass
-    # the default scheme counts each accepted step once, FSAL stage included
+    # each accepted step is counted once, not once per stage
     traj = integrate(MacroState(m0, zero), PERSIST, KERNEL,
                      SolverConfig(dt=0.01, t_end=2.0, sample_stride=50))
     diag = traj.diagnostics
@@ -168,12 +169,12 @@ def test_sex_without_mating_capability_is_chosen_uniformly(silent):
     assert not empty
 
 
-def test_no_mating_capability_on_either_side_is_pure_death():
+def test_no_mating_capability_on_either_side_is_pure_death(monkeypatch):
     rates = RateSet(p_f=_zero, p_m=_zero, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25, U_mf=0.25,
                     U_mm=0.25)
     m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.2)
     f0 = gaussian_measure(GRID, -0.3, 0.8, mass=0.7)
-    dm, df = rhs_general(MacroState(m0, f0), rates, KERNEL)
+    dm, df = _raw_rhs(monkeypatch, m0, f0, rates)
     death = 1.0 + 0.25 * (m0.mass + f0.mass)
     np.testing.assert_allclose(dm, -death * m0.weights, rtol=1e-14, atol=0)
     np.testing.assert_allclose(df, -death * f0.weights, rtol=1e-14, atol=0)
@@ -280,14 +281,44 @@ def test_normalized_mean_gap_and_conservation():
     assert ns[-1] == pytest.approx(target, abs=1e-3)
 
 
-def test_time_step_refinement_order():
+def _independent_rk4(y, t0, dt, n_steps, rhs):
+    """Classic RK4 by the literal dt, step i starting at t0 + i * dt
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.1)."""
+    ys = [y]
+    for i in range(n_steps):
+        t = t0 + i * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return ys
+
+
+def _rk4_run(monkeypatch, solve, *args):
+    """solve(*args) with march replaced by _independent_rk4 over the
+    right-hand side the solver hands it, sampled at march's sample times:
+    a reference that shares no code with march. Its states are neither
+    clipped nor shown to after_step."""
+    def rk4_march(y0, t0, rhs, cfg, _diag, _after_step=None):
+        n = round(cfg.t_end / cfg.dt)
+        ys = _independent_rk4(y0, t0, cfg.dt, n, rhs)
+        for k in (*range(0, n, cfg.sample_stride), n):
+            yield t0 + k * cfg.dt, ys[k]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(macro, "march", rk4_march)
+        return solve(*args)
+
+
+def test_time_step_refinement_order(monkeypatch):
     mu0 = gaussian_measure(GRID, 1.0, 0.6)
     nu0 = gaussian_measure(GRID, -0.5, 0.9)
 
     def run(dt):
-        traj = integrate_normalized(mu0, nu0, 1.5, KERNEL,
-                                    SolverConfig(dt=dt, t_end=2.0, scheme="rk4",
-                                                 sample_stride=10**9))
+        traj = _rk4_run(monkeypatch, integrate_normalized, mu0, nu0, 1.5, KERNEL,
+                        SolverConfig(dt=dt, t_end=2.0, sample_stride=10**9))
         return np.concatenate([traj.mus[-1].weights, traj.nus[-1].weights])
 
     y1, y2, y4 = run(0.04), run(0.02), run(0.01)
@@ -429,14 +460,14 @@ def test_march_refuses_dt_above_bound_before_first_step():
 
 
 def test_clip_only_zeroes_negative_weights():
-    # under a constant rhs one RK4 step is the Euler step: it takes the first
-    # weight to -0.5 and the second to 0.6; the clipped mass is reported,
-    # not put back
+    # under a constant rhs one DOP853 step is the Euler step, with an error
+    # estimate of zero: it takes the first weight to -0.5 and the second to
+    # 0.6; the clipped mass is reported, not put back
     def rhs(_t, y):
         return np.array([[-10.0, 1.0]])
 
     diag = SolverDiagnostics()
-    cfg = SolverConfig(dt=0.1, t_end=0.1, scheme="rk4")
+    cfg = SolverConfig(dt=0.1, t_end=0.1)
     (_, _), (t, out) = march(np.array([[0.5, 0.5]]), 0.0, rhs, cfg, diag)
     assert t == 0.1 and diag.accepted_steps == 1
     np.testing.assert_allclose(out, [[0.0, 0.6]], rtol=0, atol=1e-15)
@@ -466,7 +497,7 @@ def test_positivity_modes_on_synthetic_overshoot():
         return -200.0 * np.ones_like(y)
 
     diag = SolverDiagnostics()
-    cfg = SolverConfig(dt=0.1, t_end=0.1, scheme="rk4")
+    cfg = SolverConfig(dt=0.1, t_end=0.1)
     (_, _), (_, out) = march(np.full((1, 4), 0.5), 0.0, rhs, cfg, diag)
     assert np.all(out >= 0.0)
     assert diag.clipped_mass > 0.0
@@ -507,28 +538,28 @@ def test_coupled_run_converges_and_symmetric_case_exact():
         np.testing.assert_array_equal(s.m.weights, s.f.weights)
 
 
-def test_default_scheme_matches_rk4_on_the_shipped_normalized_setup():
-    # configs/macro_normalized.json, where RK4 takes 10,000 steps of dt = 1e-3
+def test_default_scheme_matches_rk4_on_the_shipped_normalized_setup(monkeypatch):
+    # configs/macro_normalized.json, against 10,000 RK4 steps of dt = 1e-3
     mu0 = gaussian_measure(GRID, 1.0, 0.5)
     nu0 = gaussian_measure(GRID, 4.0, 0.5)
     cfg = SolverConfig(dt=1e-3, t_end=10.0, sample_stride=100)
     fast = integrate_normalized(mu0, nu0, 2.0, KERNEL, cfg)
-    ref = integrate_normalized(mu0, nu0, 2.0, KERNEL, replace(cfg, scheme="rk4"))
+    ref = _rk4_run(monkeypatch, integrate_normalized, mu0, nu0, 2.0, KERNEL, cfg)
     np.testing.assert_array_equal(fast.times, ref.times)
     diff = max(float(np.abs(a.weights - b.weights).max())
-               for a, b in zip(fast.mus + fast.nus, ref.mus + ref.nus))
+               for a, b in zip(fast.mus + fast.nus, ref.mus + ref.nus, strict=True))
     assert diff <= 1e-9
-    assert ref.diagnostics.accepted_steps == 10_000
     assert fast.diagnostics.accepted_steps < 1_000
 
 
-def test_default_scheme_matches_rk4_on_the_shipped_raw_setup():
-    # configs/macro_raw.json, where RK4 takes 2,000 steps of dt = 0.01
-    m0 = gaussian_measure(GRID, 0.5, 1.0, mass=1.0)
-    f0 = gaussian_measure(GRID, -0.5, 0.8, mass=1.5)
+def test_default_scheme_matches_rk4_on_the_shipped_raw_setup(monkeypatch):
+    # configs/macro_raw.json, against 2,000 RK4 steps of dt = 0.01
+    state0 = MacroState(gaussian_measure(GRID, 0.5, 1.0, mass=1.0),
+                        gaussian_measure(GRID, -0.5, 0.8, mass=1.5))
     cfg = SolverConfig(dt=0.01, t_end=20.0, sample_stride=100)
-    runs = [integrate(MacroState(m0, f0), PERSIST, KERNEL, c) for c in (
-        cfg, replace(cfg, scheme="rk4"), replace(cfg, dt=0.005, scheme="rk4", sample_stride=200))]
+    runs = [integrate(state0, PERSIST, KERNEL, cfg),
+            *(_rk4_run(monkeypatch, integrate, state0, PERSIST, KERNEL, c)
+              for c in (cfg, replace(cfg, dt=0.005, sample_stride=200)))]
     fast, rk4, rk4_half = ([np.concatenate([s.m.weights, s.f.weights]) for s in r.states]
                            for r in runs)
     np.testing.assert_allclose(runs[0].times, runs[2].times, rtol=0, atol=1e-12)
@@ -542,7 +573,6 @@ def test_default_scheme_matches_rk4_on_the_shipped_raw_setup():
     # accurate as the RK4 run it replaces, thus lies within 16g/15 + g/15 =
     # 17g/15 of RK4(dt/2).
     assert gap(fast, rk4_half) <= 17.0 / 15.0 * gap(rk4, rk4_half)
-    assert runs[1].diagnostics.accepted_steps == 2_000
     assert runs[0].diagnostics.accepted_steps < 200
     assert runs[0].diagnostics.rejected_steps == 0
 
@@ -625,22 +655,6 @@ def test_default_scheme_rejects_a_nan_step_and_gives_up_when_the_budget_is_spent
     assert diag.clipped_mass > 0.0
 
 
-def test_rk4_raises_on_a_nan_state_instead_of_carrying_it():
-    # rk4 has no error estimate to reject a NaN step, so the positivity
-    # step owns the check: the rhs has no value past t = 0.0025
-    def rhs(t, y):
-        return -y if t <= 0.0025 else np.full_like(y, np.nan)
-
-    diag = SolverDiagnostics()
-    samples = []
-    with pytest.raises(NonFiniteState, match="4 non-finite weights"):
-        for t, y in march(np.full((1, 4), 0.5), 0.0, rhs,
-                          SolverConfig(dt=1e-3, t_end=0.01, scheme="rk4"), diag):
-            samples.append(t)
-    assert samples == [0.0, 0.001, 0.002]
-    assert (diag.accepted_steps, diag.clipped_mass) == (3, 0.0)
-
-
 def test_after_step_cannot_write_and_each_dop853_step_costs_twelve_rhs_calls():
     # the FSAL stage is carried to the next step, which is sound only while
     # nothing changes the state between steps, so the state is read-only
@@ -668,11 +682,12 @@ def test_after_step_cannot_write_and_each_dop853_step_costs_twelve_rhs_calls():
     assert len(calls) == 12 * (diag.accepted_steps + diag.rejected_steps) + 1
 
 
-@pytest.mark.parametrize("scheme", ["dop853", "rk4"])
-def test_march_yields_exactly_the_sample_times(scheme):
-    cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme, sample_stride=30)
+# steps end on the sample times, or, given a step cap, run over them
+@pytest.mark.parametrize("step_cap", [None, lambda _y: 1.0], ids=["dop853", "dense"])
+def test_march_yields_exactly_the_sample_times(step_cap):
+    cfg = SolverConfig(dt=0.01, t_end=1.0, sample_stride=30)
     times = [t for t, _ in march(np.ones((1, 2)), 0.3, lambda _t, y: -y, cfg,
-                                 SolverDiagnostics())]
+                                 SolverDiagnostics(), step_cap=step_cap)]
     assert times == sample_times(cfg, 0.3)
     assert times == [0.3 + k * 0.01 for k in (0, 30, 60, 90, 100)]
     assert [sample_index(times, t) for t in (0.3, 0.9, 1.3)] == [0, 2, 4]
@@ -691,56 +706,23 @@ def test_default_scheme_steps_grow_to_the_sample_interval():
     assert diag.rejected_steps == 0
 
 
-def test_coupled_a_fit_slope_agrees_between_rk4_and_the_default():
-    # configs/macro_coupled.json; at the old absolute floor of 1e-12 the fit
-    # read rounding-level points and the two slopes differed by 1.0e-5
+def test_coupled_a_fit_slope_agrees_between_rk4_and_the_default(monkeypatch):
+    # configs/macro_coupled.json, against 3,000 RK4 steps of dt = 0.01; at
+    # the old absolute floor of 1e-12 the fit read rounding-level points and
+    # the two slopes differed by 1.0e-5
     m0 = gaussian_measure(GRID, 0.6, 0.7, mass=0.9)
     f0 = gaussian_measure(GRID, 0.6, 1.1, mass=1.3)
     cfg = SolverConfig(dt=0.01, t_end=30.0, sample_stride=100)
     fast = coupled_full_run(m0, f0, PERSIST, KERNEL, cfg)
-    ref = coupled_full_run(m0, f0, PERSIST, KERNEL, replace(cfg, scheme="rk4"))
+    ref = _rk4_run(monkeypatch, coupled_full_run, m0, f0, PERSIST, KERNEL, cfg)
     assert fast.A_fit[0] == pytest.approx(ref.A_fit[0], rel=1e-6)
-    assert fast.diagnostics.accepted_steps < ref.diagnostics.accepted_steps == 3000
+    assert fast.diagnostics.accepted_steps < 3_000
     # the distance fit reads only the decay above the fixed point's accuracy,
     # not the plateau at 8.4e-9 (r2 was 0.833 when it did)
     for run in (fast, ref):
         assert run.report.fit_r2 >= 0.999
         assert run.report.fit_slope == pytest.approx(-1.0, abs=0.05)
     assert fast.report.fit_slope == pytest.approx(ref.report.fit_slope, rel=1.5e-6)
-
-
-def _independent_rk4(y, t0, dt, n_steps, rhs):
-    """Classic RK4 by the literal dt, step i starting at t0 + i * dt."""
-    ys = [y]
-    for i in range(n_steps):
-        t = t0 + i * dt
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys.append(y)
-    return ys
-
-
-@pytest.mark.parametrize("stride", [1, 7, 10])
-def test_rk4_through_march_matches_an_independent_fixed_step_rk4(stride):
-    # a positive source that varies in time and a linear decay: no weight
-    # goes negative, and a step's start time enters every stage. The run
-    # has 84 steps, which 10 does not divide.
-    def rhs(t, y):
-        return (1.0 + np.sin(2.0 * t)) * np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0]]) - 0.5 * y
-
-    y0 = np.array([[1.0, 0.2, 3.0], [0.5, 0.5, 0.1]])
-    cfg = SolverConfig(dt=0.01, t_end=0.84, scheme="rk4", sample_stride=stride)
-    diag = SolverDiagnostics()
-    got = list(march(y0, 0.3, rhs, cfg, diag))
-    ref = _independent_rk4(y0, 0.3, 0.01, 84, rhs)
-    steps = [*range(0, 84, stride), 84]
-    assert [t for t, _ in got] == [0.3 + k * 0.01 for k in steps]
-    for (_, y), k in zip(got, steps, strict=True):
-        np.testing.assert_allclose(y, ref[k], rtol=1e-13, atol=0)
-    assert (diag.accepted_steps, diag.rejected_steps) == (84, 0)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -750,13 +732,22 @@ def test_rk4_through_march_matches_an_independent_fixed_step_rk4(stride):
     ({"dt": float("nan")}, "positive and finite"),
     ({"t_end": float("inf")}, "positive and finite"),
     ({"t_end": float("nan")}, "positive and finite"),
-    ({"scheme": "euler"}, "unknown scheme 'euler'"),
     # a float stride would fail only in sample_times, and True would run as 1
     ({"sample_stride": 2.5}, "sample_stride must be an int >= 1, got 2.5"),
     ({"sample_stride": True}, "sample_stride must be an int >= 1, got True"),
     ({"sample_stride": 0}, "sample_stride must be an int >= 1, got 0"),
-], ids=["normalized-short", "raw-short", "dt-inf", "dt-nan", "t_end-inf", "t_end-nan", "euler",
+], ids=["normalized-short", "raw-short", "dt-inf", "dt-nan", "t_end-inf", "t_end-nan",
         "stride-float", "stride-bool", "stride-zero"])
 def test_solver_config_needs_finite_times_a_step_and_a_known_scheme(fields, message):
     with pytest.raises(ValueError, match=message):
         SolverConfig(**({"dt": 0.01, "t_end": 1.0} | fields))
+
+
+def test_solver_config_holds_exactly_the_settings_a_config_may_give():
+    # a library setting that no config can reach would be a second way to
+    # run the solver that the shipped runs never take
+    names = [field.name for field in dataclasses.fields(SolverConfig)]
+    assert names == ["dt", "t_end", "sample_stride"]
+    assert parse_solver(dict(zip(names, (0.01, 1.0, 2)))) == SolverConfig(0.01, 1.0, 2)
+    with pytest.raises(ConfigError, match="the solver takes dt, t_end and sample_stride$"):
+        parse_solver({"dt": 0.01, "t_end": 1.0, "scheme": "rk4"})

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients
 
+from dimorph.errors import NonFiniteState
 from dimorph.stepping import (_A, _A_DENSE, _BHH, _C, _C_DENSE, _D, _E5, SolverConfig,
                               SolverDiagnostics, _dense, _dop853, _interpolate, march)
 
@@ -184,8 +185,22 @@ def test_negative_interpolated_weights_are_zeroed_and_counted_apart():
     assert not samples[2][1].flags.writeable
 
 
-def test_step_cap_needs_the_continuous_extension():
-    cfg = SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
-    with pytest.raises(ValueError, match="step_cap needs the dop853"):
-        next(march(np.array([1.0]), 0.0, lambda _t, y: -y, cfg, SolverDiagnostics(),
-                   step_cap=lambda _y: 1.0))
+def test_a_nan_in_an_interpolated_sample_raises():
+    # the rhs is NaN at its 27th call only: the middle extension stage of
+    # the second step, which holds the sample time 0.5. No error test reads
+    # the extension's stages, so the NaN reaches the sample, where the
+    # positivity step names it
+    calls = []
+
+    def rhs(_t, y):
+        calls.append(1)
+        return np.full_like(y, np.nan) if len(calls) == 27 else -y
+
+    diag, samples = SolverDiagnostics(), []
+    with pytest.raises(NonFiniteState, match="interpolated sample has 2 non-finite weights"):
+        for t, _y in march(np.ones((1, 2)), 0.0, rhs, SolverConfig(dt=0.25, t_end=3.0), diag,
+                           step_cap=lambda _y: 1.0):
+            samples.append(t)
+    assert samples == [0.0, 0.25]
+    # one first stage, twelve for each of the two steps, three for the extension
+    assert (diag.accepted_steps, diag.rejected_steps, len(calls)) == (2, 0, 1 + 12 * 2 + 3)
