@@ -38,7 +38,8 @@ class StepRejected(DimorphError):
 
 
 class NonFiniteState(DimorphError):
-    """A step left a NaN or -inf weight in a state or an interpolated sample."""
+    """A step left a NaN or -inf weight in a state or an interpolated sample,
+    or the right-hand side at a state, a step's first stage, is non-finite."""
 
 
 class ConvergenceFailure(DimorphError):

@@ -7,9 +7,11 @@ birth is male or female with a fair coin; individuals die naturally and
 through pairwise competition rescaled by the population scale N.
 
 There are two engines. The direct engine (`_simulate_direct`) is the
-reference: a `ScaledPopulation` with vectorized categorical sampling and
+reference: a `ScaledPopulation` holding each sex in plain numpy arrays,
+with vectorized categorical sampling and, for trait-dependent rates,
 incrementally maintained per-individual competition loads, advanced by
-the same event code as `step`, at O(N) per event. `simulate` runs one
+the same event code as `step`. It costs O(N) per event at every rate
+set, since a birth copies the arrays it appends to. `simulate` runs one
 loop for every rate set at O(1) per candidate jump, with one `_SexState` of
 local state per sex and a single mating, birth and death block for both:
 deaths with trait-dependent rates are thinned, and a constant rate is its
@@ -178,41 +180,45 @@ class DeathEvent:
 
 
 class _SexClass:
-    """Struct-of-arrays store with swap-remove and incremental caches."""
+    """One sex of a `ScaledPopulation`: plain arrays with one entry per
+    member, the sums of the last three, and the sex's letter `s` in rate
+    names. The arrays are the traits and, under trait-dependent rates only
+    (else None), the capabilities, death rates and competition loads."""
 
-    __slots__ = ("traits", "n", "p", "d", "load", "sum_p", "sum_d", "sum_load")
+    # the four per-member arrays first, in `append` order
+    __slots__ = ("traits", "p", "d", "load", "sum_p", "sum_d", "sum_load", "s")
 
-    def __init__(self, traits: np.ndarray, capacity: int):
-        self.n = len(traits)
-        cap = max(capacity, 2 * self.n, 64)
-        self.traits = np.zeros(cap)
-        self.traits[: self.n] = traits
-        self.p = np.zeros(cap)
-        self.d = np.zeros(cap)
-        self.load = np.zeros(cap)
-        self.sum_p = 0.0
-        self.sum_d = 0.0
-        self.sum_load = 0.0
+    def __init__(self, traits: np.ndarray, s: str):
+        self.traits, self.p, self.d, self.load, self.s = traits, None, None, None, s
+        self.sum_p = self.sum_d = self.sum_load = 0.0
 
-    def active(self, arr: np.ndarray) -> np.ndarray:
-        return arr[: self.n]
+    @property
+    def n(self) -> int:
+        return len(self.traits)
 
-    def grow_if_full(self) -> None:
-        if self.n == len(self.traits):
-            for name in ("traits", "p", "d", "load"):
-                old = getattr(self, name)
-                new = np.zeros(2 * len(old))
-                new[: self.n] = old
-                setattr(self, name, new)
+    def append(self, *entries) -> None:
+        """Add a member: its trait, then under trait-dependent rates its
+        capability, death rate and load."""
+        for name, value in zip(self.__slots__, entries):
+            setattr(self, name, np.append(getattr(self, name), value))
+
+    def drop(self, index: int) -> None:
+        """Remove member `index`: the last member takes its slot in every
+        kept array, whose last entry is dropped."""
+        for name in self.__slots__[:4]:
+            col = getattr(self, name)
+            if col is not None:
+                col[index] = col[-1]
+                setattr(self, name, col[:-1])
 
 
 class ScaledPopulation:
     """Explicit population of (trait, sex) individuals at scale N.
 
     The empirical measure assigns mass 1/N to every individual. Mating
-    capability sums and per-individual competition loads are maintained
-    incrementally after every event; recompute_caches() rebuilds them
-    from scratch for consistency checks.
+    capability sums and, under trait-dependent rates, per-individual
+    competition loads are maintained incrementally after every event;
+    recompute_caches() rebuilds them from scratch for consistency checks.
     """
 
     def __init__(self, females: np.ndarray, males: np.ndarray, N: int,
@@ -221,14 +227,10 @@ class ScaledPopulation:
         self.grid = grid
         self.rates = rates
         self.constant_rates = rates.is_constant
-        females = np.asarray(females, dtype=float)
-        males = np.asarray(males, dtype=float)
-        self.f = _SexClass(females, 2 * len(females))
-        self.m = _SexClass(males, 2 * len(males))
-        self.births_female = 0
-        self.births_male = 0
-        self.deaths = 0
-        self.clamped_births = 0
+        # copies: the arrays are changed in place
+        self.f = _SexClass(np.array(females, dtype=float), "f")
+        self.m = _SexClass(np.array(males, dtype=float), "m")
+        self.births_female = self.births_male = self.deaths = self.clamped_births = 0
         if self.constant_rates:
             self.f.sum_p = rates.p_f * self.f.n
             self.m.sum_p = rates.p_m * self.m.n
@@ -246,30 +248,28 @@ class ScaledPopulation:
 
     def empirical_measures(self) -> tuple[GridMeasure, GridMeasure]:
         """(male, female) empirical measures, one atom of mass 1/N each."""
-        male = measure_from_samples(self.grid, self.m.active(self.m.traits), 1.0 / self.N)
-        female = measure_from_samples(self.grid, self.f.active(self.f.traits), 1.0 / self.N)
+        male = measure_from_samples(self.grid, self.m.traits, 1.0 / self.N)
+        female = measure_from_samples(self.grid, self.f.traits, 1.0 / self.N)
         return male, female
 
     # -- trait-dependent machinery -------------------------------------------
 
     def _init_general(self) -> None:
         r = self.rates
-        for cls, p_name, d_name in ((self.f, "p_f", "D_f"), (self.m, "p_m", "D_m")):
-            t = cls.active(cls.traits)
-            cls.p[: cls.n] = r.at(p_name, t)
-            cls.d[: cls.n] = r.at(d_name, t)
-        self.f.load[: self.f.n], self.m.load[: self.m.n] = self._loads()
         for cls in (self.f, self.m):
-            cls.sum_p = float(cls.active(cls.p).sum())
-            cls.sum_d = float(cls.active(cls.d).sum())
-            cls.sum_load = float(cls.active(cls.load).sum())
+            # copies: a callable may hand back its argument, the traits
+            cls.p = np.array(r.at(f"p_{cls.s}", cls.traits))
+            cls.d = np.array(r.at(f"D_{cls.s}", cls.traits))
+        self.f.load, self.m.load = self._loads()
+        for cls in (self.f, self.m):
+            cls.sum_p, cls.sum_d, cls.sum_load = (float(a.sum()) for a in (cls.p, cls.d, cls.load))
 
     def _loads(self) -> tuple[np.ndarray, np.ndarray]:
         """(female, male) loads (1/N) sum_j U(x_i, w_j) over the whole
         population, self included."""
         u = self.rates.at
-        tf = self.f.active(self.f.traits)[:, None]
-        tm = self.m.active(self.m.traits)[:, None]
+        tf = self.f.traits[:, None]
+        tm = self.m.traits[:, None]
         return ((u("U_ff", tf, tf.T).sum(axis=1) + u("U_fm", tf, tm.T).sum(axis=1)) / self.N,
                 (u("U_mm", tm, tm.T).sum(axis=1) + u("U_mf", tm, tf.T).sum(axis=1)) / self.N)
 
@@ -277,33 +277,23 @@ class ScaledPopulation:
 
     def add(self, trait: float, sex: Sex) -> None:
         cls = self._sex_class(sex)
-        cls.grow_if_full()
         r = self.rates
         if self.constant_rates:
-            cls.traits[cls.n] = trait
-            cls.n += 1
+            cls.append(trait)
             cls.sum_p += r.p_f if sex is Sex.FEMALE else r.p_m
         else:
-            tf = self.f.active(self.f.traits)
-            tm = self.m.active(self.m.traits)
             # U_ab is what a sex-a individual suffers from a sex-b one
-            s, o, same, other = ("f", "m", tf, tm) if sex is Sex.FEMALE else ("m", "f", tm, tf)
+            s, other = cls.s, self.m if cls is self.f else self.f
             u = r.at
-            own = (u(f"U_{s}{s}", trait, same).sum() + u(f"U_{s}{s}", trait, trait)
-                   + u(f"U_{s}{o}", trait, other).sum()) / self.N
-            inc_f = u(f"U_f{s}", tf, trait) / self.N
-            inc_m = u(f"U_m{s}", tm, trait) / self.N
+            own = (u(f"U_{s}{s}", trait, cls.traits).sum() + u(f"U_{s}{s}", trait, trait)
+                   + u(f"U_{s}{other.s}", trait, other.traits).sum()) / self.N
+            incs = [(c, u(f"U_{c.s}{s}", c.traits, trait) / self.N) for c in (self.f, self.m)]
             p_new = float(r.at(f"p_{s}", np.array([trait]))[0])
             d_new = float(r.at(f"D_{s}", np.array([trait]))[0])
-            self.f.load[: self.f.n] += inc_f
-            self.f.sum_load += float(inc_f.sum())
-            self.m.load[: self.m.n] += inc_m
-            self.m.sum_load += float(inc_m.sum())
-            cls.traits[cls.n] = trait
-            cls.p[cls.n] = p_new
-            cls.d[cls.n] = d_new
-            cls.load[cls.n] = own
-            cls.n += 1
+            for c, inc in incs:
+                c.load += inc
+                c.sum_load += float(inc.sum())
+            cls.append(trait, p_new, d_new, own)
             cls.sum_p += p_new
             cls.sum_d += d_new
             cls.sum_load += own
@@ -319,76 +309,50 @@ class ScaledPopulation:
         trait = float(cls.traits[index])
         self.deaths += 1
         if self.constant_rates:
-            cls.traits[index] = cls.traits[cls.n - 1]
-            cls.n -= 1
+            cls.drop(index)
             cls.sum_p -= self.rates.p_f if sex is Sex.FEMALE else self.rates.p_m
             return trait
         cls.sum_p -= float(cls.p[index])
         cls.sum_d -= float(cls.d[index])
         cls.sum_load -= float(cls.load[index])
-        for name in ("traits", "p", "d", "load"):
-            arr = getattr(cls, name)
-            arr[index] = arr[cls.n - 1]
-        cls.n -= 1
-        tf = self.f.active(self.f.traits)
-        tm = self.m.active(self.m.traits)
-        s = "f" if sex is Sex.FEMALE else "m"
+        cls.drop(index)
         # every pair here was checked, in this argument order, when the
         # population was built or when one of the two was born
-        dec_f = self.rates._evaluate(f"U_f{s}", tf, trait) / self.N
-        dec_m = self.rates._evaluate(f"U_m{s}", tm, trait) / self.N
-        self.f.load[: self.f.n] -= dec_f
-        self.f.sum_load -= float(dec_f.sum())
-        self.m.load[: self.m.n] -= dec_m
-        self.m.sum_load -= float(dec_m.sum())
+        for c in (self.f, self.m):
+            dec = self.rates._evaluate(f"U_{c.s}{cls.s}", c.traits, trait) / self.N
+            c.load -= dec
+            c.sum_load -= float(dec.sum())
         return trait
 
     # -- cache auditing --------------------------------------------------------
 
     def recompute_caches(self) -> dict[str, float]:
-        """Exact cache values rebuilt from the raw population state."""
+        """Exact cache values rebuilt from the raw population state: the
+        capability sums and, under trait-dependent rates, the load sums."""
         r = self.rates
         if self.constant_rates:
-            return {
-                "sum_p_female": r.p_f * self.f.n,
-                "sum_p_male": r.p_m * self.m.n,
-                "sum_load_female": (r.U_ff * self.f.n + r.U_fm * self.m.n) * self.f.n / self.N,
-                "sum_load_male": (r.U_mm * self.m.n + r.U_mf * self.f.n) * self.m.n / self.N,
-            }
+            return {"sum_p_female": r.p_f * self.f.n, "sum_p_male": r.p_m * self.m.n}
         lf, lm = self._loads()
         return {
-            "sum_p_female": float(r.at("p_f", self.f.active(self.f.traits)).sum()),
-            "sum_p_male": float(r.at("p_m", self.m.active(self.m.traits)).sum()),
+            "sum_p_female": float(r.at("p_f", self.f.traits).sum()),
+            "sum_p_male": float(r.at("p_m", self.m.traits).sum()),
             "sum_load_female": float(lf.sum()),
             "sum_load_male": float(lm.sum()),
         }
 
     def cached_values(self) -> dict[str, float]:
-        if self.constant_rates:
-            r = self.rates
-            return {
-                "sum_p_female": self.f.sum_p,
-                "sum_p_male": self.m.sum_p,
-                "sum_load_female": (r.U_ff * self.f.n + r.U_fm * self.m.n) * self.f.n / self.N,
-                "sum_load_male": (r.U_mm * self.m.n + r.U_mf * self.f.n) * self.m.n / self.N,
-            }
-        return {
-            "sum_p_female": self.f.sum_p,
-            "sum_p_male": self.m.sum_p,
-            "sum_load_female": self.f.sum_load,
-            "sum_load_male": self.m.sum_load,
-        }
+        """The incrementally kept values, under recompute_caches' keys."""
+        values = {"sum_p_female": self.f.sum_p, "sum_p_male": self.m.sum_p}
+        if not self.constant_rates:
+            values.update(sum_load_female=self.f.sum_load, sum_load_male=self.m.sum_load)
+        return values
 
     def cache_consistency(self) -> float:
         """Largest cache error against a full recomputation, relative with a
         unit floor so empty-class float residue does not dominate."""
-        exact = self.recompute_caches()
         cached = self.cached_values()
-        worst = 0.0
-        for key, val in exact.items():
-            scale = max(abs(val), 1.0)
-            worst = max(worst, abs(cached[key] - val) / scale)
-        return worst
+        return max(abs(cached[key] - val) / max(abs(val), 1.0)
+                   for key, val in self.recompute_caches().items())
 
     # -- aggregate rates --------------------------------------------------------
 
@@ -420,28 +384,15 @@ def event_rates(pop: ScaledPopulation) -> RateSummary:
     )
 
 
-def _pick_weighted(cls: _SexClass, weights: np.ndarray, rng) -> int:
-    """Index drawn with probability proportional to its weight, or uniformly
-    when every weight is zero, as the solver does; one uniform either way."""
-    cum = np.cumsum(weights[: cls.n])
+def _pick(cls: _SexClass, weights: np.ndarray | None, rng) -> int:
+    """Index of a member of cls drawn with one uniform: in proportion to
+    weights, or uniformly when weights is None (constant rates) or every
+    weight is zero, as the solver does."""
     u = rng.random()
-    if cum[-1] <= 0.0:
+    cum = None if weights is None else np.cumsum(weights)
+    if cum is None or cum[-1] <= 0.0:
         return int(u * cls.n)
     return min(int(np.searchsorted(cum, u * cum[-1], side="right")), cls.n - 1)
-
-
-def _pick_by_capability(pop: ScaledPopulation, sex: Sex, rng) -> int:
-    cls = pop._sex_class(sex)
-    if pop.constant_rates:
-        return int(rng.random() * cls.n)
-    return _pick_weighted(cls, cls.p, rng)
-
-
-def _pick_victim(pop: ScaledPopulation, sex: Sex, rng) -> int:
-    cls = pop._sex_class(sex)
-    if pop.constant_rates:
-        return int(rng.random() * cls.n)
-    return _pick_weighted(cls, cls.d[: cls.n] + cls.load[: cls.n], rng)
 
 
 def _apply_event(pop: ScaledPopulation, summary: RateSummary,
@@ -449,28 +400,26 @@ def _apply_event(pop: ScaledPopulation, summary: RateSummary,
     """Draw the event category and actors, mutate the population."""
     u = rng.random() * summary.total
     if u < summary.mating_total:
-        if u < summary.female_initiation:
-            mother = _pick_by_capability(pop, Sex.FEMALE, rng)
-            father = _pick_by_capability(pop, Sex.MALE, rng)
-        else:
-            father = _pick_by_capability(pop, Sex.MALE, rng)
-            mother = _pick_by_capability(pop, Sex.FEMALE, rng)
-        x_mother = float(pop.f.traits[mother])
-        x_father = float(pop.m.traits[father])
+        f, m = pop.f, pop.m
+        # the initiator is picked first, then its partner
+        a, b = (f, m) if u < summary.female_initiation else (m, f)
+        i, j = _pick(a, a.p, rng), _pick(b, b.p, rng)
+        mother, father = (i, j) if a is f else (j, i)
+        x_mother = float(f.traits[mother])
+        x_father = float(m.traits[father])
         child = kernel.sample_offspring(x_mother, x_father, rng)
-        clamped = False
-        if child < pop.grid.x_min:
-            child, clamped = pop.grid.x_min, True
-        elif child > pop.grid.x_max:
-            child, clamped = pop.grid.x_max, True
+        x_min, x_max = pop.grid.x_min, pop.grid.x_max
+        clamped = not x_min <= child <= x_max
         if clamped:
+            child = min(max(child, x_min), x_max)
             pop.clamped_births += 1
         sex = Sex.FEMALE if rng.random() < 0.5 else Sex.MALE
         pop.add(child, sex)
         return MatingEvent(x_mother, x_father, child, sex, clamped)
     u -= summary.mating_total
     sex = Sex.FEMALE if u < summary.death_female else Sex.MALE
-    victim = _pick_victim(pop, sex, rng)
+    cls = pop._sex_class(sex)
+    victim = _pick(cls, None if pop.constant_rates else cls.d + cls.load, rng)
     trait = pop.remove(sex, victim)
     return DeathEvent(sex, trait)
 

@@ -10,10 +10,11 @@ On the negative real axis it is stable up to h*lambda = -6.39, against
 R(z) = 1 + z b^T (I - zA)^-1 1. It is the package's only scheme; the tests
 pin it against a classic RK4 of their own.
 
-By default a step grows up to the sample interval dt * sample_stride, and
-each sample interval is split into equal steps, so every sample time is a
-step end. A caller may instead cap each step by a function of the state it
-starts from (march's step_cap). Steps then run over the sample times, and
+By default each step runs at most to the next sample time, and each
+sample interval is split into equal steps, so every sample time is a step
+end and no step exceeds the sample interval dt * sample_stride. A caller
+may instead cap each step by a function of the state it starts from
+(march's step_cap). Steps then run over the sample times, and
 a sample time strictly inside an accepted step is read from Hairer's
 continuous extension of DOP853 (Solving ODEs I, II.6; CONTD8 in
 dop853.f), an order-7 interpolant for three more right-hand sides per
@@ -21,8 +22,10 @@ such step. The loop refuses a dt above the caller's bound before the
 first step and zeroes negative weights after every step, reporting their
 mass, and an interpolated sample is treated the same way under its own
 counter. A NaN stage makes the error estimate NaN, so no step holding one
-is accepted; a NaN in an interpolated sample, whose three extra stages no
-error test sees, raises. The trait-resolved, normalized and planar
+is accepted. A non-finite first stage, the right-hand side at the state a
+step starts from, would fail every retry, so it raises at the first
+rejection; so does a NaN in an interpolated sample, whose three extra
+stages no error test sees. The trait-resolved, normalized and planar
 total-mass integrators differ only in their right-hand sides, their bound
 and what they do with the samples.
 """
@@ -128,7 +131,8 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 class SolverConfig:
     """Explicit solver settings: the first trial step dt, the run's length
     t_end and a sample at every dt * sample_stride, which is also the
-    largest step unless march is given a step cap.
+    largest step unless march is given a step cap: without one, each step
+    ends at or before the next sample time.
     dt and t_end must be finite and give at least one step; sample_stride
     is an int of at least 1.
     """
@@ -258,11 +262,13 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
     A step is accepted when its error estimate is within tolerance; a NaN
     estimate, which any NaN stage gives, never is, so no accepted state
     holds NaN. StepRejected is raised when the step that would pass falls
-    below dt / 2**20, and NonFiniteState when an interpolated sample holds
-    NaN, or a state or sample -inf. after_step, when given, sees each
-    accepted state, read-only, before it is sampled. Yields (t, y) at every
-    time of sample_times(cfg, t0), so callers can convert each sample
-    before the next step is taken.
+    below dt / 2**20, and NonFiniteState when a step is rejected with a NaN
+    estimate and its first stage, the right-hand side at the state it
+    starts from, is non-finite (every retry would reuse it), when an
+    interpolated sample holds NaN, or a state or sample -inf. after_step,
+    when given, sees each accepted state, read-only, before it is sampled.
+    Yields (t, y) at every time of sample_times(cfg, t0), so callers can
+    convert each sample before the next step is taken.
 
     step_cap, when given, caps each step at step_cap(y) of the state it
     starts from instead of at the sample interval, and steps run toward
@@ -281,12 +287,13 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
     while i < len(times):
         if k1 is None:
             k1 = rhs(t, y)
+        # equal steps of at most h to the next sample time, or with a step
+        # cap of at most min(h, cap) to the last one, so none is a sliver
         if step_cap is None:
-            target, cap = times[i], cfg.dt * cfg.sample_stride
+            target, h_max = times[i], h
         else:
-            target, cap = times[-1], step_cap(y)
-        # equal steps of at most h to the target, so none is a sliver
-        n = max(1, math.ceil((target - t) / min(h, cap) - 1e-9))
+            target, h_max = times[-1], min(h, step_cap(y))
+        n = max(1, math.ceil((target - t) / h_max - 1e-9))
         step = (target - t) / n
         y_new, k_new, err = _dop853(y, t, step, k1, rhs, ks)
         scale = max(float(np.abs(y).max()), 1e-300)
@@ -297,6 +304,11 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
         ratio = step * e5 * e5 / math.sqrt(den) if den else 0.0
         fac = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.125
         if not ratio <= 1.0:  # a NaN error is rejected too
+            # every retry would reuse a non-finite first stage
+            if math.isnan(ratio) and not np.isfinite(k1).all():
+                raise NonFiniteState(f"right-hand side has {np.count_nonzero(~np.isfinite(k1))} "
+                                     f"non-finite values at the state at t = {t}, the first "
+                                     f"stage of every retry")
             diag.rejected_steps += 1
             h = step * max(0.2, fac)
             if h < cfg.dt / 2**_MAX_HALVINGS:

@@ -204,3 +204,22 @@ def test_a_nan_in_an_interpolated_sample_raises():
     assert samples == [0.0, 0.25]
     # one first stage, twelve for each of the two steps, three for the extension
     assert (diag.accepted_steps, diag.rejected_steps, len(calls)) == (2, 0, 1 + 12 * 2 + 3)
+
+
+def test_a_nan_first_stage_raises_instead_of_shrinking_the_step():
+    # the rhs is NaN at its 13th call only: the last stage of the first
+    # step, the right-hand side at the accepted state t = 0.1, which no
+    # error test reads and which the next step takes as its first stage.
+    # Every retry would reuse it, so the first rejection names it
+    calls = []
+
+    def rhs(_t, y):
+        calls.append(1)
+        return np.full_like(y, np.nan) if len(calls) == 13 else -y
+
+    diag = SolverDiagnostics()
+    with pytest.raises(NonFiniteState, match=r"right-hand side has 1 non-finite values at the "
+                                             r"state at t = 0\.1,"):
+        list(march(np.ones(1), 0.0, rhs, SolverConfig(dt=0.1, t_end=1.0), diag))
+    # one first stage, twelve for the accepted step, twelve for the one that raises
+    assert (diag.accepted_steps, diag.rejected_steps, len(calls)) == (1, 0, 1 + 12 * 2)
