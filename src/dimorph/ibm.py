@@ -18,7 +18,8 @@ deaths with trait-dependent rates are thinned, and a constant rate is its
 own bound. With constant rates it draws the same variates in the same
 order as the direct engine and evaluates the same float expressions, so
 a seeded run gives a bit-identical trajectory on either; for other rates
-the two have the same law, not the same draws.
+the two have the same law, not the same draws. `simulate` binds the
+offspring draw once per run, and it draws what `sample_offspring` draws.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ class BufferedRng:
     numpy Generator wherever single variates are consumed in a tight loop.
     The uniform, standard normal and standard exponential streams each
     iterate `array("d")` batches of `_BATCH` draws as plain floats, with no
-    numpy scalar boxed per draw; `random` is the uniform stream's own
-    `__next__`. The first batches are drawn here, in that order, each later
-    one from the shared generator when its stream runs out, so a fixed
-    seed fixes every draw.
+    numpy scalar boxed per draw; `random`, `standard_normal` and
+    `standard_exponential` are the streams' own `__next__`. The first
+    batches are drawn here, in that order, each later one from the shared
+    generator when its stream runs out, so a fixed seed fixes every draw.
     """
 
     def __init__(self, seed: int):
@@ -87,14 +88,14 @@ class BufferedRng:
         uni, nrm, exp = (_stream(draw) for draw in
                          (gen.random, gen.standard_normal, gen.standard_exponential))
         self.random = uni.__next__
-        self._nrm = nrm.__next__
-        self._exp = exp.__next__
+        self.standard_normal = nrm.__next__
+        self.standard_exponential = exp.__next__
 
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return loc + scale * self._nrm()
+        return loc + scale * self.standard_normal()
 
     def exponential(self, scale: float = 1.0) -> float:
-        return scale * self._exp()
+        return scale * self.standard_exponential()
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * self.random()
@@ -505,17 +506,21 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     acceptance uniform. With constant rates each jump therefore draws, in
     the direct engine's order, the waiting time, the category uniform, the
     two actor uniforms (initiator first), the offspring variates and the
-    sex uniform, or on a death the victim uniform.
+    sex uniform, or on a death the victim uniform. The offspring draw is
+    bound once per run (`InheritanceKernel._offspring_sampler`) and makes
+    the draws of `sample_offspring` in its order, so this order holds.
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
     N, t_end, grid = params.N, params.t_end, params.grid
     x_min, x_max = grid.x_min, grid.x_max
     rng = BufferedRng(params.seed)
-    random, exponential = rng.random, rng.exponential
-    sample_offspring = params.kernel.sample_offspring
+    random, standard_exponential = rng.random, rng.standard_exponential
+    bind = getattr(type(params.kernel), "_offspring_sampler", InheritanceKernel._offspring_sampler)
+    offspring = bind(params.kernel, rng)  # a duck-typed kernel takes the base binding
     F = _SexState(params.rates, "f", "m", params.initial_female, grid)
     M = _SexState(params.rates, "m", "f", params.initial_male, grid)
+    Uff, Ufm, Umm, Umf = F.Ubar_same, F.Ubar_other, M.Ubar_same, M.Ubar_other
     n_start = F.n + M.n
 
     pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
@@ -535,14 +540,14 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     while True:
         nf, nm = F.n, M.n
         mating = F.sum_p + M.sum_p if nf and nm else 0.0
-        death_f = nf * (F.Dbar + (F.Ubar_same * nf + F.Ubar_other * nm) / N)
-        death_m = nm * (M.Dbar + (M.Ubar_same * nm + M.Ubar_other * nf) / N)
+        death_f = nf * (F.Dbar + (Uff * nf + Ufm * nm) / N)
+        death_m = nm * (M.Dbar + (Umm * nm + Umf * nf) / N)
         total = mating + (death_f + death_m)
         if total <= 0.0:
             if nf + nm == 0:
                 extinction_time = t
             break
-        t_next = t + exponential(1.0 / total)
+        t_next = t + (1.0 / total) * standard_exponential()
         if t_next >= t_end:
             break
         if next_due <= (t_next - 1e-15) + 1e-12:
@@ -554,7 +559,7 @@ def simulate(params: IbmParams) -> IbmTrajectory:
             i = _pick_capable(a, random) if a.pos else int(random() * a.n)
             j = _pick_capable(b, random) if b.pos else int(random() * b.n)
             mother, father = (i, j) if a is F else (j, i)
-            child = sample_offspring(F.traits[mother], M.traits[father], rng)
+            child = offspring(F.traits[mother], M.traits[father])
             if not x_min <= child <= x_max:
                 child = min(max(child, x_min), x_max)
                 clamped += 1
@@ -576,7 +581,10 @@ def simulate(params: IbmParams) -> IbmTrajectory:
                 s.Dbar = max(s.Dbar, d)
         else:
             v = u - mating
-            s, o, v = (F, M, v) if v < death_f else (M, F, v - death_f)
+            if v < death_f:
+                s, o = F, M
+            else:
+                s, o, v = M, F, v - death_f
             n = s.n
             victim = int(random() * n)
             if s.thin:

@@ -322,6 +322,11 @@ class InheritanceKernel:
 
     # -- internals ----------------------------------------------------------
 
+    def _offspring_sampler(self, rng) -> Callable[[float, float], float]:
+        """`(x, y) -> child` bound once per run: `sample_offspring`'s draws, order and float."""
+        sample = self.sample_offspring
+        return lambda x, y: sample(x, y, rng)
+
     def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice | None:
         """The cached parent-sum contraction on grid, for kernels whose rows
         depend on (x, y) only through x + y; None runs the exact contraction."""
@@ -379,6 +384,13 @@ class AdditiveNoiseKernel(InheritanceKernel):
 
     def sample_offspring(self, x, y, rng) -> float:
         return 0.5 * (x + y) + self.noise.sample(rng)
+
+    def _offspring_sampler(self, rng):
+        if type(self.noise) is not GaussianNoise:
+            return super()._offspring_sampler(rng)
+        # rng.normal(0.0, sigma) is 0.0 + sigma * z, on a Generator as on a BufferedRng
+        z, sigma = rng.standard_normal, self.noise.sigma
+        return lambda x, y: 0.5 * (x + y) + (0.0 + sigma * z())
 
     def safe_parent_window(self, grid):
         span = grid.x_max - grid.x_min

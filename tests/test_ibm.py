@@ -12,7 +12,7 @@ from dimorph.errors import ExtinctPopulation
 from dimorph.ibm import (BufferedRng, IbmParams, DeathEvent, MatingEvent,
                          ScaledPopulation, Sex, event_rates, simulate, step)
 from dimorph.kernels import (AdditiveNoiseKernel, GaussianNoise,
-                             MultiplicativeNoiseKernel, UniformNoise)
+                             MultiplicativeNoiseKernel, SamplerKernel, UniformNoise)
 from dimorph.measures import TraitGrid
 from dimorph.totals import RateSet
 
@@ -101,6 +101,14 @@ def test_buffered_rng_streams_are_generator_batches():
     assert [rng.normal() for _ in range(size)] == gen.standard_normal(size).tolist()
     assert [rng.exponential() for _ in range(size)] == gen.standard_exponential(size).tolist()
     assert rng.random() == gen.random(size)[0]
+    # `simulate` reads the normal and exponential streams directly; a stream
+    # read past its first batch refills from the shared generator
+    rng, gen = BufferedRng(9), np.random.default_rng(9)
+    first = gen.random(size), gen.standard_normal(size), gen.standard_exponential(size)
+    assert [rng.standard_exponential() for _ in range(size + 1)] == \
+        first[2].tolist() + [gen.standard_exponential(size)[0]]
+    assert [rng.standard_normal() for _ in range(size + 1)] == \
+        first[1].tolist() + [gen.standard_normal(size)[0]]
 
 
 def test_infinite_trait_rate_rejected():
@@ -479,6 +487,13 @@ def _case(rates, n_females, n_males, N, t_end, sample_times, kernel=KERNEL, grid
     return out
 
 
+class _DuckKernel:
+    """Not an InheritanceKernel: the midpoint plus a uniform and a normal variate."""
+
+    def sample_offspring(self, x, y, rng):
+        return 0.5 * (x + y) + rng.uniform(-0.2, 0.2) + rng.normal(0.0, 0.2)
+
+
 _TIGHT = TraitGrid(-0.5, 0.5, 16)
 PINNED_CASES = {
     "lln-config": _lln_config_replicas,
@@ -499,6 +514,12 @@ PINNED_CASES = {
     "unequal-rates": lambda: _case(
         RateSet(p_f=0.3, p_m=2.1, D_f=1.3, D_m=1.7, U_ff=0.1, U_fm=0.3, U_mf=0.2, U_mm=0.15),
         150, 120, 150, 50.0, (0.7, 2.0, 50.0)),
+    # kernels whose bound offspring sampler falls back to sample_offspring
+    "sampler-kernel": lambda: _case(
+        PERSIST, 100, 100, 100, 2.0, (1.0, 2.0),
+        kernel=SamplerKernel(lambda x, y, rng: y + rng.normal(0.0, 0.3) * rng.random())),
+    "duck-typed-kernel": lambda: _case(PERSIST, 100, 100, 100, 2.0, (1.0, 2.0),
+                                       kernel=_DuckKernel()),
 }
 
 

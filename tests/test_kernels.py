@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from dimorph import kernels
 from dimorph.errors import DegenerateRow, GridMismatch, UnsupportedKernel
+from dimorph.ibm import BufferedRng
 from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
                              GaussianNoise, MultiplicativeNoiseKernel,
                              NoiseDensity, SamplerKernel, TabulatedNoise, UniformNoise,
@@ -181,6 +182,33 @@ def test_custom_kernel_sampling_requires_grid():
     k = CustomDensityKernel(lambda x, y, z: np.exp(-((z - 0.5 * (x + y)) ** 2)))
     with pytest.raises(UnsupportedKernel):
         k.sample_offspring(0.0, 0.0, np.random.default_rng(0))
+
+
+_KNOTS = np.linspace(-1.0, 1.0, 41)
+SAMPLED_KERNELS = {
+    "additive-gaussian": lambda: AdditiveNoiseKernel(GaussianNoise(0.5)),
+    "additive-uniform": lambda: AdditiveNoiseKernel(UniformNoise(-0.5, 0.5)),
+    "additive-tabulated": lambda: AdditiveNoiseKernel(TabulatedNoise(_KNOTS, 1.0 - np.abs(_KNOTS))),
+    "multiplicative": lambda: MultiplicativeNoiseKernel(UniformNoise(0.25, 0.75)),
+    "custom": lambda: CustomDensityKernel(lambda x, y, z: np.exp(-((z - 0.5 * (x + y)) ** 2)),
+                                          sample_grid=TraitGrid(-4.0, 4.0, 64)),
+    "sampler": lambda: SamplerKernel(lambda x, y, rng: x + rng.normal(0.0, 0.3) * rng.random()),
+}
+
+
+@pytest.mark.parametrize("make_rng", [BufferedRng, np.random.default_rng],
+                         ids=["buffered", "generator"])
+@pytest.mark.parametrize("name", list(SAMPLED_KERNELS))
+def test_bound_sampler_matches_sample_offspring(name, make_rng):
+    # the sampler bound once per run returns sample_offspring's float, bit
+    # for bit, and consumes the same variates: every stream's next draw agrees
+    kernel = SAMPLED_KERNELS[name]()
+    rng, ref = make_rng(3), make_rng(3)
+    sampler = kernel._offspring_sampler(rng)
+    for x, y in np.random.default_rng(4).uniform(0.0, 2.0, (200, 2)).tolist():
+        assert float(sampler(x, y)).hex() == float(kernel.sample_offspring(x, y, ref)).hex()
+    for draw in ("random", "standard_normal", "standard_exponential"):
+        assert getattr(rng, draw)() == getattr(ref, draw)()
 
 
 # -- birth operator ---------------------------------------------------------------
