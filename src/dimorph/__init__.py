@@ -15,7 +15,7 @@ import importlib
 # exported name -> the submodule it lives in
 _EXPORTS = {name: module for module, names in (
     ("errors", "ConfigError ConvergenceFailure DegenerateRow DimorphError ExtinctionDetected "
-               "ExtinctPopulation GridMismatch InsufficientReplicas IoError MassMismatch "
+               "GridMismatch InsufficientReplicas IoError MassMismatch "
                "MeanConditionError NoConvergence NonFiniteState StepRejected UnsupportedKernel "
                "ZeroMass"),
     ("measures", "GridMeasure TraitGrid gaussian_measure measure_from_samples moment normalize "
@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in (
                "stationary_point totals_rhs"),
     ("stepping", "SolverConfig"),
     ("macro", "MacroState coupled_full_run integrate integrate_normalized"),
-    ("ibm", "BufferedRng IbmParams IbmTrajectory ScaledPopulation Sex event_rates simulate step"),
+    ("ibm", "BufferedRng IbmParams IbmTrajectory simulate"),
     ("stability", "ConvergenceReport FixedPointResult LlnErrorTable convergence_report "
                   "fixed_point limiting_mean lln_compare"),
 ) for name in names.split()}

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ibm import BufferedRng, IbmParams, ScaledPopulation, simulate, simulate_all, step
+from .ibm import IbmParams, simulate, simulate_all
 from .kernels import (AdditiveNoiseKernel, GaussianNoise, MultiplicativeNoiseKernel,
                       UniformNoise, birth_operator, check_hypotheses)
 from .macro import MacroState, SolverConfig, integrate, integrate_normalized
@@ -336,33 +336,31 @@ def criterion_9_ibm_exactness() -> CriterionResult:
         D_f=1.0, D_m=lambda x: 1.0 + 0.05 * x**2,
         U_ff=lambda x, y: 0.2 + 0.02 * np.abs(x - y), U_fm=0.25,
         U_mf=0.25, U_mm=lambda x, y: 0.25 + 0.01 * np.cos(x - y))
-    for label, rates, seed, per_sex in (("constant", _PERSIST, 91, 250),
-                                        ("trait", trait_rates, 92, 150)):
+    # 4,000 individuals at t = 0 make about 2e4 events by t_end = 1; the
+    # short horizon bounds the run of a loop whose caches run away
+    for label, rates, seed in (("constant", _PERSIST, 91), ("trait", trait_rates, 92)):
         init = np.random.default_rng(seed)
-        pop = ScaledPopulation(init.normal(0, 0.5, per_sex), init.normal(0, 0.5, per_sex),
-                               2 * per_sex, rates, grid)
-        rng = BufferedRng(seed)
-        start = pop.size
-        for _ in range(10_000):
-            step(pop, kernel, rng)
-        cache_err = pop.cache_consistency()
-        checks.append((cache_err <= 1e-6,
-                       f"{label} rates: cache error {cache_err:.2e} <= 1e-6 after 1e4 events"))
-        net = (pop.births_female + pop.births_male) - pop.deaths
-        checks.append((net == pop.size - start, f"event accounting exact ({label} rates)"))
-
-    params = _lln_params(300, seed=93)
-    t1 = simulate(params)
-    t2 = simulate(params)
-    identical = (
-        t1.n_events == t2.n_events
-        and t1.births_female == t2.births_female
-        and t1.deaths == t2.deaths
-        and all(np.array_equal(a.male.weights, b.male.weights)
-                and np.array_equal(a.female.weights, b.female.weights)
-                for a, b in zip(t1.snapshots, t2.snapshots))
-    )
-    checks.append((identical, "seed replay is bit-identical"))
+        params = IbmParams(grid=grid, rates=rates, kernel=kernel, N=4000, t_end=1.0,
+                           sample_times=(0.5, 1.0), seed=seed,
+                           initial_female=init.normal(0, 0.5, 2000),
+                           initial_male=init.normal(0, 0.5, 2000))
+        traj, replay = simulate(params), simulate(params)
+        events = traj.n_events
+        checks.append((events >= 10_000, f"{label} rates: {events} events >= 1e4"))
+        checks.append((traj.cache_error <= 1e-6,
+                       f"{label} rates: cache error {traj.cache_error:.2e} <= 1e-6 "
+                       f"after {events} events"))
+        grown = traj.final_n_female + traj.final_n_male - 4000
+        checks.append((traj.births - traj.deaths == grown,
+                       f"event accounting exact ({label} rates): births - deaths = "
+                       f"{traj.births - traj.deaths}, population change {grown}"))
+        identical = (
+            (traj.n_proposals, traj.births_female, traj.births_male, traj.deaths)
+            == (replay.n_proposals, replay.births_female, replay.births_male, replay.deaths)
+            and all(a.male.weights.tobytes() == b.male.weights.tobytes()
+                    and a.female.weights.tobytes() == b.female.weights.tobytes()
+                    for a, b in zip(traj.snapshots, replay.snapshots, strict=True)))
+        checks.append((identical, f"seed replay is bit-identical ({label} rates)"))
     return _finish("9", "stochastic engine internal exactness", t0, checks)
 
 

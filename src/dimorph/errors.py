@@ -29,10 +29,6 @@ class MeanConditionError(DimorphError):
     """Kernel violates the parental-midpoint mean condition."""
 
 
-class ExtinctPopulation(DimorphError):
-    """No event can occur: the total event rate is zero."""
-
-
 class StepRejected(DimorphError):
     """The step-size control found no acceptable step above dt / 2**20."""
 

@@ -6,25 +6,21 @@ partner with probability proportional to the partner's capability; each
 birth is male or female with a fair coin; individuals die naturally and
 through pairwise competition rescaled by the population scale N.
 
-There are two engines. The direct engine (`_simulate_direct`) is the
-reference: a `ScaledPopulation` holding each sex in plain numpy arrays,
-with vectorized categorical sampling and, for trait-dependent rates,
-incrementally maintained per-individual competition loads, advanced by
-the same event code as `step`. It costs O(N) per event at every rate
-set, since a birth copies the arrays it appends to. `simulate` runs one
-loop for every rate set at O(1) per candidate jump, with one `_SexState` of
-local state per sex and a single mating, birth and death block for both:
-deaths with trait-dependent rates are thinned, and a constant rate is its
-own bound. With constant rates it draws the same variates in the same
-order as the direct engine and evaluates the same float expressions, so
-a seeded run gives a bit-identical trajectory on either; for other rates
-the two have the same law, not the same draws. `simulate` binds the
-offspring draw once per run, and it draws what `sample_offspring` draws.
+`simulate` runs one loop for every rate set at O(1) per candidate jump,
+with one `_SexState` of local state per sex and a single mating, birth and
+death block for both: deaths with trait-dependent rates are thinned, and a
+constant rate is its own bound. The tests hold it to Gillespie's direct
+method written from the model's definition (`tests/ibm_reference.py`):
+with constant rates the two draw the same variates in the same order and
+evaluate the same float expressions, so a seeded run gives a bit-identical
+trajectory on either; for other rates the two have the same law, not the
+same draws. `simulate` binds the offspring draw once per run, and it draws
+what `sample_offspring` draws.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,27 +28,13 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import ExtinctPopulation
 from .kernels import InheritanceKernel
 from .measures import GridMeasure, TraitGrid, measure_from_samples
 from .stepping import sample_index
 from .totals import RateSet
 
-__all__ = [
-    "Sex",
-    "BufferedRng",
-    "IbmParams",
-    "ScaledPopulation",
-    "RateSummary",
-    "MatingEvent",
-    "DeathEvent",
-    "IbmSnapshot",
-    "IbmTrajectory",
-    "event_rates",
-    "step",
-    "simulate",
-    "simulate_all",
-]
+__all__ = ["BufferedRng", "IbmParams", "IbmSnapshot", "IbmTrajectory", "simulate",
+           "simulate_all"]
 
 # Draws per refill of each BufferedRng stream.
 _BATCH = 8192
@@ -63,11 +45,6 @@ _U_MARGIN = 0.05
 _PICK_TRIES = 64
 # Kernel evaluations per row block when bounding it over the grid square.
 _BOUND_BLOCK = 1 << 16
-
-
-class Sex(enum.Enum):
-    FEMALE = "female"
-    MALE = "male"
 
 
 class BufferedRng:
@@ -144,300 +121,6 @@ class IbmParams:
 
 
 @dataclass(frozen=True)
-class RateSummary:
-    """Aggregate jump rates of the current population."""
-
-    female_initiation: float
-    male_initiation: float
-    death_female: float
-    death_male: float
-
-    @property
-    def mating_total(self) -> float:
-        return self.female_initiation + self.male_initiation
-
-    @property
-    def death_total(self) -> float:
-        return self.death_female + self.death_male
-
-    @property
-    def total(self) -> float:
-        return self.mating_total + self.death_total
-
-
-@dataclass(frozen=True)
-class MatingEvent:
-    mother_trait: float
-    father_trait: float
-    child_trait: float
-    child_sex: Sex
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class DeathEvent:
-    sex: Sex
-    trait: float
-
-
-class _SexClass:
-    """One sex of a `ScaledPopulation`: plain arrays with one entry per
-    member, the sums of the last three, and the sex's letter `s` in rate
-    names. The arrays are the traits and, under trait-dependent rates only
-    (else None), the capabilities, death rates and competition loads."""
-
-    # the four per-member arrays first, in `append` order
-    __slots__ = ("traits", "p", "d", "load", "sum_p", "sum_d", "sum_load", "s")
-
-    def __init__(self, traits: np.ndarray, s: str):
-        self.traits, self.p, self.d, self.load, self.s = traits, None, None, None, s
-        self.sum_p = self.sum_d = self.sum_load = 0.0
-
-    @property
-    def n(self) -> int:
-        return len(self.traits)
-
-    def append(self, *entries) -> None:
-        """Add a member: its trait, then under trait-dependent rates its
-        capability, death rate and load."""
-        for name, value in zip(self.__slots__, entries):
-            setattr(self, name, np.append(getattr(self, name), value))
-
-    def drop(self, index: int) -> None:
-        """Remove member `index`: the last member takes its slot in every
-        kept array, whose last entry is dropped."""
-        for name in self.__slots__[:4]:
-            col = getattr(self, name)
-            if col is not None:
-                col[index] = col[-1]
-                setattr(self, name, col[:-1])
-
-
-class ScaledPopulation:
-    """Explicit population of (trait, sex) individuals at scale N.
-
-    The empirical measure assigns mass 1/N to every individual. Mating
-    capability sums and, under trait-dependent rates, per-individual
-    competition loads are maintained incrementally after every event;
-    recompute_caches() rebuilds them from scratch for consistency checks.
-    """
-
-    def __init__(self, females: np.ndarray, males: np.ndarray, N: int,
-                 rates: RateSet, grid: TraitGrid):
-        self.N = int(N)
-        self.grid = grid
-        self.rates = rates
-        self.constant_rates = rates.is_constant
-        # copies: the arrays are changed in place
-        self.f = _SexClass(np.array(females, dtype=float), "f")
-        self.m = _SexClass(np.array(males, dtype=float), "m")
-        self.births_female = self.births_male = self.deaths = self.clamped_births = 0
-        if self.constant_rates:
-            self.f.sum_p = rates.p_f * self.f.n
-            self.m.sum_p = rates.p_m * self.m.n
-        else:
-            self._init_general()
-
-    # -- generic helpers ----------------------------------------------------
-
-    def _sex_class(self, sex: Sex) -> _SexClass:
-        return self.f if sex is Sex.FEMALE else self.m
-
-    @property
-    def size(self) -> int:
-        return self.f.n + self.m.n
-
-    def empirical_measures(self) -> tuple[GridMeasure, GridMeasure]:
-        """(male, female) empirical measures, one atom of mass 1/N each."""
-        male = measure_from_samples(self.grid, self.m.traits, 1.0 / self.N)
-        female = measure_from_samples(self.grid, self.f.traits, 1.0 / self.N)
-        return male, female
-
-    # -- trait-dependent machinery -------------------------------------------
-
-    def _init_general(self) -> None:
-        r = self.rates
-        for cls in (self.f, self.m):
-            # copies: a callable may hand back its argument, the traits
-            cls.p = np.array(r.at(f"p_{cls.s}", cls.traits))
-            cls.d = np.array(r.at(f"D_{cls.s}", cls.traits))
-        self.f.load, self.m.load = self._loads()
-        for cls in (self.f, self.m):
-            cls.sum_p, cls.sum_d, cls.sum_load = (float(a.sum()) for a in (cls.p, cls.d, cls.load))
-
-    def _loads(self) -> tuple[np.ndarray, np.ndarray]:
-        """(female, male) loads (1/N) sum_j U(x_i, w_j) over the whole
-        population, self included."""
-        u = self.rates.at
-        tf = self.f.traits[:, None]
-        tm = self.m.traits[:, None]
-        return ((u("U_ff", tf, tf.T).sum(axis=1) + u("U_fm", tf, tm.T).sum(axis=1)) / self.N,
-                (u("U_mm", tm, tm.T).sum(axis=1) + u("U_mf", tm, tf.T).sum(axis=1)) / self.N)
-
-    # -- event application ----------------------------------------------------
-
-    def add(self, trait: float, sex: Sex) -> None:
-        cls = self._sex_class(sex)
-        r = self.rates
-        if self.constant_rates:
-            cls.append(trait)
-            cls.sum_p += r.p_f if sex is Sex.FEMALE else r.p_m
-        else:
-            # U_ab is what a sex-a individual suffers from a sex-b one
-            s, other = cls.s, self.m if cls is self.f else self.f
-            u = r.at
-            own = (u(f"U_{s}{s}", trait, cls.traits).sum() + u(f"U_{s}{s}", trait, trait)
-                   + u(f"U_{s}{other.s}", trait, other.traits).sum()) / self.N
-            incs = [(c, u(f"U_{c.s}{s}", c.traits, trait) / self.N) for c in (self.f, self.m)]
-            p_new = float(r.at(f"p_{s}", np.array([trait]))[0])
-            d_new = float(r.at(f"D_{s}", np.array([trait]))[0])
-            for c, inc in incs:
-                c.load += inc
-                c.sum_load += float(inc.sum())
-            cls.append(trait, p_new, d_new, own)
-            cls.sum_p += p_new
-            cls.sum_d += d_new
-            cls.sum_load += own
-        if sex is Sex.FEMALE:
-            self.births_female += 1
-        else:
-            self.births_male += 1
-
-    def remove(self, sex: Sex, index: int) -> float:
-        cls = self._sex_class(sex)
-        if not 0 <= index < cls.n:
-            raise IndexError(f"no {sex.value} individual at index {index}")
-        trait = float(cls.traits[index])
-        self.deaths += 1
-        if self.constant_rates:
-            cls.drop(index)
-            cls.sum_p -= self.rates.p_f if sex is Sex.FEMALE else self.rates.p_m
-            return trait
-        cls.sum_p -= float(cls.p[index])
-        cls.sum_d -= float(cls.d[index])
-        cls.sum_load -= float(cls.load[index])
-        cls.drop(index)
-        # every pair here was checked, in this argument order, when the
-        # population was built or when one of the two was born
-        for c in (self.f, self.m):
-            dec = self.rates._evaluate(f"U_{c.s}{cls.s}", c.traits, trait) / self.N
-            c.load -= dec
-            c.sum_load -= float(dec.sum())
-        return trait
-
-    # -- cache auditing --------------------------------------------------------
-
-    def recompute_caches(self) -> dict[str, float]:
-        """Exact cache values rebuilt from the raw population state: the
-        capability sums and, under trait-dependent rates, the load sums."""
-        r = self.rates
-        if self.constant_rates:
-            return {"sum_p_female": r.p_f * self.f.n, "sum_p_male": r.p_m * self.m.n}
-        lf, lm = self._loads()
-        return {
-            "sum_p_female": float(r.at("p_f", self.f.traits).sum()),
-            "sum_p_male": float(r.at("p_m", self.m.traits).sum()),
-            "sum_load_female": float(lf.sum()),
-            "sum_load_male": float(lm.sum()),
-        }
-
-    def cached_values(self) -> dict[str, float]:
-        """The incrementally kept values, under recompute_caches' keys."""
-        values = {"sum_p_female": self.f.sum_p, "sum_p_male": self.m.sum_p}
-        if not self.constant_rates:
-            values.update(sum_load_female=self.f.sum_load, sum_load_male=self.m.sum_load)
-        return values
-
-    def cache_consistency(self) -> float:
-        """Largest cache error against a full recomputation, relative with a
-        unit floor so empty-class float residue does not dominate."""
-        cached = self.cached_values()
-        return max(abs(cached[key] - val) / max(abs(val), 1.0)
-                   for key, val in self.recompute_caches().items())
-
-    # -- aggregate rates --------------------------------------------------------
-
-    def death_totals(self) -> tuple[float, float]:
-        """(female, male) total death rates including competition.
-
-        An empty class reports exactly zero even when incremental float
-        residue lingers in its sums.
-        """
-        r = self.rates
-        if self.constant_rates:
-            load_f = (r.U_ff * self.f.n + r.U_fm * self.m.n) / self.N
-            load_m = (r.U_mm * self.m.n + r.U_mf * self.f.n) / self.N
-            return self.f.n * (r.D_f + load_f), self.m.n * (r.D_m + load_m)
-        death_f = (self.f.sum_d + self.f.sum_load) if self.f.n else 0.0
-        death_m = (self.m.sum_d + self.m.sum_load) if self.m.n else 0.0
-        return max(death_f, 0.0), max(death_m, 0.0)
-
-
-def event_rates(pop: ScaledPopulation) -> RateSummary:
-    """Aggregate jump rates; mating requires both sexes to be present."""
-    both = pop.f.n > 0 and pop.m.n > 0
-    death_f, death_m = pop.death_totals()
-    return RateSummary(
-        female_initiation=pop.f.sum_p if both else 0.0,
-        male_initiation=pop.m.sum_p if both else 0.0,
-        death_female=death_f,
-        death_male=death_m,
-    )
-
-
-def _pick(cls: _SexClass, weights: np.ndarray | None, rng) -> int:
-    """Index of a member of cls drawn with one uniform: in proportion to
-    weights, or uniformly when weights is None (constant rates) or every
-    weight is zero, as the solver does."""
-    u = rng.random()
-    cum = None if weights is None else np.cumsum(weights)
-    if cum is None or cum[-1] <= 0.0:
-        return int(u * cls.n)
-    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), cls.n - 1)
-
-
-def _apply_event(pop: ScaledPopulation, summary: RateSummary,
-                 kernel: InheritanceKernel, rng) -> MatingEvent | DeathEvent:
-    """Draw the event category and actors, mutate the population."""
-    u = rng.random() * summary.total
-    if u < summary.mating_total:
-        f, m = pop.f, pop.m
-        # the initiator is picked first, then its partner
-        a, b = (f, m) if u < summary.female_initiation else (m, f)
-        i, j = _pick(a, a.p, rng), _pick(b, b.p, rng)
-        mother, father = (i, j) if a is f else (j, i)
-        x_mother = float(f.traits[mother])
-        x_father = float(m.traits[father])
-        child = kernel.sample_offspring(x_mother, x_father, rng)
-        x_min, x_max = pop.grid.x_min, pop.grid.x_max
-        clamped = not x_min <= child <= x_max
-        if clamped:
-            child = min(max(child, x_min), x_max)
-            pop.clamped_births += 1
-        sex = Sex.FEMALE if rng.random() < 0.5 else Sex.MALE
-        pop.add(child, sex)
-        return MatingEvent(x_mother, x_father, child, sex, clamped)
-    u -= summary.mating_total
-    sex = Sex.FEMALE if u < summary.death_female else Sex.MALE
-    cls = pop._sex_class(sex)
-    victim = _pick(cls, None if pop.constant_rates else cls.d + cls.load, rng)
-    trait = pop.remove(sex, victim)
-    return DeathEvent(sex, trait)
-
-
-def step(pop: ScaledPopulation, kernel: InheritanceKernel, rng):
-    """Advance the population by one jump; returns (waiting time, event).
-
-    Raises ExtinctPopulation when the total rate is zero.
-    """
-    summary = event_rates(pop)
-    if summary.total <= 0.0:
-        raise ExtinctPopulation("total event rate is zero")
-    dt = rng.exponential(1.0 / summary.total)
-    return dt, _apply_event(pop, summary, kernel, rng)
-
-
-@dataclass(frozen=True)
 class IbmSnapshot:
     time: float
     male: GridMeasure
@@ -460,6 +143,7 @@ class IbmTrajectory:
     seed: int
     final_n_female: int  # class sizes at t_end, whatever the sample times
     final_n_male: int
+    cache_error: float  # see `_cache_error`; reported, never written to an artifact
 
     @property
     def births(self) -> int:
@@ -486,10 +170,10 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     Each sex is one `_SexState`, and one code path serves both: a mating
     has an initiator sex `a` and a partner sex `b`, a birth the newborn's
     sex `s`, a death the dying sex `s` and the other sex `o`. Matings arrive
-    at the exact capability sums, kept incrementally as in
-    `ScaledPopulation`, so none is rejected; the initiator and then the
-    partner are each picked in proportion to capability (`_pick_capable`),
-    or uniformly if no member of the sex has positive capability. Deaths
+    at the exact capability sums, kept incrementally, so none is rejected;
+    the initiator and then the partner are each picked in proportion to
+    capability (`_pick_capable`), or uniformly if no member of the sex has
+    positive capability. Deaths
     are thinned (Fournier & Méléard 2004): those of sex s arrive at the
     bound n_s (D̄_s + (Ū_ss n_s + Ū_so n_o) / N), where D̄_s is the running
     maximum of the cached death rates and Ū the bound of `_competition`,
@@ -504,11 +188,16 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     A rejected candidate advances the clock and changes nothing else. A
     constant rate is its own bound: it keeps no cache and draws no
     acceptance uniform. With constant rates each jump therefore draws, in
-    the direct engine's order, the waiting time, the category uniform, the
-    two actor uniforms (initiator first), the offspring variates and the
-    sex uniform, or on a death the victim uniform. The offspring draw is
-    bound once per run (`InheritanceKernel._offspring_sampler`) and makes
-    the draws of `sample_offspring` in its order, so this order holds.
+    the order of Gillespie's direct method, the waiting time, the category
+    uniform, the two actor uniforms (initiator first), the offspring
+    variates and the sex uniform, or on a death the victim uniform. The
+    offspring draw is bound once per run
+    (`InheritanceKernel._offspring_sampler`) and makes the draws of
+    `sample_offspring` in its order, so this order holds.
+
+    Deaths are counted where they happen, not derived from the class sizes,
+    so births - deaths = the change in size checks the loop; `cache_error`
+    audits the caches once, at the end of the run (`_cache_error`).
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
@@ -521,7 +210,6 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     F = _SexState(params.rates, "f", "m", params.initial_female, grid)
     M = _SexState(params.rates, "m", "f", params.initial_male, grid)
     Uff, Ufm, Umm, Umf = F.Ubar_same, F.Ubar_other, M.Ubar_same, M.Ubar_other
-    n_start = F.n + M.n
 
     pending = iter(np.asarray(params.sample_times, dtype=float).tolist())
     next_due = next(pending, np.inf)
@@ -535,7 +223,7 @@ def simulate(params: IbmParams) -> IbmTrajectory:
             next_due = next(pending, np.inf)
 
     t = 0.0
-    rejected = clamped = 0
+    rejected = clamped = deaths = 0
     extinction_time = None
     while True:
         nf, nm = F.n, M.n
@@ -613,9 +301,9 @@ def simulate(params: IbmParams) -> IbmTrajectory:
             s.traits[victim] = s.traits[-1]
             s.traits.pop()
             s.n = n - 1
+            deaths += 1
     take_snapshots(t_end)
     births = F.births + M.births
-    deaths = n_start + births - F.n - M.n
     return IbmTrajectory(
         snapshots=tuple(snapshots),
         births_female=F.births,
@@ -627,6 +315,7 @@ def simulate(params: IbmParams) -> IbmTrajectory:
         seed=params.seed,
         final_n_female=F.n,
         final_n_male=M.n,
+        cache_error=max(_cache_error(params.rates, "f", F), _cache_error(params.rates, "m", M)),
     )
 
 
@@ -684,52 +373,18 @@ def _pick_capable(s: _SexState, random) -> int:
     return i
 
 
-def _simulate_direct(params: IbmParams) -> IbmTrajectory:
-    """The direct engine: any rate set, one `_apply_event` per jump."""
-    pop = ScaledPopulation(params.initial_female, params.initial_male,
-                           params.N, params.rates, params.grid)
-    rng = BufferedRng(params.seed)
-    sample_times = np.asarray(params.sample_times, dtype=float)
-    snapshots: list[IbmSnapshot] = []
-    next_sample = 0
-
-    def take_snapshots(up_to: float) -> None:
-        nonlocal next_sample
-        while next_sample < len(sample_times) and sample_times[next_sample] <= up_to + 1e-12:
-            male, female = pop.empirical_measures()
-            snapshots.append(IbmSnapshot(float(sample_times[next_sample]),
-                                         male, female, pop.m.n, pop.f.n))
-            next_sample += 1
-
-    t = 0.0
-    extinction_time = None
-    while True:
-        summary = event_rates(pop)
-        total = summary.total
-        if total <= 0.0:
-            if pop.size == 0:
-                extinction_time = t
-            break
-        dt = rng.exponential(1.0 / total)
-        t_next = t + dt
-        if t_next >= params.t_end:
-            break
-        take_snapshots(t_next - 1e-15)
-        _apply_event(pop, summary, params.kernel, rng)
-        t = t_next
-    take_snapshots(params.t_end)
-    return IbmTrajectory(
-        snapshots=tuple(snapshots),
-        births_female=pop.births_female,
-        births_male=pop.births_male,
-        deaths=pop.deaths,
-        clamped_births=pop.clamped_births,
-        n_proposals=pop.births_female + pop.births_male + pop.deaths,
-        extinction_time=extinction_time,
-        seed=params.seed,
-        final_n_female=pop.f.n,
-        final_n_male=pop.m.n,
-    )
+def _cache_error(rates: RateSet, s: str, state: _SexState) -> float:
+    """Largest error of sex s's caches against a recomputation at its traits:
+    the capability sum against an exact sum, and each cached capability and
+    death rate against its rate; relative with a unit floor, so float residue
+    in a small or empty sum does not dominate."""
+    traits = np.array(state.traits)
+    p = rates.at(f"p_{s}", traits)
+    pairs = [(state.sum_p, math.fsum(p.tolist())), (state.p, p),
+             (state.D, rates.at(f"D_{s}", traits))]
+    return max(float(np.max(np.abs(np.subtract(cache, exact)) / np.maximum(np.abs(exact), 1.0),
+                            initial=0.0))
+               for cache, exact in pairs if cache is not None)
 
 
 def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):

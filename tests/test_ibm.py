@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ibm_reference as reference
 from dimorph import config, ibm
-from dimorph.errors import ExtinctPopulation
-from dimorph.ibm import (BufferedRng, IbmParams, DeathEvent, MatingEvent,
-                         ScaledPopulation, Sex, event_rates, simulate, step)
+from dimorph.ibm import BufferedRng, IbmParams, simulate
 from dimorph.kernels import (AdditiveNoiseKernel, GaussianNoise,
                              MultiplicativeNoiseKernel, SamplerKernel, UniformNoise)
 from dimorph.measures import TraitGrid
@@ -25,23 +24,36 @@ def _zero_u(x, y):
     return 0.0 * (x + y)
 
 
+def _params(rates, females, males, N=1, t_end=1.0, sample_times=(), seed=0, kernel=KERNEL):
+    return IbmParams(grid=GRID, rates=rates, kernel=kernel, N=N, t_end=t_end,
+                     sample_times=sample_times, seed=seed, initial_female=np.array(females),
+                     initial_male=np.array(males))
+
+
+def _reference_rates(params) -> tuple:
+    """(mating, female death, male death) totals of the reference at the start."""
+    state = reference.start(params)
+    (_, _, init_f, death_f), (_, _, init_m, death_m) = (
+        reference.sex_rates(params, state, s) for s in "fm")
+    both = state[0]["f"] and state[0]["m"]
+    return (init_f + init_m if both else 0.0), death_f, death_m
+
+
 def test_event_rates_one_pair_unit_rates():
     # one female and one male, p = 1, D = 1, no competition, N = 1:
     # two mating initiations plus two unit deaths
     rates = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0,
                     U_ff=_zero_u, U_fm=_zero_u, U_mf=_zero_u, U_mm=_zero_u)
-    pop = ScaledPopulation(np.array([0.0]), np.array([0.5]), 1, rates, GRID)
-    s = event_rates(pop)
-    assert s.mating_total == pytest.approx(2.0)
-    assert s.death_total == pytest.approx(2.0)
-    assert s.total == pytest.approx(4.0)
+    mating, death_f, death_m = _reference_rates(_params(rates, [0.0], [0.5]))
+    assert mating == pytest.approx(2.0)
+    assert death_f + death_m == pytest.approx(2.0)
 
 
 def test_event_rates_single_sex_no_mating():
-    pop = ScaledPopulation(np.array([0.0, 1.0]), np.array([]), 1, PERSIST, GRID)
-    s = event_rates(pop)
-    assert s.mating_total == 0.0
-    assert s.death_total > 0.0
+    # two females and no male never mate: simulate sees only their deaths
+    traj = simulate(_params(PERSIST, [0.0, 1.0], [], t_end=100.0))
+    assert (traj.births, traj.deaths) == (0, 2)
+    assert traj.extinction_time is not None
 
 
 def test_event_rates_competition_includes_self():
@@ -51,10 +63,9 @@ def test_event_rates_competition_includes_self():
     rates = RateSet(p_f=1.0, p_m=0.0, D_f=lambda x: 0.0 * x, D_m=lambda x: 0.0 * x,
                     U_ff=lambda x, y: u + 0 * (x + y), U_fm=lambda x, y: u + 0 * (x + y),
                     U_mf=lambda x, y: u + 0 * (x + y), U_mm=lambda x, y: u + 0 * (x + y))
-    pop = ScaledPopulation(np.array([]), np.array([0.0, 1.0]), 1, rates, GRID)
-    s = event_rates(pop)
-    assert s.death_male == pytest.approx(4.0 * u)
-    assert s.mating_total == 0.0
+    mating, _death_f, death_m = _reference_rates(_params(rates, [], [0.0, 1.0]))
+    assert death_m == pytest.approx(4.0 * u)
+    assert mating == 0.0
 
 
 def test_negative_trait_rate_rejected():
@@ -62,33 +73,32 @@ def test_negative_trait_rate_rejected():
     rates = RateSet(p_f=lambda x: x, p_m=1.0, D_f=1.0, D_m=lambda x: 0.5 - x,
                     U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
     with pytest.raises(ValueError, match=r"p_f must be non-negative, got -2\.0 at trait -2\.0"):
-        ScaledPopulation(np.array([-2.0, 1.0]), np.array([0.0]), 1, rates, GRID)
-    pop = ScaledPopulation(np.array([1.0]), np.array([0.0]), 1, rates, GRID)
-    with pytest.raises(ValueError, match="p_f must be non-negative"):
-        pop.add(-0.5, Sex.FEMALE)
-    with pytest.raises(ValueError, match="D_m must be non-negative"):
-        pop.add(1.0, Sex.MALE)
-    assert pop.size == 2 and pop.births_female == pop.births_male == 0
+        simulate(_params(rates, [-2.0, 1.0], [0.0]))
+    # every newborn lands at -0.5, where a daughter's p_f is negative, or at
+    # 1, where a son's D_m is; 20 of each sex give birth long before dying out
+    for child, name in ((-0.5, "p_f"), (1.0, "D_m")):
+        params = _params(rates, [1.0] * 20, [0.0] * 20, N=20, t_end=50.0,
+                         kernel=SamplerKernel(lambda x, y, rng, c=child: c))
+        with pytest.raises(ValueError, match=rf"{name} must be non-negative, got -0\.5 "
+                                             rf"at trait {child}"):
+            simulate(params)
 
 
 def test_negative_competition_kernel_rejected():
-    # U_ff(x, y) = 0.25 - 0.5|x - y| gives the females at -2, 0, 2 the loads
-    # -2, -1, -2; a newborn 3 units from the resident female is rejected too
+    # U_ff(x, y) = 0.25 - 0.5|x - y| is negative between traits more than
+    # 0.5 apart; simulate bounds each kernel over the grid before any jump,
+    # so it refuses the kernel whatever the population
     rates = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0,
                     U_ff=lambda x, y: 0.25 - 0.5 * np.abs(x - y), U_fm=0.25,
                     U_mf=0.25, U_mm=0.25)
-    with pytest.raises(ValueError, match=r"U_ff must be non-negative, got -0\.75 at traits \(-2\.0, 0\.0\)"):
-        ScaledPopulation(np.array([-2.0, 0.0, 2.0]), np.array([0.0]), 1, rates, GRID)
-    pop = ScaledPopulation(np.array([0.0]), np.array([0.0]), 1, rates, GRID)
-    before = pop.cached_values()
-    with pytest.raises(ValueError, match="U_ff must be non-negative"):
-        pop.add(3.0, Sex.FEMALE)
-    assert pop.size == 2 and pop.births_female == 0 and pop.cached_values() == before
+    with pytest.raises(ValueError, match=r"U_ff must be non-negative, got -0\.125 at traits "
+                                         r"\(-1\.375, -0\.625\)"):
+        simulate(dataclasses.replace(_params(rates, [0.0], [0.0]), grid=_SMALL))
     # a kernel that ignores its second trait does not give one value per pair
     flat = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25,
                    U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)
     with pytest.raises(ValueError, match="U_mf must map its traits"):
-        ScaledPopulation(np.array([0.0, 1.0]), np.array([0.0]), 1, flat, GRID)
+        simulate(_params(flat, [0.0, 1.0], [0.0]))
 
 
 def test_buffered_rng_streams_are_generator_batches():
@@ -131,31 +141,22 @@ def test_infinite_trait_rate_rejected():
 
 
 def test_step_single_male_death_only():
+    # a lone male cannot mate: his death is the one jump, and it ends the run
     rates = RateSet.constant(p_f=5.0, p_m=5.0, D_f=1.0, D_m=1.0, U=0.25)
-    pop = ScaledPopulation(np.array([]), np.array([0.3]), 1, rates, GRID)
-    rng = BufferedRng(0)
-    dt, event = step(pop, KERNEL, rng)
-    assert isinstance(event, DeathEvent)
-    assert pop.size == 0
-    with pytest.raises(ExtinctPopulation):
-        step(pop, KERNEL, rng)
-    with pytest.raises(IndexError, match="no male individual at index 0"):
-        pop.remove(Sex.MALE, 0)
+    traj = simulate(_params(rates, [], [0.3], t_end=50.0))
+    assert (traj.births, traj.deaths, traj.final_n_female, traj.final_n_male) == (0, 1, 0, 0)
+    assert 0.0 < traj.extinction_time < 50.0
 
 
 def test_events_change_count_by_one():
+    # deaths are counted where they happen, so births - deaths = the change
+    # in size is a check on the loop, with constant and with thinned rates
     rng0 = np.random.default_rng(5)
-    pop = ScaledPopulation(rng0.normal(0, 0.5, 40), rng0.normal(0, 0.5, 40),
-                           80, PERSIST, GRID)
-    rng = BufferedRng(5)
-    for _ in range(500):
-        before = pop.size
-        _dt, event = step(pop, KERNEL, rng)
-        if isinstance(event, MatingEvent):
-            assert pop.size == before + 1
-        else:
-            assert pop.size == before - 1
-    assert (pop.births_female + pop.births_male) - pop.deaths == pop.size - 80
+    females, males = rng0.normal(0, 0.5, 40), rng0.normal(0, 0.5, 40)
+    for rates in (PERSIST, CRITERION_9):
+        traj = simulate(_params(rates, females, males, N=80, t_end=3.0, seed=5))
+        assert traj.n_events >= 500
+        assert traj.births - traj.deaths == traj.final_n_female + traj.final_n_male - 80
 
 
 def test_fisher_sex_ratio():
@@ -172,14 +173,15 @@ def test_fisher_sex_ratio():
 
 
 def test_interevent_times_are_exponential():
-    # frozen-size probe: fresh two-individual populations, first waiting time
+    # frozen-size probe: the reference's first jump from a fresh pair
     rates = RateSet(p_f=1.5, p_m=1.5, D_f=lambda x: 0.0 * x, D_m=lambda x: 0.0 * x,
                     U_ff=_zero_u, U_fm=_zero_u, U_mf=_zero_u, U_mm=_zero_u)
+    params = _params(rates, [0.0], [0.0])
     rng = BufferedRng(13)
     waits = []
     for _ in range(1000):
-        pop = ScaledPopulation(np.array([0.0]), np.array([0.0]), 1, rates, GRID)
-        dt, _event = step(pop, KERNEL, rng)
+        dt, event = reference.jump(params, reference.start(params), rng)
+        event()
         waits.append(dt)
     # total initiation rate is 3.0
     res = stats.kstest(waits, "expon", args=(0.0, 1.0 / 3.0))
@@ -272,23 +274,30 @@ def test_subcritical_population_goes_extinct():
 
 def test_cache_consistency_both_modes():
     rng0 = np.random.default_rng(31)
-    pop = ScaledPopulation(rng0.normal(0, 0.5, 100), rng0.normal(0, 0.5, 100),
-                           200, PERSIST, GRID)
-    rng = BufferedRng(31)
-    for _ in range(2000):
-        step(pop, KERNEL, rng)
-    assert pop.cache_consistency() < 1e-9
+    const = simulate(_params(PERSIST, rng0.normal(0, 0.5, 100), rng0.normal(0, 0.5, 100),
+                             N=200, t_end=3.5, seed=31))
+    assert const.n_events >= 2000
+    assert const.cache_error < 1e-9
 
     trait_rates = RateSet(p_f=lambda x: 2.0 + 0.1 * np.sin(x), p_m=2.0,
                           D_f=1.0, D_m=lambda x: 1.0 + 0.02 * x * x,
                           U_ff=lambda x, y: 0.2 + 0.01 * np.abs(x - y),
                           U_fm=0.25, U_mf=0.25, U_mm=0.25)
-    popg = ScaledPopulation(rng0.normal(0, 0.5, 60), rng0.normal(0, 0.5, 60),
-                            120, trait_rates, GRID)
-    rngg = BufferedRng(32)
-    for _ in range(2000):
-        step(popg, KERNEL, rngg)
-    assert popg.cache_consistency() < 1e-9
+    trait = simulate(_params(trait_rates, rng0.normal(0, 0.5, 60), rng0.normal(0, 0.5, 60),
+                             N=120, t_end=6.0, seed=32))
+    assert trait.n_events >= 2000
+    assert trait.cache_error < 1e-9
+
+
+def test_cache_error_sees_a_drifted_sum_and_a_misplaced_rate():
+    males = ibm._SexState(STEEP, "m", "f", np.array([-1.0, 0.0, 1.0]), GRID)
+    assert ibm._cache_error(STEEP, "m", males) == 0.0
+    exact = males.sum_p  # e^-1 + 1 + e, above the unit floor
+    males.sum_p += 1e-3
+    assert ibm._cache_error(STEEP, "m", males) == pytest.approx(1e-3 / exact, rel=1e-6)
+    males.sum_p = exact
+    males.D[0], males.D[1] = males.D[1], males.D[0]  # D_m is 1 at -1 and 0.5 at 0
+    assert ibm._cache_error(STEEP, "m", males) == pytest.approx(0.5)
 
 
 def test_newborns_clamped_to_grid():
@@ -305,8 +314,8 @@ def test_newborns_clamped_to_grid():
 
 
 def test_empirical_measure_scaling():
-    pop = ScaledPopulation(np.array([0.0, 0.1]), np.array([0.2]), 4, PERSIST, GRID)
-    male, female = pop.empirical_measures()
+    traj = simulate(_params(PERSIST, [0.0, 0.1], [0.2], N=4, sample_times=(0.0,)))
+    male, female = traj.measures_at(0.0)
     assert female.mass == pytest.approx(0.5)  # 2 atoms of mass 1/4
     assert male.mass == pytest.approx(0.25)
 
@@ -410,48 +419,42 @@ def _one_step_law(rates: RateSet, females, males, n_scale: int) -> dict:
     for i, x in enumerate(females):
         for j, y in enumerate(males):
             pair = pf[i] * pm[j] / sum(pm) + pm[j] * pf[i] / sum(pf)
-            for sex in Sex:
+            for sex in "fm":
                 law[("birth", x, y, sex)] = 0.5 * pair
     for x in females:
-        law[("death", Sex.FEMALE, x)] = _val(rates.D_f, x) + (
+        law[("death", "f", x)] = _val(rates.D_f, x) + (
             sum(_val(rates.U_ff, x, z) for z in females)
             + sum(_val(rates.U_fm, x, z) for z in males)) / n_scale
     for y in males:
-        law[("death", Sex.MALE, y)] = _val(rates.D_m, y) + (
+        law[("death", "m", y)] = _val(rates.D_m, y) + (
             sum(_val(rates.U_mm, y, z) for z in males)
             + sum(_val(rates.U_mf, y, z) for z in females)) / n_scale
     return law
 
 
-def _cell(event) -> tuple:
-    if isinstance(event, MatingEvent):
-        return ("birth", event.mother_trait, event.father_trait, event.child_sex)
-    return ("death", event.sex, event.trait)
-
-
 @pytest.mark.parametrize("rates", [UNEQUAL, CRITERION_9, STEEP],
                          ids=["unequal-constant", "criterion-9", "steep-capability"])
 def test_one_step_law_matches_generator(rates):
-    # 2 * 3 * 2 birth cells plus 5 death cells; each draw is one step() of
-    # a fresh copy of the same population
+    # 2 * 3 * 2 birth cells plus 5 death cells; each draw is the reference's
+    # first jump from a fresh copy of the same population; a birth's cell
+    # leaves out whether the child was clamped
     law = _one_step_law(rates, LAW_FEMALES, LAW_MALES, LAW_N)
     total = sum(law.values())
     cells = {key: k for k, key in enumerate(law)}
     counts = np.zeros(len(law))
     waits = np.empty(LAW_DRAWS)
-    females, males = np.array(LAW_FEMALES), np.array(LAW_MALES)
+    params = _params(rates, LAW_FEMALES, LAW_MALES, N=LAW_N)
     rng = BufferedRng(2024)
     for k in range(LAW_DRAWS):
-        pop = ScaledPopulation(females, males, LAW_N, rates, GRID)
-        waits[k], event = step(pop, KERNEL, rng)
-        counts[cells[_cell(event)]] += 1
+        waits[k], event = reference.jump(params, reference.start(params), rng)
+        counts[cells[event()[:4]]] += 1
     expected = LAW_DRAWS * np.array(list(law.values())) / total
     assert expected.min() > 100
     assert stats.chisquare(counts, expected).pvalue > 1e-3
     assert stats.kstest(waits, "expon", args=(0.0, 1.0 / total)).pvalue > 1e-3
 
 
-# -- the constant-rate loop against the direct engine ---------------------------
+# -- the constant-rate loop against the direct method (ibm_reference) ----------
 
 def _lln_config_replicas():
     # the replicas `dimorph lln` runs for configs/lln.json at its smallest N,
@@ -509,7 +512,7 @@ PINNED_CASES = {
                                     kernel=MultiplicativeNoiseKernel(UniformNoise(0.25, 0.75)),
                                     grid=TraitGrid(0.0, 4.0, 64), mean=1.0),
     # p_f = 0.3 and U_fm = 0.3 are not dyadic: the incremental capability
-    # sums drift from p * n, and both engines must drift alike; the run dies
+    # sums drift from p * n, and both must drift alike; the run dies
     # out, so the extinction time pins every waiting time to the last bit
     "unequal-rates": lambda: _case(
         RateSet(p_f=0.3, p_m=2.1, D_f=1.3, D_m=1.7, U_ff=0.1, U_fm=0.3, U_mf=0.2, U_mm=0.15),
@@ -528,7 +531,7 @@ def test_constant_loop_matches_direct_engine(case):
     trajs = []
     for params in PINNED_CASES[case]():
         assert params.rates.is_constant
-        fast, ref = simulate(params), ibm._simulate_direct(params)
+        fast, ref = simulate(params), reference.run(params)
         assert (fast.births_female, fast.births_male, fast.deaths, fast.clamped_births,
                 fast.n_events, fast.extinction_time, fast.final_n_female, fast.final_n_male) == \
             (ref.births_female, ref.births_male, ref.deaths, ref.clamped_births,
@@ -575,13 +578,13 @@ def _uniform_over_fathers(fathers) -> float:
 
 def test_zero_capability_partner_is_uniform_in_step():
     # every jump is a female-initiated mating; the solver picks the father
-    # uniformly when no male has capability, and so must the direct engine
+    # uniformly when no male has capability, and so must the reference
+    params = _params(NO_MALE_CAPABILITY, [0.0], FATHERS)
     rng = BufferedRng(7)
     fathers = []
     for _ in range(900):
-        pop = ScaledPopulation(np.array([0.0]), np.array(FATHERS), 1, NO_MALE_CAPABILITY, GRID)
-        _dt, event = step(pop, KERNEL, rng)
-        fathers.append(event.father_trait)
+        _dt, event = reference.jump(params, reference.start(params), rng)
+        fathers.append(event()[2])
     assert _uniform_over_fathers(fathers) > 1e-3
 
 
@@ -606,8 +609,6 @@ def test_proposal_counts():
     trait = IbmParams(grid=GRID, rates=CRITERION_9, kernel=KERNEL, N=100, t_end=1.0,
                       sample_times=(1.0,), seed=4, initial_female=np.zeros(100),
                       initial_male=np.zeros(100))
-    ref = ibm._simulate_direct(trait)
-    assert ref.n_proposals == ref.n_events > 0
     thinned = simulate(trait)
     assert thinned.n_proposals > thinned.n_events > 0
 
@@ -774,5 +775,5 @@ def test_thinned_engine_matches_direct_engine_in_law(case):
     # the state at a horizon of about one expected jump, from the law
     # population; disjoint seeds keep the two samples independent
     thinned = _states_at_horizon(simulate, case, range(LAW_RUNS))
-    direct = _states_at_horizon(ibm._simulate_direct, case, range(LAW_RUNS, 2 * LAW_RUNS))
+    direct = _states_at_horizon(reference.run, case, range(LAW_RUNS, 2 * LAW_RUNS))
     assert _two_sample_pvalue(thinned, direct) > 1e-3
