@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import lln_study
 from .ibm import IbmParams, simulate, simulate_all
 from .kernels import (AdditiveNoiseKernel, GaussianNoise, MultiplicativeNoiseKernel,
                       UniformNoise, birth_operator, check_hypotheses)
@@ -271,39 +272,29 @@ def criterion_7_hypothesis_checkers() -> CriterionResult:
 
 # -- criterion 8: law of large numbers -----------------------------------------
 
-_LLN_GRID = TraitGrid(-6.0, 6.0, 192)
-_LLN_KERNEL = AdditiveNoiseKernel(GaussianNoise(0.5))
-_LLN_SCALES = (100, 1000, 10000)
-_LLN_REPLICAS = 10
-_LLN_TIMES = (1.0, 3.0)
-
-
-def _lln_params(n_scale: int, seed: int) -> IbmParams:
-    rng = np.random.default_rng(seed)
-    init_f = np.clip(rng.normal(0.0, 0.5, size=n_scale), _LLN_GRID.x_min, _LLN_GRID.x_max)
-    init_m = np.clip(rng.normal(0.0, 0.5, size=n_scale), _LLN_GRID.x_min, _LLN_GRID.x_max)
-    return IbmParams(grid=_LLN_GRID, rates=_PERSIST, kernel=_LLN_KERNEL, N=n_scale,
-                     t_end=3.001, sample_times=(0.0,) + _LLN_TIMES, seed=seed,
-                     initial_female=init_f, initial_male=init_m)
+# The study as an lln config, read by the reader that `dimorph lln` runs.
+_CRITERION_8_CONFIG = {
+    "grid": {"x_min": -6.0, "x_max": 6.0, "n_cells": 192},
+    "rates": {"p_f": 2.0, "p_m": 2.0, "D_f": 1.0, "D_m": 1.0,
+              "U_ff": 0.25, "U_fm": 0.25, "U_mf": 0.25, "U_mm": 0.25},
+    "kernel": {"family": "additive", "noise": {"kind": "gaussian", "sigma": 0.5}},
+    "N_list": [100, 1000, 10000], "replicas": 10, "checkpoints": [1.0, 3.0], "seed": 0,
+    "initial_female": {"shape": "gaussian", "mean": 0.0, "sd": 0.5},
+    "initial_male": {"shape": "gaussian", "mean": 0.0, "sd": 0.5},
+    "solver": {"dt": 0.005, "t_end": 3.0, "sample_stride": 20},
+}
 
 
 def criterion_8_law_of_large_numbers(jobs: int = 1) -> CriterionResult:
     t0 = time.time()
-    params = [_lln_params(n, seed=10_000 * (i + 1) + r)
-              for i, n in enumerate(_LLN_SCALES) for r in range(_LLN_REPLICAS)]
-    trajs = simulate_all(params, jobs)
-    runs = {n: trajs[i * _LLN_REPLICAS:(i + 1) * _LLN_REPLICAS]
-            for i, n in enumerate(_LLN_SCALES)}
-
-    m0 = gaussian_measure(_LLN_GRID, 0.0, 0.5)
-    macro = integrate(MacroState(m0, m0), _PERSIST, _LLN_KERNEL,
-                      SolverConfig(dt=0.005, t_end=3.0, sample_stride=20))
-    table = lln_compare(runs, macro, _LLN_TIMES)
+    study = lln_study(_CRITERION_8_CONFIG)
+    trajs = simulate_all(study.params, jobs)
+    macro = integrate(MacroState(study.m0, study.f0), study.rates, study.kernel, study.solver)
+    table = lln_compare(study.by_scale(trajs), macro, study.checkpoints)
 
     checks = []
-    desc = " | ".join(
-        f"N={n}: " + ", ".join(f"{table.means[i, j]:.4f}" for j in range(len(_LLN_TIMES)))
-        for i, n in enumerate(table.Ns))
+    desc = " | ".join(f"N={n}: " + ", ".join(f"{e:.4f}" for e in row)
+                      for n, row in zip(table.Ns, table.means))
     checks.append((table.errors_decrease(),
                    f"mean Wasserstein error strictly decreases with N ({desc})"))
     ratio_ok = True

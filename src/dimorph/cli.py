@@ -1,13 +1,14 @@
 """Command-line scenario runner.
 
-Usage: dimorph <subcommand> --config <path> [--out DIR] [--jobs K] [--seed S]
+Usage: dimorph <subcommand> --config <path> [--out DIR] [flags]
 
 Subcommands: ibm, macro, totals, stationary, fixed-point, lln, acceptance.
-Configs are versioned JSON documents (see README), read and checked by
-`config` before anything runs; a runner here only composes library calls
-and writes artifacts. Every run writes its artifacts plus a manifest.json
-with content hashes into the output directory; fixed seeds give
-byte-identical outputs.
+Only the runners that read a flag take it: --seed ibm and lln, --jobs lln
+and acceptance. Configs are versioned JSON documents (see README), read and
+checked by `config` before anything runs; a runner here only composes
+library calls and writes artifacts. Every run writes its artifacts plus a
+manifest.json with content hashes into the output directory; fixed seeds
+give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (_flag_or_field, _get, _integer, _on_lattice, _positive, _run_length,
-                     _scales, _times, checked, flag_integer, load_config, parse_grid, parse_kernel,
-                     parse_measure, parse_rates, parse_solver, sample_traits)
+# only _ibm_params calls sample_traits, but bench/tracing.py wraps it as a
+# name of this module too
+from .config import (_flag_or_field, _get, _ibm_params, _integer, _positive, _run_length,
+                     _times, checked, flag_integer, lln_study, load_config, parse_grid,
+                     parse_kernel, parse_measure, parse_rates, parse_solver, sample_traits)
 from .errors import ConfigError, DimorphError
 from .io import (atomic_write_text, csv_text, emit_distribution_csv, trajectory_blocks,
                  write_json, write_manifest, write_measure_csv)
@@ -35,9 +38,9 @@ from .totals import (TAIL_FLOOR, TotalsState, fit_exponential_tail, integrate_to
 # its runner looks up before the runner starts. A name already bound (say,
 # replaced by a test or a tracer) is kept.
 _DEFERRED = {name: module for module, names in (
-    ("ibm", "IbmParams simulate simulate_all"),
+    ("ibm", "simulate simulate_all"),
     ("macro", "MacroState coupled_full_run integrate integrate_normalized"),
-    ("stability", "MIN_REPLICAS fixed_point lln_compare"),
+    ("stability", "fixed_point lln_compare"),
     ("acceptance", "format_table run_all"),
 ) for name in names.split()}
 
@@ -73,7 +76,7 @@ def _stationary_summary(rates) -> dict:
             "M_bar": None, "F_bar": None, "A": None, "residual": None}
 
 
-def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
+def run_totals(cfg: dict, out: Path) -> list[Path]:
     rates = parse_rates(_get(cfg, "rates", "", expected=dict))
     init = _get(cfg, "initial", "", expected=dict, required=False, default={"M": 1.0, "F": 1.0})
     state0 = TotalsState(_positive(init, "M", "initial.", allow_zero=True),
@@ -96,7 +99,7 @@ def run_totals(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             write_json(out / "summary.json", summary)]
 
 
-def run_stationary(cfg: dict, out: Path, seed, jobs) -> list[Path]:
+def run_stationary(cfg: dict, out: Path) -> list[Path]:
     rates = parse_rates(_get(cfg, "rates", "", expected=dict))
     return [write_json(out / "summary.json", _stationary_summary(rates))]
 
@@ -118,7 +121,7 @@ def _diagnostics(diag, *fields) -> dict:
     return {k: getattr(diag, k) for k in (*fields, "accepted_steps", "rejected_steps")}
 
 
-def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
+def run_macro(cfg: dict, out: Path) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
     solver = parse_solver(_get(cfg, "solver", "", expected=dict))
@@ -163,7 +166,7 @@ def run_macro(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             *files, write_json(out / "summary.json", {"mode": mode, **summary})]
 
 
-def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
+def run_ibm(cfg: dict, out: Path, seed) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     rates = parse_rates(_get(cfg, "rates", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
@@ -171,18 +174,12 @@ def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     t_end = _positive(cfg, "t_end", "")
     sample_times = tuple(_times(cfg, "sample_times", ""))
     run_seed = _flag_or_field(cfg, "seed", 0, seed)
-    rng = np.random.default_rng(run_seed)
     inits = {}
     for name in ("initial_female", "initial_male"):
         spec = _get(cfg, name, "", expected=dict)
-        inits[name] = sample_traits(spec, _integer(spec, "count", f"{name}.", 0), grid, rng,
-                                    f"{name}.")
-    with checked():
-        params = IbmParams(grid=grid, rates=rates, kernel=kernel, N=n_scale, t_end=t_end,
-                           sample_times=sample_times, seed=run_seed,
-                           initial_female=inits["initial_female"],
-                           initial_male=inits["initial_male"])
-    traj = simulate(params)
+        inits[name] = (spec, _integer(spec, "count", f"{name}.", 0))
+    traj = simulate(_ibm_params(grid, rates, kernel, n_scale, t_end, sample_times, run_seed,
+                                inits))
     pairs = [(s.male, s.female) for s in traj.snapshots]
     times = [s.time for s in traj.snapshots]
     return [
@@ -203,7 +200,7 @@ def run_ibm(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     ]
 
 
-def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
+def run_fixed_point(cfg: dict, out: Path) -> list[Path]:
     grid = parse_grid(_get(cfg, "grid", "", expected=dict))
     kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
     mu0 = parse_measure(_get(cfg, "initial", "", expected=dict), grid, "initial.")
@@ -220,43 +217,11 @@ def run_fixed_point(cfg: dict, out: Path, seed, jobs) -> list[Path]:
     ]
 
 
-def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
-    grid = parse_grid(_get(cfg, "grid", "", expected=dict))
-    rates = parse_rates(_get(cfg, "rates", "", expected=dict))
-    kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
-    scales = _scales(cfg, "N_list", "")
-    replicas = _integer(cfg, "replicas", "", MIN_REPLICAS)
-    checkpoints = _times(cfg, "checkpoints", "", empty_ok=False)
-    base_seed = _flag_or_field(cfg, "seed", 0, seed)
-    spec_f = _get(cfg, "initial_female", "", expected=dict)
-    spec_m = _get(cfg, "initial_male", "", expected=dict)
-    mass_f = _positive(spec_f, "mass", "initial_female.", required=False, default=1.0)
-    mass_m = _positive(spec_m, "mass", "initial_male.", required=False, default=1.0)
-    t_end = max(checkpoints) + 1e-3
-    m0 = parse_measure(spec_m | {"mass": mass_m}, grid, "initial_male.")
-    f0 = parse_measure(spec_f | {"mass": mass_f}, grid, "initial_female.")
-    # the default solver takes at least its one step, even for checkpoints [0]
-    solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
-                               default={"dt": 0.005, "t_end": max(t_end, 0.005),
-                                        "sample_stride": 10}))
-    _on_lattice(checkpoints, solver, "checkpoints", "")
-
-    params_list = []
-    for i, n in enumerate(scales):
-        for r in range(replicas):
-            run_seed = base_seed + 10_000 * (i + 1) + r
-            rng = np.random.default_rng(run_seed)
-            init_f = sample_traits(spec_f, round(n * mass_f), grid, rng, "initial_female.")
-            init_m = sample_traits(spec_m, round(n * mass_m), grid, rng, "initial_male.")
-            with checked():
-                params_list.append(IbmParams(grid=grid, rates=rates, kernel=kernel, N=n,
-                                             t_end=t_end, sample_times=tuple(checkpoints),
-                                             seed=run_seed, initial_female=init_f,
-                                             initial_male=init_m))
-    trajs = simulate_all(params_list, jobs or 1)
-    runs = {n: trajs[i * replicas:(i + 1) * replicas] for i, n in enumerate(scales)}
-    macro = integrate(MacroState(m0, f0), rates, kernel, solver)
-    table = lln_compare(runs, macro, checkpoints)
+def run_lln(cfg: dict, out: Path, jobs, seed) -> list[Path]:
+    study = lln_study(cfg, seed)
+    runs = study.by_scale(simulate_all(study.params, jobs or 1))
+    macro = integrate(MacroState(study.m0, study.f0), study.rates, study.kernel, study.solver)
+    table = lln_compare(runs, macro, study.checkpoints)
 
     err_blocks = [(n, table.times, table.means[i], table.stderrs[i])
                   for i, n in enumerate(table.Ns)]
@@ -269,13 +234,13 @@ def run_lln(cfg: dict, out: Path, seed, jobs) -> list[Path]:
             "mean_errors": table.means.tolist(),
             "stderrs": table.stderrs.tolist(),
             "errors_decrease": table.errors_decrease(),
-            "replicas": replicas,
-            "seed": base_seed,
+            "replicas": study.replicas,
+            "seed": study.seed,
         }),
     ]
 
 
-def run_acceptance(cfg: dict, out: Path, seed, jobs) -> list[Path]:
+def run_acceptance(cfg: dict, out: Path, jobs) -> list[Path]:
     """Run the gate; a failed criterion raises once the report and manifest are written."""
     only = _get(cfg, "only", "", expected=list, required=False)
     jobs = _flag_or_field(cfg, "jobs", 1, jobs)
@@ -316,9 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON scenario config")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or CWD)")
-        p.add_argument("--jobs", type=flag_integer(1),
-                       help="parallel replicas (wins over an acceptance config's jobs; default 1)")
-        p.add_argument("--seed", type=flag_integer(0), help="override the config seed")
+        # only the runners that read a flag take it, as a parameter of its name
+        if name in ("lln", "acceptance"):
+            p.add_argument("--jobs", type=flag_integer(1),
+                           help="parallel replicas (wins over an acceptance config's jobs; "
+                                "default 1)")
+        if name in ("ibm", "lln"):
+            p.add_argument("--seed", type=flag_integer(0), help="override the config seed")
     return parser
 
 
@@ -338,7 +307,8 @@ def main(argv=None) -> int:
         for name in _DEFERRED.keys() & runner.__code__.co_names:
             if name not in globals():
                 __getattr__(name)
-        files = runner(cfg, out, args.seed, args.jobs)
+        flags = {k: v for k, v in vars(args).items() if k in ("jobs", "seed")}
+        files = runner(cfg, out, **flags)
         files.append(write_manifest(out, files))
         for f in files:
             print(f"wrote {f}")

@@ -2,7 +2,8 @@
 
 Every config field and the --jobs and --seed flags are checked here before
 anything runs. A failure raises ConfigError naming the field by its dotted
-path, so batch users can fix configs without reading code.
+path, so batch users can fix configs without reading code. `lln_study`
+reads a whole `lln` config, for `dimorph lln` and acceptance criterion 8.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .stepping import SolverConfig, sample_index, sample_times
 from .totals import RateSet
 
 if TYPE_CHECKING:
+    from .ibm import IbmParams
     from .kernels import InheritanceKernel
 
 __all__ = [
@@ -35,6 +37,8 @@ __all__ = [
     "parse_measure",
     "parse_solver",
     "sample_traits",
+    "lln_study",
+    "LlnStudy",
     "SCHEMA_VERSION",
 ]
 
@@ -90,8 +94,12 @@ def _list_of(d: dict, field: str, ctx: str, read, what: str, empty_ok: bool = Tr
 
 
 def _scales(d: dict, field: str, ctx: str) -> list[int]:
-    return _list_of(d, field, ctx, lambda e, f, c: _integer(e, f, c, 1),
-                    "positive integers", empty_ok=False)
+    """Population scales: distinct, as their results are keyed by scale."""
+    scales = _list_of(d, field, ctx, lambda e, f, c: _integer(e, f, c, 1),
+                      "positive integers", empty_ok=False)
+    if len(set(scales)) < len(scales):
+        raise ConfigError(f"field {ctx}{field} must not repeat a scale, got {scales}")
+    return scales
 
 
 def _times(d: dict, field: str, ctx: str, empty_ok: bool = True) -> list[float]:
@@ -276,3 +284,67 @@ def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
             t_end=_number(d, "t_end", ctx),
             sample_stride=_get(d, "sample_stride", ctx, expected=int, required=False, default=1),
         )
+
+
+def _ibm_params(grid: TraitGrid, rates: RateSet, kernel: InheritanceKernel, n_scale: int,
+                t_end: float, sample_times, seed: int, inits: dict) -> IbmParams:
+    """One stochastic run; `inits` maps initial_female and initial_male to a
+    (shape spec, count) pair, drawn in that order from one default_rng(seed)."""
+    from .ibm import IbmParams  # only the runs that simulate load it
+    rng = np.random.default_rng(seed)
+    traits = {name: sample_traits(*inits[name], grid, rng, f"{name}.")
+              for name in ("initial_female", "initial_male")}
+    with checked():
+        return IbmParams(grid=grid, rates=rates, kernel=kernel, N=n_scale, t_end=t_end,
+                         sample_times=tuple(sample_times), seed=seed, **traits)
+
+
+class LlnStudy(NamedTuple):
+    """An lln config, read and checked: the replica runs, scale-major, and
+    the solver run they are compared with at the checkpoints."""
+
+    params: list  # of IbmParams
+    scales: list[int]
+    replicas: int
+    seed: int
+    m0: GridMeasure
+    f0: GridMeasure
+    rates: RateSet
+    kernel: InheritanceKernel
+    solver: SolverConfig
+    checkpoints: list[float]
+
+    def by_scale(self, results: list) -> dict:
+        """Per-replica results, in the order of `params`, keyed by scale."""
+        k = self.replicas
+        return {n: results[i * k:(i + 1) * k] for i, n in enumerate(self.scales)}
+
+
+def lln_study(cfg: dict, seed: int | None = None) -> LlnStudy:
+    """Read an lln config; `seed`, when given, replaces its seed. Replica r
+    of scale index i is seeded 10,000·(i + 1) + r above it and starts with
+    round(N * mass) individuals of each sex."""
+    from .stability import MIN_REPLICAS
+    grid = parse_grid(_get(cfg, "grid", "", expected=dict))
+    rates = parse_rates(_get(cfg, "rates", "", expected=dict))
+    kernel = parse_kernel(_get(cfg, "kernel", "", expected=dict), sample_grid=grid)
+    scales = _scales(cfg, "N_list", "")
+    replicas = _integer(cfg, "replicas", "", MIN_REPLICAS)
+    checkpoints = _times(cfg, "checkpoints", "", empty_ok=False)
+    base_seed = _flag_or_field(cfg, "seed", 0, seed)
+    specs = {name: _get(cfg, name, "", expected=dict)
+             for name in ("initial_female", "initial_male")}
+    f0, m0 = (parse_measure(spec, grid, f"{name}.") for name, spec in specs.items())
+    t_end = max(checkpoints) + 1e-3
+    # the default solver takes at least its one step, even for checkpoints [0]
+    solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
+                               default={"dt": 0.005, "t_end": max(t_end, 0.005),
+                                        "sample_stride": 10}))
+    _on_lattice(checkpoints, solver, "checkpoints", "")
+    params = [_ibm_params(grid, rates, kernel, n, t_end, checkpoints,
+                          base_seed + 10_000 * (i + 1) + r,
+                          {name: (spec, round(n * spec.get("mass", 1.0)))  # mass checked above
+                           for name, spec in specs.items()})
+              for i, n in enumerate(scales) for r in range(replicas)]
+    return LlnStudy(params, scales, replicas, base_seed, m0, f0, rates, kernel, solver,
+                    checkpoints)

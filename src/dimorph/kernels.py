@@ -163,7 +163,9 @@ class TabulatedNoise(NoiseDensity):
     """Noise density tabulated on its own knot grid, linearly interpolated.
 
     The tabulated values must integrate to one within 1e-6 by the
-    trapezoid rule; they are then renormalized exactly.
+    trapezoid rule, which is exact for this density; they are then
+    renormalized exactly. The CDF is piecewise quadratic, the sampler
+    inverts it exactly per segment and the moments are exact.
     """
 
     def __init__(self, z: np.ndarray, pdf: np.ndarray):
@@ -175,24 +177,41 @@ class TabulatedNoise(NoiseDensity):
             raise ValueError("z knots must be strictly increasing")
         if np.any(pdf < 0):
             raise ValueError("pdf values must be non-negative")
-        total = float(np.trapezoid(pdf, z))
+        h = np.diff(z)
+        cum = np.cumsum(0.5 * (pdf[:-1] + pdf[1:]) * h)
+        total = float(cum[-1])
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"density integrates to {total}, expected 1 within 1e-6")
         pdf = pdf / total
         self.z = z
         self.pdf = pdf
-        seg = 0.5 * (pdf[:-1] + pdf[1:]) * np.diff(z)
-        self._cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self._cum /= self._cum[-1]
-        self.mean = float(np.trapezoid(z * pdf, z))
-        self.second_moment = float(np.trapezoid(z * z * pdf, z))
+        lo, hi, zl, zr = pdf[:-1], pdf[1:], z[:-1], z[1:]
+        self._h = h
+        self._slope = (hi - lo) / h
+        self._cum = np.concatenate(([0.0], cum / total))
+        # the integrals of z p(z) and z^2 p(z) over each linear segment
+        self.mean = float(np.sum(h / 6 * (lo * (2 * zl + zr) + hi * (zl + 2 * zr))))
+        self.second_moment = float(np.sum(h / 12 * (lo * (3 * zl**2 + 2 * zl * zr + zr**2)
+                                                     + hi * (zl**2 + 2 * zl * zr + 3 * zr**2))))
         self.support = (float(z[0]), float(z[-1]))
 
     def cdf(self, x):
-        return np.interp(np.asarray(x), self.z, self._cum, left=0.0, right=1.0)
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.z, x, side="right") - 1, 0, self.z.size - 2)
+        t = np.clip(x - self.z[i], 0.0, self._h[i])
+        c = self._cum[i] + t * (self.pdf[i] + 0.5 * self._slope[i] * t)
+        return np.where(x >= self.z[-1], 1.0, c)
 
     def sample(self, rng) -> float:
-        return float(np.interp(rng.random(), self._cum, self.z))
+        u = rng.random()
+        i = min(int(np.searchsorted(self._cum, u, side="right")) - 1, self.z.size - 2)
+        r = u - self._cum[i]
+        if r <= 0.0:
+            return float(self.z[i])
+        # t solves pdf[i] t + slope t^2 / 2 = r; this root form has no cancellation
+        p = self.pdf[i]
+        t = 2.0 * r / (p + math.sqrt(max(p * p + 2.0 * self._slope[i] * r, 0.0)))
+        return float(self.z[i] + min(t, self._h[i]))
 
     def __repr__(self):
         return f"TabulatedNoise({self.z.size} knots on [{self.z[0]}, {self.z[-1]}])"
@@ -570,10 +589,11 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
 def _birth_weights_exact(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                          grid: TraitGrid) -> np.ndarray:
     """Direct contraction, one kernel row per parent pair: the reference for
-    the parent-sum path. Pairs below its weight tolerance are skipped."""
+    the parent-sum path. Pairs of magnitude at most 1e-12 of ||wa||_1 ||wb||_1
+    are skipped, so signed inputs (solver stages) keep their negative pairs."""
     out = np.zeros(grid.n_cells)
     centers = grid.centers
-    total = max(wa.sum() * wb.sum(), 1e-300)
+    total = max(np.abs(wa).sum() * np.abs(wb).sum(), 1e-300)
     floor = 1e-12 * total
     dropped = 0.0
     ja = np.nonzero(wa)[0]
@@ -581,7 +601,7 @@ def _birth_weights_exact(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarr
     for j in ja:
         acc = np.zeros(grid.n_cells)
         for k in jb:
-            pair = wa[j] * wb[k]
+            pair = abs(wa[j] * wb[k])
             if pair <= floor:
                 continue
             try:

@@ -276,12 +276,9 @@ class TotalsSeries:
 
 
 def _jacobian_radius(rates: RateSet, M: float, F: float) -> float:
-    """Spectral radius of the Jacobian of totals_rhs at (M, F), from the
-    closed-form eigenvalues of the 2x2 matrix."""
-    a = 0.5 * rates.p_m - rates.D_m - 2 * rates.U_mm * M - rates.U_mf * F
-    b = 0.5 * rates.p_f - rates.U_mf * M
-    c = 0.5 * rates.p_m - rates.U_fm * F
-    d = 0.5 * rates.p_f - rates.D_f - rates.U_fm * M - 2 * rates.U_ff * F
+    """Spectral radius of the Jacobian of totals_rhs at (M, F), half that of
+    the polynomial system, from the closed-form eigenvalues of the 2x2 matrix."""
+    (a, b), (c, d) = (0.5 * _poly_jacobian(rates, M, F)).tolist()
     disc = 0.25 * (a - d) ** 2 + b * c
     if disc < 0:  # a complex pair, |lambda|^2 = det
         return math.sqrt(a * d - b * c)

@@ -9,9 +9,11 @@ bound of 1e-6 by t = 100, which needs exponential decay, is applied to a
 strictly subcritical run, where the strict inequality provides it.
 """
 
+import numpy as np
 import pytest
 
 from dimorph import acceptance as acc
+from dimorph.stepping import SolverConfig
 
 
 def _check(result: acc.CriterionResult) -> None:
@@ -54,6 +56,31 @@ def test_criterion_07_hypothesis_checkers():
 
 def test_criterion_08_law_of_large_numbers():
     _check(acc.criterion_8_law_of_large_numbers())
+
+
+def test_criterion_08_runs_the_lln_reader_replicas(monkeypatch):
+    # the replicas criterion 8 hands to simulate_all, caught before any runs
+    class Caught(Exception):
+        pass
+
+    def catch(params, jobs):
+        raise Caught(params)
+
+    monkeypatch.setattr(acc, "simulate_all", catch)
+    with pytest.raises(Caught) as exc:
+        acc.criterion_8_law_of_large_numbers()
+    params = exc.value.args[0]
+    assert len(params) == 30
+    for i, n in enumerate((100, 1000, 10000)):
+        for r in range(10):
+            p = params[10 * i + r]
+            seed = 10_000 * (i + 1) + r
+            assert (p.seed, p.N, p.t_end) == (seed, n, 3.001)
+            rng = np.random.default_rng(seed)
+            for traits in (p.initial_female, p.initial_male):  # female first
+                np.testing.assert_array_equal(traits, np.clip(rng.normal(0.0, 0.5, n), -6, 6))
+    study = acc.lln_study(acc._CRITERION_8_CONFIG)
+    assert (study.checkpoints, study.solver) == ([1.0, 3.0], SolverConfig(0.005, 3.0, 20))
 
 
 def test_criterion_09_ibm_exactness():

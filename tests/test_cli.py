@@ -497,14 +497,15 @@ def test_ibm_final_counts_are_taken_at_t_end(tmp_path, sample_times):
 
 
 def test_shipped_configs_run(tmp_path):
-    # every example config except the full acceptance gate
+    # every example config except the full acceptance gate; of these runs
+    # only lln takes --jobs, and the others exit 2 on it
     configs = Path(__file__).resolve().parent.parent / "configs"
     for cfg in sorted(configs.glob("*.json")):
         if cfg.name == "acceptance.json":
             continue
         kind = json.loads(cfg.read_text())["kind"]
-        res = run_cli(kind, "--config", str(cfg), "--out",
-                      str(tmp_path / cfg.stem), "--jobs", "2")
+        jobs = ["--jobs", "2"] if kind == "lln" else []
+        res = run_cli(kind, "--config", str(cfg), "--out", str(tmp_path / cfg.stem), *jobs)
         assert res.returncode == 0, f"{cfg.name}: {res.stderr}"
         assert (tmp_path / cfg.stem / "manifest.json").exists()
 
@@ -618,6 +619,40 @@ def test_ibm_bad_field_exits_two_before_simulating(tmp_path, capsys, monkeypatch
     assert message in err
 
 
+# the flags each subcommand's runner reads
+READS = {"totals": (), "stationary": (), "macro": (), "ibm": ("seed",), "fixed-point": (),
+         "lln": ("jobs", "seed"), "acceptance": ("jobs",)}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command):
+    assert set(READS) == set(cli._RUNNERS)
+    for flag in ("jobs", "seed"):
+        argv = [command, "--config", "cfg.json", "--out", str(tmp_path / "out"), f"--{flag}", "3"]
+        if flag in READS[command]:
+            assert getattr(cli.build_parser().parse_args(argv), flag) == 3
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_wins_over_the_config(tmp_path):
+    ibm = _shipped("ibm") | {"N": 100, "t_end": 0.5, "sample_times": [0.5]}
+    for name in ("initial_female", "initial_male"):
+        ibm[name] = ibm[name] | {"count": 100}
+    runs = (("ibm", ibm, [], "run.json"),
+            ("lln", LLN_CFG | {"seed": 4}, ["--jobs", "2"], "lln_report.json"))
+    for command, cfg, flags, report in runs:
+        out = tmp_path / command
+        code = cli.main([command, "--config", str(_write(tmp_path, f"{command}.json", cfg)),
+                         "--out", str(out), "--seed", "1", *flags])
+        assert code == 0
+        assert json.loads((out / report).read_text())["seed"] == 1
+
+
 def test_negative_seed_flag_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "ibm.json", _shipped("ibm"))
     with pytest.raises(SystemExit) as exc:
@@ -636,6 +671,7 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
     ({"checkpoints": [3.0, 1.0]}, "field checkpoints must be sorted"),
     ({"checkpoints": [1.0, True]}, "field checkpoints must contain non-negative numbers"),
     ({"N_list": []}, "field N_list must be a non-empty list"),
+    ({"N_list": [100, 1000, 100]}, "field N_list must not repeat a scale, got [100, 1000, 100]"),
     ({"seed": -2}, "field seed must be >= 0"),
     ({"solver": {"dt": -0.005, "t_end": 3.001}}, "field solver"),
     ({"solver": {"dt": 0.005, "t_end": 0.002}},
@@ -647,8 +683,8 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
      "field checkpoints must lie on the solver's samples (every dt * sample_stride = 0.1 "
      "up to 2), got 3.0; nearest is 2"),
 ], ids=["replicas-2", "replicas-0", "replicas-negative", "replicas-bool", "checkpoints-negative",
-        "checkpoints-unsorted", "checkpoints-bool", "N_list-empty", "seed", "solver",
-        "solver-no-step", "checkpoints-off-lattice", "checkpoints-beyond-last-sample"])
+        "checkpoints-unsorted", "checkpoints-bool", "N_list-empty", "N_list-repeated", "seed",
+        "solver", "solver-no-step", "checkpoints-off-lattice", "checkpoints-beyond-last-sample"])
 def test_lln_bad_field_exits_two_before_any_replica(tmp_path, capsys, monkeypatch, change,
                                                    message):
     monkeypatch.setattr(cli, "simulate_all", _never)

@@ -67,6 +67,24 @@ def test_tabulated_noise_validates_normalization():
     assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
+def test_tabulated_noise_follows_its_linear_density():
+    # a zero-mean triangle on [-4/3, 5/3] with its mode at -1/3: moments,
+    # CDF and sampler all belong to the linearly interpolated density
+    noise = TabulatedNoise(np.array([-4.0 / 3.0, -1.0 / 3.0, 5.0 / 3.0]),
+                           np.array([0.0, 2.0 / 3.0, 0.0]))
+    AdditiveNoiseKernel(noise)  # refuses noise of non-zero mean
+    assert noise.mean == pytest.approx(0.0, abs=1e-15)
+    assert noise.second_moment == pytest.approx(7.0 / 18.0, rel=1e-14)
+    assert noise.cdf(np.array([-2.0, -1.0 / 3.0, 2.0])).tolist() == pytest.approx([0, 1 / 3, 1])
+    x = np.linspace(-4.0 / 3.0, 5.0 / 3.0, 300_001)
+    first = np.sum(0.5 * (x[1:] + x[:-1]) * np.diff(noise.cdf(x)))  # the integral of x dF
+    assert first == pytest.approx(noise.mean, abs=1e-9)
+    rng = np.random.default_rng(5)
+    draws = np.array([noise.sample(rng) for _ in range(100_000)])
+    assert abs(draws.mean() - noise.mean) < 4.0 * math.sqrt(noise.second_moment / draws.size)
+    assert -4.0 / 3.0 <= draws.min() and draws.max() <= 5.0 / 3.0
+
+
 def test_family_constructor_guards():
     with pytest.raises(ValueError):
         AdditiveNoiseKernel(UniformNoise(0.0, 1.0))  # mean 1/2, not centered
@@ -137,6 +155,21 @@ def test_exact_contraction_tolerates_degenerate_parents_up_to_a_mass_share(share
     assert out.sum() == pytest.approx(total - share, rel=1e-12)
     wa[-1] = 0.0
     np.testing.assert_array_equal(out, _birth_weights_exact(kernel, wa, wb, grid))
+
+
+def test_exact_contraction_is_linear_in_signed_weights():
+    # a solver stage may carry negative weights; their pairs are terms of
+    # the birth, not dust under the contraction's 1e-12 skip
+    grid = TraitGrid(-2.0, 2.0, 32)
+    kernel = CustomDensityKernel(lambda x, y, z: np.exp(-2.0 * (z - 0.5 * (x + y)) ** 2))
+    a = gaussian_measure(grid, -0.3, 0.6).weights
+    b = gaussian_measure(grid, 0.4, 0.5).weights
+    d = np.zeros(32)
+    d[12] = -1e-3
+    with_d, without, of_d = (birth_weights(kernel, w, b, grid) for w in (a + d, a, d))
+    np.testing.assert_allclose(with_d, without + of_d, rtol=0, atol=1e-15)
+    assert of_d.sum() == pytest.approx(-1e-3, rel=1e-12)
+    assert with_d.sum() == pytest.approx(0.999, rel=1e-12)
 
 
 def test_sampler_kernel_has_no_rows():
@@ -533,7 +566,7 @@ def test_fft_cache_is_linear_in_n_and_never_pickled():
 
 def _bilinear_exact(kernel, wa, wb, grid):
     """The exact contraction of signed weights, summed over their positive and
-    negative parts (it skips pairs of non-positive weight itself)."""
+    negative parts, so that it sees non-negative weights only."""
     out = np.zeros(grid.n_cells)
     for sa, a in ((1.0, np.clip(wa, 0.0, None)), (-1.0, np.clip(-wa, 0.0, None))):
         for sb, b in ((1.0, np.clip(wb, 0.0, None)), (-1.0, np.clip(-wb, 0.0, None))):
