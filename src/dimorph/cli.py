@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-# only _ibm_params calls sample_traits, but bench/tracing.py wraps it as a
-# name of this module too
+# no runner calls sample_traits, but bench/tracing.py wraps it as a name of
+# this module too
 from .config import (_flag_or_field, _get, _ibm_params, _integer, _positive, _run_length,
                      _times, checked, flag_integer, lln_study, load_config, parse_grid,
                      parse_kernel, parse_measure, parse_rates, parse_solver, sample_traits)
@@ -177,7 +177,8 @@ def run_ibm(cfg: dict, out: Path, seed) -> list[Path]:
     inits = {}
     for name in ("initial_female", "initial_male"):
         spec = _get(cfg, name, "", expected=dict)
-        inits[name] = (spec, _integer(spec, "count", f"{name}.", 0))
+        count = _integer(spec, "count", f"{name}.", 0)
+        inits[name] = (spec, parse_measure(spec, grid, f"{name}."), count)
     traj = simulate(_ibm_params(grid, rates, kernel, n_scale, t_end, sample_times, run_seed,
                                 inits))
     pairs = [(s.male, s.female) for s in traj.snapshots]

@@ -258,7 +258,11 @@ def sample_traits(d: dict, count: int, grid: TraitGrid, rng, ctx: str) -> np.nda
     """
     if count < 0:
         raise ConfigError(f"field {ctx}count must be non-negative, got {count}")
-    m = parse_measure(d, grid, ctx)
+    return _draw_traits(d, parse_measure(d, grid, ctx), count, grid, rng)
+
+
+def _draw_traits(d: dict, m: GridMeasure, count: int, grid: TraitGrid, rng) -> np.ndarray:
+    """`count` traits drawn from spec `d`, whose measure `m` parse_measure gave."""
     shape = d["shape"]
     if shape == "point":
         traits = np.full(count, d["at"])
@@ -289,10 +293,11 @@ def parse_solver(d: dict, ctx: str = "solver.") -> SolverConfig:
 def _ibm_params(grid: TraitGrid, rates: RateSet, kernel: InheritanceKernel, n_scale: int,
                 t_end: float, sample_times, seed: int, inits: dict) -> IbmParams:
     """One stochastic run; `inits` maps initial_female and initial_male to a
-    (shape spec, count) pair, drawn in that order from one default_rng(seed)."""
+    (shape spec, its parsed measure, count) triple, drawn in that order from
+    one default_rng(seed)."""
     from .ibm import IbmParams  # only the runs that simulate load it
     rng = np.random.default_rng(seed)
-    traits = {name: sample_traits(*inits[name], grid, rng, f"{name}.")
+    traits = {name: _draw_traits(*inits[name], grid, rng)
               for name in ("initial_female", "initial_male")}
     with checked():
         return IbmParams(grid=grid, rates=rates, kernel=kernel, N=n_scale, t_end=t_end,
@@ -334,7 +339,8 @@ def lln_study(cfg: dict, seed: int | None = None) -> LlnStudy:
     base_seed = _flag_or_field(cfg, "seed", 0, seed)
     specs = {name: _get(cfg, name, "", expected=dict)
              for name in ("initial_female", "initial_male")}
-    f0, m0 = (parse_measure(spec, grid, f"{name}.") for name, spec in specs.items())
+    measures = {name: parse_measure(spec, grid, f"{name}.") for name, spec in specs.items()}
+    f0, m0 = measures.values()
     t_end = max(checkpoints) + 1e-3
     # the default solver takes at least its one step, even for checkpoints [0]
     solver = parse_solver(_get(cfg, "solver", "", expected=dict, required=False,
@@ -343,8 +349,8 @@ def lln_study(cfg: dict, seed: int | None = None) -> LlnStudy:
     _on_lattice(checkpoints, solver, "checkpoints", "")
     params = [_ibm_params(grid, rates, kernel, n, t_end, checkpoints,
                           base_seed + 10_000 * (i + 1) + r,
-                          {name: (spec, round(n * spec.get("mass", 1.0)))  # mass checked above
-                           for name, spec in specs.items()})
+                          {name: (spec, measures[name], round(n * spec.get("mass", 1.0)))
+                           for name, spec in specs.items()})  # mass checked above
               for i, n in enumerate(scales) for r in range(replicas)]
     return LlnStudy(params, scales, replicas, base_seed, m0, f0, rates, kernel, solver,
                     checkpoints)

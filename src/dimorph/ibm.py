@@ -24,6 +24,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -177,7 +178,8 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     are thinned (Fournier & Méléard 2004): those of sex s arrive at the
     bound n_s (D̄_s + (Ū_ss n_s + Ū_so n_o) / N), where D̄_s is the running
     maximum of the cached death rates and Ū the bound of `_competition`,
-    and the place of the category uniform within it picks the kind:
+    computed once per rate set and grid in a process, and the place of the
+    category uniform within it picks the kind:
 
     - a natural death, at rate n_s D̄_s: a uniform member of s is accepted
       with D_s(x)/D̄_s;
@@ -409,6 +411,7 @@ def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
     return cache, max(cache, default=0.0), newborn
 
 
+@lru_cache(maxsize=64)
 def _competition(rates: RateSet, name: str, grid: TraitGrid):
     """Competition kernel `name` on local state: (bound, value).
 
@@ -417,7 +420,11 @@ def _competition(rates: RateSet, name: str, grid: TraitGrid):
     edges, in row blocks so that no (2n+1)^2 matrix is held, and its
     maximum is widened by `_U_MARGIN` for the values between those points;
     `value` is its scalar evaluator, which refuses any value outside
-    [0, bound].
+    [0, bound]. It is computed once per rate set, name and grid in a
+    process (a callable entry hashes by identity) and reused by later runs,
+    so every draw is unchanged; a raise is not cached, and should a
+    callable's values change between runs, `value` still refuses any above
+    the cached bound.
     """
     entry = getattr(rates, name)
     if not callable(entry):

@@ -69,3 +69,40 @@ def test_tabulated_traits_read_their_csv_once(tmp_path, monkeypatch):
                            np.random.default_rng(0), "initial_male.")
     assert reads == [str(path)]
     assert traits.size == 200 and abs(traits.mean() - 0.3) < 0.2
+
+
+def test_lln_study_reads_each_tabulated_csv_once(tmp_path, monkeypatch):
+    # the shipped lln config has 2 scales x 5 replicas; each sex's measure is
+    # parsed once and every replica draws its traits from it
+    import json
+    from pathlib import Path
+
+    import dimorph.config
+    from dimorph.config import lln_study
+    from dimorph.io import read_measure_csv, write_measure_csv
+    from dimorph.measures import gaussian_measure
+
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / "lln.json")
+                     .read_text())
+    grid = TraitGrid(**cfg["grid"])
+    for name, mean in (("initial_female", -0.5), ("initial_male", 0.5)):
+        path = tmp_path / f"{name}.csv"
+        write_measure_csv(path, gaussian_measure(grid, mean, 0.5))
+        cfg[name] = {"shape": "tabulated", "path": str(path)}
+    reads = []
+
+    def counted(*args):
+        reads.append(Path(args[0]).stem)
+        return read_measure_csv(*args)
+
+    monkeypatch.setattr(dimorph.config, "read_measure_csv", counted)
+    study = lln_study(cfg)
+    assert reads == ["initial_female", "initial_male"]
+    assert len(study.params) == 10
+    # the draws are those of sample_traits, female then male from one rng
+    for p in (study.params[0], study.params[-1]):
+        rng = np.random.default_rng(p.seed)
+        for name, traits in (("initial_female", p.initial_female),
+                             ("initial_male", p.initial_male)):
+            expected = sample_traits(cfg[name], p.N, grid, rng, f"{name}.")
+            np.testing.assert_array_equal(traits, expected)

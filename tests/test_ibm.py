@@ -87,18 +87,21 @@ def test_negative_trait_rate_rejected():
 def test_negative_competition_kernel_rejected():
     # U_ff(x, y) = 0.25 - 0.5|x - y| is negative between traits more than
     # 0.5 apart; simulate bounds each kernel over the grid before any jump,
-    # so it refuses the kernel whatever the population
+    # so it refuses the kernel whatever the population, and a refused bound
+    # is not cached, so the second run refuses it as well
+    ibm._competition.cache_clear()
     rates = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0,
                     U_ff=lambda x, y: 0.25 - 0.5 * np.abs(x - y), U_fm=0.25,
                     U_mf=0.25, U_mm=0.25)
-    with pytest.raises(ValueError, match=r"U_ff must be non-negative, got -0\.125 at traits "
-                                         r"\(-1\.375, -0\.625\)"):
-        simulate(dataclasses.replace(_params(rates, [0.0], [0.0]), grid=_SMALL))
     # a kernel that ignores its second trait does not give one value per pair
     flat = RateSet(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25,
                    U_mf=lambda y, z: 0.1 + 0.1 * np.abs(y), U_mm=0.25)
-    with pytest.raises(ValueError, match="U_mf must map its traits"):
-        simulate(_params(flat, [0.0, 1.0], [0.0]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"U_ff must be non-negative, got -0\.125 at "
+                                             r"traits \(-1\.375, -0\.625\)"):
+            simulate(dataclasses.replace(_params(rates, [0.0], [0.0]), grid=_SMALL))
+        with pytest.raises(ValueError, match="U_mf must map its traits"):
+            simulate(_params(flat, [0.0, 1.0], [0.0]))
 
 
 def test_buffered_rng_streams_are_generator_batches():
@@ -614,12 +617,18 @@ def test_proposal_counts():
 
 
 def test_thinned_seed_replay_bit_identical():
+    # the first run bounds the competition kernels on a cold cache, the
+    # replay takes all four bounds from it
+    ibm._competition.cache_clear()
     rng0 = np.random.default_rng(23)
     params = IbmParams(grid=GRID, rates=STEEP, kernel=KERNEL, N=200, t_end=2.0,
                        sample_times=(0.0, 0.5, 1.0), seed=23,
                        initial_female=rng0.normal(0, 0.5, 200),
                        initial_male=rng0.normal(0, 0.5, 200))
-    a, b = simulate(params), simulate(params)
+    a = simulate(params)
+    assert ibm._competition.cache_info().hits == 0
+    b = simulate(params)
+    assert ibm._competition.cache_info().hits == 4
     assert a.n_events > 1000
     assert (a.n_events, a.n_proposals, a.births_female, a.births_male, a.deaths,
             a.final_n_female, a.final_n_male) == \
@@ -633,6 +642,7 @@ def test_thinned_seed_replay_bit_identical():
 def test_competition_above_its_grid_bound_raises():
     # U_ff spikes at trait distance 1/16, which no pair of the grid points
     # (spaced 1/8 apart) reaches; the two females are that far apart
+    ibm._competition.cache_clear()
     spiky = RateSet(p_f=1.0, p_m=1.0, D_f=0.1, D_m=0.1,
                     U_ff=lambda x, z: 0.2 + 10.0 * (abs(abs(x - z) - 0.0625) < 1e-3),
                     U_fm=0.25, U_mf=0.25, U_mm=0.25)
@@ -640,9 +650,38 @@ def test_competition_above_its_grid_bound_raises():
                        t_end=50.0, sample_times=(), seed=1,
                        initial_female=np.array([0.0, 0.0, 0.0, 0.0625, 0.0625, 0.0625]),
                        initial_male=np.array([0.0]))
-    with pytest.raises(ValueError, match=r"U_ff = 10\.2 at traits \((0\.0625, 0\.0|0\.0, 0\.0625)\)"
-                                         r" lies outside \[0, 0\.21"):
-        simulate(params)
+    # the second run takes all four bounds from the cache and still refuses
+    for hits in (0, 4):
+        with pytest.raises(ValueError, match=r"U_ff = 10\.2 at traits "
+                                             r"\((0\.0625, 0\.0|0\.0, 0\.0625)\)"
+                                             r" lies outside \[0, 0\.21"):
+            simulate(params)
+        assert ibm._competition.cache_info().hits == hits
+
+
+def test_competition_bound_is_computed_once_per_rates_and_grid():
+    # the grid-square sweep evaluates U_ff on arrays, a thinned death on
+    # scalars; only the sweep is counted
+    ibm._competition.cache_clear()
+    swept = []
+
+    def u_ff(x, z):
+        if np.ndim(x) or np.ndim(z):
+            swept.append(np.broadcast(x, z).size)
+        return 0.2 + 0.02 * np.abs(x - z)
+
+    rates = dataclasses.replace(CRITERION_9, U_ff=u_ff)
+    square = (2 * GRID.n_cells + 1) ** 2
+    for seed in range(3):
+        traj = simulate(IbmParams(grid=GRID, rates=rates, kernel=KERNEL, N=100, t_end=0.5,
+                                  sample_times=(), seed=seed, initial_female=np.zeros(100),
+                                  initial_male=np.zeros(100)))
+        assert traj.n_proposals > traj.n_events > 0
+        assert sum(swept) == square
+    simulate(IbmParams(grid=_SMALL, rates=rates, kernel=KERNEL, N=100, t_end=0.5,
+                       sample_times=(), seed=0, initial_female=np.zeros(100),
+                       initial_male=np.zeros(100)))
+    assert sum(swept) == square + (2 * _SMALL.n_cells + 1) ** 2
 
 
 def test_other_sex_competitor_comes_from_the_other_sex():
