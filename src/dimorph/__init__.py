@@ -19,7 +19,7 @@ _EXPORTS = {name: module for module, names in (
                "MeanConditionError NoConvergence NonFiniteState StepRejected UnsupportedKernel "
                "ZeroMass"),
     ("measures", "GridMeasure TraitGrid gaussian_measure measure_from_samples moment normalize "
-                 "point_mass total_mass total_variation uniform_measure wasserstein1"),
+                 "point_mass total_variation uniform_measure wasserstein1"),
     ("kernels", "AdditiveNoiseKernel CustomDensityKernel GaussianNoise HypothesisReport "
                 "InheritanceKernel MultiplicativeNoiseKernel NoiseDensity SamplerKernel "
                 "TabulatedNoise UniformNoise birth_operator check_hypotheses"),

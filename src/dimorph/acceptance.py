@@ -20,7 +20,7 @@ from .kernels import (AdditiveNoiseKernel, GaussianNoise, MultiplicativeNoiseKer
                       UniformNoise, birth_operator, check_hypotheses)
 from .macro import MacroState, SolverConfig, integrate, integrate_normalized
 from .measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
-                       point_mass, total_mass, wasserstein1)
+                       point_mass, wasserstein1)
 from .stability import fixed_point, limiting_mean, lln_compare
 from .stepping import SolverDiagnostics, march
 from .totals import (Classification, RateSet, TotalsState, classify, integrate_totals,
@@ -366,7 +366,7 @@ def criterion_10_cross_module_consistency() -> CriterionResult:
     dt = 0.01
     traj = integrate(MacroState(m0, f0), _PERSIST, kernel,
                      SolverConfig(dt=dt, t_end=20.0, sample_stride=50))
-    series = integrate_totals(TotalsState(total_mass(m0), total_mass(f0)),
+    series = integrate_totals(TotalsState(m0.mass, f0.mass),
                               _PERSIST, t_end=20.0, dt=dt)
     idx = np.rint(traj.times / dt).astype(int)
     diff = float(np.max(np.abs(traj.masses - np.column_stack([series.M[idx], series.F[idx]]))))

@@ -21,7 +21,7 @@ from .io import read_measure_csv
 from .measures import (GridMeasure, TraitGrid, gaussian_measure, point_mass,
                        uniform_measure)
 from .stepping import SolverConfig, sample_index, sample_times
-from .totals import RateSet
+from .totals import RATE_NAMES, RateSet
 
 if TYPE_CHECKING:
     from .ibm import IbmParams
@@ -194,9 +194,7 @@ def parse_grid(d: dict, ctx: str = "grid.") -> TraitGrid:
 
 def parse_rates(d: dict, ctx: str = "rates.") -> RateSet:
     _section(d, ctx)
-    vals = {}
-    for name in ("p_f", "p_m", "D_f", "D_m", "U_ff", "U_fm", "U_mf", "U_mm"):
-        vals[name] = float(_number(d, name, ctx))
+    vals = {name: _number(d, name, ctx) for name in RATE_NAMES}
     with checked(ctx):
         return RateSet(**vals)
 

@@ -26,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
+from numbers import Integral
 
 import numpy as np
 
@@ -72,9 +73,6 @@ class BufferedRng:
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
         return loc + scale * self.standard_normal()
 
-    def exponential(self, scale: float = 1.0) -> float:
-        return scale * self.standard_exponential()
-
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * self.random()
 
@@ -101,8 +99,8 @@ class IbmParams:
     initial_male: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
+        if isinstance(self.N, bool) or not isinstance(self.N, Integral) or self.N < 1:
+            raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         st = np.asarray(self.sample_times, dtype=float)
@@ -399,7 +397,7 @@ def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
     """
     entry = getattr(rates, name)
     if not callable(entry):
-        return None, float(entry), None
+        return None, entry, None
     cache = array("d", rates.at(name, traits).tobytes())
 
     def newborn(x: float) -> float:
@@ -428,7 +426,7 @@ def _competition(rates: RateSet, name: str, grid: TraitGrid):
     """
     entry = getattr(rates, name)
     if not callable(entry):
-        return float(entry), None
+        return entry, None
     pts = np.concatenate([grid.centers, grid.edges])
     rows = max(1, _BOUND_BLOCK // len(pts))
     top = 0.0

@@ -23,7 +23,6 @@ __all__ = [
     "write_json",
     "emit_distribution_csv",
     "trajectory_blocks",
-    "read_distribution_csv",
     "write_measure_csv",
     "read_measure_csv",
     "write_manifest",
@@ -101,30 +100,6 @@ def trajectory_blocks(times, measure_pairs, components=("male", "female")):
     for t, pair in zip(times, measure_pairs):
         for component, m in zip(components, pair):
             yield t, component, m.grid.centers, m.weights
-
-
-def read_distribution_csv(path: str | Path):
-    """Load a distribution CSV back into numpy columns.
-
-    Returns (times, components, centers, weights) arrays of equal length.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise IoError(f"{path} does not start with the header {CSV_HEADER!r}")
-    times, comps, centers, weights = [], [], [], []
-    for ln in lines[1:]:
-        t, comp, c, w = ln.split(",")
-        times.append(float(t))
-        comps.append(comp)
-        centers.append(float(c))
-        weights.append(float(w))
-    return (np.array(times), np.array(comps, dtype=object),
-            np.array(centers), np.array(weights))
 
 
 def write_measure_csv(path: str | Path, measure: GridMeasure) -> Path:

@@ -120,8 +120,8 @@ class GaussianNoise(NoiseDensity):
     """Zero-mean normal noise with standard deviation sigma."""
 
     def __init__(self, sigma: float):
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         self.sigma = float(sigma)
         self.mean = 0.0
         self.second_moment = self.sigma**2
@@ -141,8 +141,8 @@ class UniformNoise(NoiseDensity):
     """Uniform noise on [lo, hi]."""
 
     def __init__(self, lo: float, hi: float):
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
         self.lo = float(lo)
         self.hi = float(hi)
         self.mean = 0.5 * (lo + hi)
@@ -173,6 +173,8 @@ class TabulatedNoise(NoiseDensity):
         pdf = np.asarray(pdf, dtype=float)
         if z.ndim != 1 or z.shape != pdf.shape or z.size < 2:
             raise ValueError("z and pdf must be matching 1D arrays with >= 2 knots")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(pdf))):
+            raise ValueError("z and pdf must be finite")
         if np.any(np.diff(z) <= 0):
             raise ValueError("z knots must be strictly increasing")
         if np.any(pdf < 0):
@@ -745,28 +747,21 @@ def check_hypotheses(kernel: InheritanceKernel, grid: TraitGrid, seed: int = 0,
     def m2(w):
         return float(np.sum(grid.centers**2 * w))
 
-    pts_u, pts_v = [], []
-    structured = []
-    n_pairs = 0
+    pairs = []  # (input, image) second moments, each level's structured pair first
     for sd in levels:
         base = gaussian_measure(grid, c_mid, max(sd, grid.dx / 4))
         img = birth_weights(kernel, base.weights, base.weights, grid)
-        structured.append((m2(base.weights), m2(img)))
-        pts_u.append(structured[-1][0])
-        pts_v.append(structured[-1][1])
-        n_pairs += 1
+        pairs.append((m2(base.weights), m2(img)))
         for _ in range(_PAIRS_PER_LEVEL):
             mu = _mixture_measure(grid, rng, m_lo, m_hi, sd)
             nu = _mixture_measure(grid, rng, m_lo, m_hi, sd)
             img = birth_weights(kernel, mu.weights, nu.weights, grid)
-            pts_u.append(max(m2(mu.weights), m2(nu.weights)))
-            pts_v.append(m2(img))
-            n_pairs += 1
+            pairs.append((max(m2(mu.weights), m2(nu.weights)), m2(img)))
 
-    su = np.array([p[0] for p in structured])
-    sv = np.array([p[1] for p in structured])
-    slope = float(np.polyfit(su, sv, 1)[0])
-    c_est = float(np.max(np.array(pts_v) - slope * np.array(pts_u)))
+    u, v = np.array(pairs).T
+    structured = slice(None, None, 1 + _PAIRS_PER_LEVEL)
+    slope = float(np.polyfit(u[structured], v[structured], 1)[0])
+    c_est = float(np.max(v - slope * u))
     holds = bool(np.isfinite(slope) and np.isfinite(c_est) and slope < 1.0)
 
     return HypothesisReport(
@@ -775,5 +770,5 @@ def check_hypotheses(kernel: InheritanceKernel, grid: TraitGrid, seed: int = 0,
         mean_condition_max_error=mean_err,
         symmetry_max_error=sym_err,
         n_triples=_N_TRIPLES,
-        n_pairs=n_pairs,
+        n_pairs=len(pairs),
     )

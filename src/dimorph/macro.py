@@ -20,8 +20,8 @@ from .errors import ExtinctionDetected
 from .kernels import InheritanceKernel, birth_weights
 from .measures import GridMeasure, TraitGrid, gaussian_measure, normalize
 from .stepping import SolverConfig, SolverDiagnostics, march, sample_index
-from .totals import (TAIL_FLOOR, Classification, RateSet, classify, fit_exponential_tail,
-                     stationary_point)
+from .totals import (RATE_NAMES, TAIL_FLOOR, Classification, RateSet, classify,
+                     fit_exponential_tail, stationary_point)
 
 __all__ = [
     "MacroState",
@@ -102,12 +102,10 @@ class _GridRates:
 
         def on_grid(name, *traits):
             entry = getattr(rates, name)
-            return rates.at(name, *traits) if callable(entry) else float(entry)
+            return rates.at(name, *traits) if callable(entry) else entry
 
-        self.pf, self.pm, self.df, self.dm = (on_grid(name, c)
-                                              for name in ("p_f", "p_m", "D_f", "D_m"))
-        self.u = {name: on_grid(name, c[:, None], c[None, :])
-                  for name in ("U_ff", "U_fm", "U_mf", "U_mm")}
+        self.pf, self.pm, self.df, self.dm = (on_grid(name, c) for name in RATE_NAMES[:4])
+        self.u = {name: on_grid(name, c[:, None], c[None, :]) for name in RATE_NAMES[4:]}
 
     def competition(self, name: str, weights: np.ndarray, mass: float) -> np.ndarray | float:
         """Competition of kernel `name` against weights of total mass `mass`."""

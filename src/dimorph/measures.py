@@ -20,7 +20,6 @@ from .errors import GridMismatch, MassMismatch, ZeroMass
 __all__ = [
     "TraitGrid",
     "GridMeasure",
-    "total_mass",
     "moment",
     "mean",
     "variance",
@@ -59,8 +58,8 @@ class TraitGrid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not self.x_min < self.x_max:
-            raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_cells < 2:
             raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
         edges = np.linspace(self.x_min, self.x_max, self.n_cells + 1)
@@ -132,11 +131,6 @@ class GridMeasure:
 def _require_same_grid(a: GridMeasure, b: GridMeasure) -> None:
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-
-
-def total_mass(m: GridMeasure) -> float:
-    """Total mass of the measure."""
-    return m.mass
 
 
 def moment(m: GridMeasure, k: int) -> float:

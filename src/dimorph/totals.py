@@ -23,6 +23,7 @@ from .errors import ConvergenceFailure
 from .stepping import _RTOL, _STABLE_REAL, SolverConfig, SolverDiagnostics, march
 
 __all__ = [
+    "RATE_NAMES",
     "RateSet",
     "TotalsState",
     "StationaryResult",
@@ -39,6 +40,9 @@ __all__ = [
 
 RateEntry = float | Callable[..., float]
 
+# The eight rates of the model, in the order of RateSet's fields.
+RATE_NAMES = ("p_f", "p_m", "D_f", "D_m", "U_ff", "U_fm", "U_mf", "U_mm")
+
 
 @dataclass(frozen=True)
 class RateSet:
@@ -48,9 +52,12 @@ class RateSet:
     U_ff, U_fm, U_mf, U_mm: competition kernels, where U_ab(x, y) is the
     rate at which a sex-a individual of trait x loses against a sex-b
     individual of trait y. Entries are constants or trait functions;
-    the totals operations require constants. A trait function must accept
-    scalar traits as well as arrays, as every numpy ufunc expression does:
-    the stochastic engine evaluates it for one newborn or one pair at a time.
+    the totals operations require constants. Any entry that is not
+    callable, a numpy scalar included, is a constant: it is stored as a
+    Python float and checked here, and a string is refused. A trait
+    function must accept scalar traits as well as arrays, as every numpy
+    ufunc expression does: the stochastic engine evaluates it for one
+    newborn or one pair at a time.
     """
 
     p_f: RateEntry
@@ -63,23 +70,25 @@ class RateSet:
     U_mm: RateEntry
 
     def __post_init__(self) -> None:
-        for name in ("D_f", "D_m", "U_ff", "U_fm", "U_mf", "U_mm"):
+        for name in RATE_NAMES:
             v = getattr(self, name)
-            if isinstance(v, (int, float)) and not 0 < v < np.inf:
+            if callable(v):
+                continue
+            if isinstance(v, (str, bytes)):
+                raise TypeError(f"{name} must be a number or a callable, got {v!r}")
+            v = float(v)
+            object.__setattr__(self, name, v)
+            if name[0] == "p":
+                if not 0 <= v < np.inf:
+                    raise ValueError(f"{name} must be non-negative and finite, got {v}")
+            elif not 0 < v < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        for name in ("p_f", "p_m"):
-            v = getattr(self, name)
-            if isinstance(v, (int, float)) and not 0 <= v < np.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {v}")
         if self.is_constant and self.p_f + self.p_m <= 0:
             raise ValueError("p_f + p_m must be positive")
 
     @cached_property
     def is_constant(self) -> bool:
-        return all(
-            isinstance(getattr(self, f), (int, float))
-            for f in ("p_f", "p_m", "D_f", "D_m", "U_ff", "U_fm", "U_mf", "U_mm")
-        )
+        return not any(callable(getattr(self, name)) for name in RATE_NAMES)
 
     def require_constant(self) -> "RateSet":
         if not self.is_constant:
@@ -95,10 +104,11 @@ class RateSet:
         point it is asked for; a zero rate there freezes that event, and a
         negative or infinite one has no meaning as an event rate.
         """
-        v = self._evaluate(name, *traits)
-        if not callable(getattr(self, name)):
-            return v
+        entry = getattr(self, name)
         shape = np.broadcast(*traits).shape
+        if not callable(entry):
+            return np.full(shape, entry)
+        v = np.asarray(entry(*traits), dtype=float)
         if v.shape != shape:
             raise ValueError(f"{name} must map its traits to their broadcast shape {shape}, "
                              f"got {v.shape}")
@@ -109,13 +119,6 @@ class RateSet:
             need = "finite" if v[i] == np.inf else "non-negative"
             raise ValueError(f"{name} must be {need}, got {v[i]} at {place}")
         return v
-
-    def _evaluate(self, name: str, *traits) -> np.ndarray:
-        """Rate `name` at the given traits, without the checks of `at`."""
-        entry = getattr(self, name)
-        if not callable(entry):
-            return np.full(np.broadcast(*traits).shape, float(entry))
-        return np.asarray(entry(*traits), dtype=float)
 
     @classmethod
     def constant(cls, p_f: float, p_m: float, D_f: float, D_m: float, U: float) -> "RateSet":

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from dimorph import acceptance as acc
 from dimorph import cli
-from dimorph.io import (csv_text, emit_distribution_csv, read_distribution_csv,
-                        trajectory_blocks)
+from dimorph.io import csv_text, emit_distribution_csv, trajectory_blocks
 from dimorph.measures import GridMeasure, TraitGrid, gaussian_measure
 
 
@@ -22,10 +21,22 @@ from dimorph.measures import GridMeasure, TraitGrid, gaussian_measure
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
+def read_distribution(path, dtype=None):
+    """A distribution CSV's columns by name, read as the README shows."""
+    return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True, dtype=dtype,
+                                       encoding=None))
+
+
+def start_cli(*args, cwd=None):
+    return subprocess.Popen([sys.executable, "-m", "dimorph", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": SRC})
+
+
 def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "dimorph", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": SRC})
+    proc = start_cli(*args, cwd=cwd)
+    stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 TOTALS_CFG = {
@@ -151,9 +162,9 @@ def test_ibm_scenario_metadata(tmp_path):
     assert meta["seed"] == 5
     assert meta["births_female"] + meta["births_male"] - meta["deaths"] \
         == meta["final_counts"]["male"] + meta["final_counts"]["female"] - 400
-    times, comps, centers, weights = read_distribution_csv(out / "distributions.csv")
-    assert set(comps) == {"male", "female"}
-    assert len(times) == 2 * 2 * 64
+    data = read_distribution(out / "distributions.csv")
+    assert set(data["component"]) == {"male", "female"}
+    assert len(data) == 2 * 2 * 64
 
 
 def test_macro_normalized_scenario(tmp_path):
@@ -236,7 +247,8 @@ def test_distribution_csv_round_trip(tmp_path):
     f = GridMeasure(grid, rng.random(32))
     path = tmp_path / "d.csv"
     emit_distribution_csv(path, trajectory_blocks([0.25], [(m, f)]))
-    _t, comps, _centers, weights = read_distribution_csv(path)
+    data = read_distribution(path)
+    comps, weights = data["component"], data["weight"]
     np.testing.assert_array_equal(weights[comps == "male"], m.weights)
     np.testing.assert_array_equal(weights[comps == "female"], f.weights)
 
@@ -283,11 +295,11 @@ def test_distribution_csv_matches_the_per_value_format_and_round_trips(tmp_path_
     text = csv_text("time,component,cell_center,weight", blocks)
     assert text == _reference_csv("time,component,cell_center,weight", rows)
     path = emit_distribution_csv(tmp_path_factory.getbasetemp() / "drawn.csv", blocks)
-    times, comps, centers, weights = read_distribution_csv(path)
-    assert times.tobytes() == np.array([r[0] for r in rows], dtype=float).tobytes()
-    assert list(comps) == [r[1] for r in rows]
-    assert centers.tobytes() == np.array([r[2] for r in rows], dtype=float).tobytes()
-    assert weights.tobytes() == np.array([r[3] for r in rows], dtype=float).tobytes()
+    # float columns given: with inferred types, integral values such as -0 read as int
+    data = read_distribution(path, dtype=(float, "U8", float, float))
+    assert list(data["component"]) == [r[1] for r in rows]
+    for i, name in ((0, "time"), (2, "cell_center"), (3, "weight")):
+        assert data[name].tobytes() == np.array([r[i] for r in rows], dtype=float).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -497,17 +509,22 @@ def test_ibm_final_counts_are_taken_at_t_end(tmp_path, sample_times):
 
 
 def test_shipped_configs_run(tmp_path):
-    # every example config except the full acceptance gate; of these runs
-    # only lln takes --jobs, and the others exit 2 on it
+    # every example config except the full acceptance gate, run twice at once
+    # into two directories: a seeded rerun writes a byte-identical manifest.
+    # Of these runs only lln takes --jobs, and the others exit 2 on it
     configs = Path(__file__).resolve().parent.parent / "configs"
     for cfg in sorted(configs.glob("*.json")):
         if cfg.name == "acceptance.json":
             continue
         kind = json.loads(cfg.read_text())["kind"]
         jobs = ["--jobs", "2"] if kind == "lln" else []
-        res = run_cli(kind, "--config", str(cfg), "--out", str(tmp_path / cfg.stem), *jobs)
-        assert res.returncode == 0, f"{cfg.name}: {res.stderr}"
-        assert (tmp_path / cfg.stem / "manifest.json").exists()
+        outs = [tmp_path / run / cfg.stem for run in ("first", "second")]
+        procs = [start_cli(kind, "--config", str(cfg), "--out", str(out), *jobs) for out in outs]
+        errors = [proc.communicate()[1] for proc in procs]
+        for proc, stderr in zip(procs, errors):
+            assert proc.returncode == 0, f"{cfg.name}: {stderr}"
+        first, second = ((out / "manifest.json").read_bytes() for out in outs)
+        assert first == second, f"{cfg.name}: the rerun's manifest differs"
 
 
 FP_CFG = {
@@ -544,8 +561,12 @@ LLN_CFG = {
      "field initial_male.mass must be positive"),
     ("fixed-point", FP_CFG, {"max_iter": 0}, "field max_iter must be >= 1"),
     ("fixed-point", FP_CFG, {"tol": 0.0}, "field tol must be positive"),
+    # Python's json reads NaN, so a tabulated density can carry one
+    ("fixed-point", FP_CFG, {"kernel": {"family": "additive", "noise": {
+        "kind": "tabulated", "z": [-1.0, 0.0, 1.0], "pdf": [0.0, float("nan"), 0.0]}}},
+     "config error: field kernel.noise: z and pdf must be finite"),
 ], ids=["totals-dt", "totals-t_end", "totals-initial", "lln-checkpoints", "lln-N_list",
-        "lln-mass", "fixed-point-max_iter", "fixed-point-tol"])
+        "lln-mass", "fixed-point-max_iter", "fixed-point-tol", "fixed-point-tabulated-nan"])
 def test_runner_inputs_name_their_field(tmp_path, capsys, command, base, change, message):
     cfg = _write(tmp_path, "bad.json", dict(base, **change))
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

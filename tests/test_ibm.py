@@ -112,7 +112,8 @@ def test_buffered_rng_streams_are_generator_batches():
     size = ibm._BATCH
     assert [rng.random() for _ in range(size)] == gen.random(size).tolist()
     assert [rng.normal() for _ in range(size)] == gen.standard_normal(size).tolist()
-    assert [rng.exponential() for _ in range(size)] == gen.standard_exponential(size).tolist()
+    assert [rng.standard_exponential() for _ in range(size)] == \
+        gen.standard_exponential(size).tolist()
     assert rng.random() == gen.random(size)[0]
     # `simulate` reads the normal and exponential streams directly; a stream
     # read past its first batch refills from the shared generator
@@ -341,6 +342,16 @@ def test_masses_track_the_planar_system():
         band = 5.0 * np.sqrt(series.M[idx] / n_scale)
         assert abs(snap.male.mass - series.M[idx]) <= band
         assert abs(snap.female.mass - series.F[idx]) <= band
+
+
+@pytest.mark.parametrize("N", [np.nan, 2.0, 1.5, True, "3"])
+def test_params_refuse_a_scale_that_is_not_a_positive_integer(N):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        _params(PERSIST, [0.0], [0.0], N=N)
+
+
+def test_params_accept_a_numpy_integer_scale():
+    assert _params(PERSIST, [0.0], [0.0], N=np.int64(3)).N == 3
 
 
 def test_params_validation():

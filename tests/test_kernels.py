@@ -85,6 +85,22 @@ def test_tabulated_noise_follows_its_linear_density():
     assert -4.0 / 3.0 <= draws.min() and draws.max() <= 5.0 / 3.0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussianNoise(np.nan), "sigma must be positive and finite, got nan"),
+    (lambda: GaussianNoise(np.inf), "sigma must be positive and finite, got inf"),
+    (lambda: UniformNoise(0.0, np.inf), r"need finite lo < hi, got \[0.0, inf\]"),
+    (lambda: UniformNoise(-np.inf, 0.0), r"need finite lo < hi, got \[-inf, 0.0\]"),
+    (lambda: UniformNoise(np.nan, 1.0), r"need finite lo < hi, got \[nan, 1.0\]"),
+    (lambda: TabulatedNoise([-1.0, 0.0, 1.0], [0.0, np.nan, 0.0]), "z and pdf must be finite"),
+    (lambda: TabulatedNoise([-1.0, np.nan, 1.0], [0.0, 1.0, 0.0]), "z and pdf must be finite"),
+    (lambda: TabulatedNoise([-np.inf, 0.0, 1.0], [0.0, 1.0, 0.0]), "z and pdf must be finite"),
+], ids=["gaussian-nan", "gaussian-inf", "uniform-inf", "uniform-minus-inf", "uniform-nan",
+        "tabulated-nan-pdf", "tabulated-nan-knot", "tabulated-inf-knot"])
+def test_noise_refuses_non_finite_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_family_constructor_guards():
     with pytest.raises(ValueError):
         AdditiveNoiseKernel(UniformNoise(0.0, 1.0))  # mean 1/2, not centered

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from dimorph.errors import GridMismatch, MassMismatch, ZeroMass
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
-                              measure_from_samples, moment, normalize,
-                              point_mass, total_mass,
+                              measure_from_samples, moment, normalize, point_mass,
                               total_variation, uniform_measure, wasserstein1)
 
 
@@ -24,6 +23,13 @@ def test_grid_validation():
     assert g.dx == pytest.approx(0.5)
     assert np.all(np.diff(g.centers) > 0)
     assert np.allclose(np.diff(g.centers), g.dx)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
+                                          (0.0, np.nan)])
+def test_grid_refuses_non_finite_bounds(x_min, x_max):
+    with pytest.raises(ValueError, match="need finite x_min < x_max"):
+        TraitGrid(x_min, x_max, 4)
 
 
 def test_grid_is_hashable_and_frozen():
@@ -55,11 +61,11 @@ def test_measure_rejects_negative_and_nonfinite(grid):
 
 
 def test_total_mass_examples(grid):
-    assert total_mass(GridMeasure(grid, np.zeros(grid.n_cells))) == 0.0
-    assert total_mass(point_mass(grid, 2.0)) == 1.0
+    assert GridMeasure(grid, np.zeros(grid.n_cells)).mass == 0.0
+    assert point_mass(grid, 2.0).mass == 1.0
     two = np.zeros(grid.n_cells)
     two[0], two[1] = 0.25, 0.75
-    assert total_mass(GridMeasure(grid, two)) == pytest.approx(1.0)
+    assert GridMeasure(grid, two).mass == pytest.approx(1.0)
 
 
 def test_moment_point_mass_and_uniform(grid):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dimorph.stepping import _RTOL
-from dimorph.totals import (Classification, RateSet, TotalsState, _jacobian_radius,
+from dimorph.totals import (RATE_NAMES, Classification, RateSet, TotalsState, _jacobian_radius,
                             classify, fit_exponential_tail, integrate_totals,
                             poly_relative_residual, positive_roots, stationary_point,
                             totals_rhs)
@@ -25,6 +25,8 @@ def test_rateset_validation():
         RateSet.constant(p_f=-1.0, p_m=1.0, D_f=1.0, D_m=1.0, U=0.25)
     with pytest.raises(ValueError):
         RateSet.constant(p_f=0.0, p_m=0.0, D_f=1.0, D_m=1.0, U=0.25)
+    with pytest.raises(TypeError, match="p_f must be a number or a callable, got '2'"):
+        RateSet.constant(p_f="2", p_m=1.0, D_f=1.0, D_m=1.0, U=0.25)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -33,6 +35,32 @@ def test_rateset_rejects_non_finite_constants(name, value):
     entries = dict(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
     with pytest.raises(ValueError, match=f"{name} must be"):
         RateSet(**(entries | {name: value}))
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.int64])
+@pytest.mark.parametrize("name", ["p_m", "D_f", "U_mf"])
+def test_rateset_checks_numpy_scalar_constants(name, scalar):
+    entries = dict(p_f=1.0, p_m=1.0, D_f=1.0, D_m=1.0, U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    need = "non-negative" if name[0] == "p" else "positive"
+    with pytest.raises(ValueError, match=f"^{name} must be {need} and finite, got -1.0$"):
+        RateSet(**(entries | {name: scalar(-1)}))
+
+
+def test_numpy_scalar_rates_are_the_python_float_rates():
+    # every entry that is not callable is a number, stored as a Python float
+    entries = dict(p_f=np.int64(3), p_m=np.int64(1), D_f=np.float32(0.8), D_m=np.float32(1.2),
+                   U_ff=np.float32(0.3), U_fm=np.float64(0.2), U_mf=np.float32(0.15),
+                   U_mm=np.float32(0.4))
+    numpy_rates = RateSet(**entries)
+    rates = RateSet(**{name: float(v) for name, v in entries.items()})
+    assert numpy_rates.is_constant
+    assert all(type(getattr(numpy_rates, name)) is float for name in RATE_NAMES)
+    assert numpy_rates == rates and hash(numpy_rates) == hash(rates)
+    assert classify(numpy_rates) is classify(rates) is Classification.PERSISTENCE
+    assert stationary_point(numpy_rates) == stationary_point(rates)
+    a, b = (integrate_totals(TotalsState(1.0, 0.5), r, t_end=5.0) for r in (numpy_rates, rates))
+    for field in ("t", "M", "F"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 def test_classify_examples():
