@@ -20,8 +20,8 @@ _EXPORTS = {name: module for module, names in (
                "ZeroMass"),
     ("measures", "GridMeasure TraitGrid gaussian_measure measure_from_samples moment normalize "
                  "point_mass total_variation uniform_measure wasserstein1"),
-    ("kernels", "AdditiveNoiseKernel CustomDensityKernel GaussianNoise HypothesisReport "
-                "InheritanceKernel MultiplicativeNoiseKernel NoiseDensity SamplerKernel "
+    ("kernels", "AdditiveNoiseKernel GaussianNoise HypothesisReport InheritanceKernel "
+                "MultiplicativeNoiseKernel NoiseDensity SamplerKernel TabulatedKernel "
                 "TabulatedNoise UniformNoise birth_operator check_hypotheses"),
     ("totals", "Classification RateSet StationaryResult TotalsState classify integrate_totals "
                "stationary_point totals_rhs"),

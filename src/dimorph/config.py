@@ -9,7 +9,7 @@ reads a whole `lln` config, for `dimorph lln` and acceptance criterion 8.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -61,8 +61,9 @@ def _get(d: dict, field: str, ctx: str, expected, required: bool = True, default
 
 def _number(d: dict, field: str, ctx: str, required: bool = True, default=None) -> float:
     v = _get(d, field, ctx, expected=(int, float), required=required, default=default)
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"field {ctx}{field} must be finite, got {v}")
+    if not abs(v) <= sys.float_info.max:  # NaN, an infinity or an int beyond float range
+        got = v if isinstance(v, float) else "an integer too large for a float"
+        raise ConfigError(f"field {ctx}{field} must be finite, got {got}")
     return v
 
 
@@ -168,7 +169,7 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -244,6 +245,8 @@ def parse_measure(d: dict, grid: TraitGrid, ctx: str) -> GridMeasure:
             return gaussian_measure(grid, _number(d, "mean", ctx), _number(d, "sd", ctx), mass)
         if shape == "tabulated":
             m = read_measure_csv(_get(d, "path", ctx, expected=str), grid)
+            if m.mass == 0.0:
+                raise ValueError("distribution has no mass inside the grid")
             return GridMeasure(grid, m.weights * (mass / m.mass))
     raise ConfigError(f"field {ctx}shape must be point, uniform, gaussian or tabulated, got {shape!r}")
 

@@ -4,16 +4,16 @@ A kernel maps a parent trait pair (x, y) to the offspring trait law. The
 built-in families place the offspring at the parental midpoint plus
 additive noise, or at the parental sum scaled by a [0, 1] random factor
 of mean one half. Both keep the expected offspring trait equal to the
-parental midpoint, which is what the stability analysis relies on.
+parental midpoint, which is what the stability analysis relies on. The
+`custom` family reads its density from a table of knots.
 
 Each family supplies only the raw in-grid cell masses of its rows; the
 base class alone truncates them to the grid, renormalizes them to unit
 mass and flags rows with no in-grid mass as degenerate. The birth
 operator pushes the product of two measures through the kernel. Its one
-hook is InheritanceKernel._sum_path(grid): each built-in family returns
-its cached parent-sum contraction there, and for every other kernel it
-returns None and births run the exact contraction, which the tests keep
-as the fast paths' slow reference.
+hook is InheritanceKernel._contraction(grid), each density family's
+contraction cached per grid; the tests pin every contraction to the exact
+one, one kernel row per parent pair.
 
 Additive kernels compute birth without a row table. The cell edges of
 every additive row sit on one half-cell lattice of offsets from its
@@ -62,7 +62,7 @@ __all__ = [
     "InheritanceKernel",
     "AdditiveNoiseKernel",
     "MultiplicativeNoiseKernel",
-    "CustomDensityKernel",
+    "TabulatedKernel",
     "SamplerKernel",
     "birth_operator",
     "birth_weights",
@@ -234,10 +234,10 @@ class _SumRowTable:
         # mass (zero where degenerate)
         self.checks = np.column_stack([degenerate, tails])
 
-    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(parent-sum convolution, birth weights) of the weight pair."""
+    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """(birth weights, mass on degenerate rows, shed mass) of the weight pair."""
         conv = np.convolve(wa, wb)
-        return conv, conv @ self.matrix
+        return conv @ self.matrix, *(conv @ self.checks)
 
 
 class _NoiseLattice:
@@ -281,8 +281,8 @@ class _NoiseLattice:
         self.dust = float(_FFT_ROUNDOFF * np.finfo(float).eps * math.log2(self.length)
                           * self.inv_inside.max() * (g.sum() + 5.0 * math.sqrt(g @ g)))
 
-    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(parent-sum convolution, birth weights) of the weight pair.
+    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """(birth weights, mass on degenerate rows, shed mass) of the weight pair.
 
         By FFT every output errs by at most bound = dust |wa|_1 |wb|_1, so
         one in [-bound, 0) is zero to working accuracy and is set to zero.
@@ -294,8 +294,8 @@ class _NoiseLattice:
         if self.g_hat is None:
             conv = np.convolve(wa, wb)
             s = conv * self.inv_inside[:-1]
-            return conv, (np.convolve(self.g_even, s[::2], "valid")
-                          + np.convolve(self.g_odd, s[1::2], "valid"))
+            return (np.convolve(self.g_even, s[::2], "valid")
+                    + np.convolve(self.g_odd, s[1::2], "valid"), *(conv @ self.checks))
         fft = np.fft
         n, length = wa.size, self.length
         parents = fft.rfft(np.stack([wa, wb]), length)
@@ -309,14 +309,14 @@ class _NoiseLattice:
                 raise FloatingPointError(
                     f"FFT birth output {low:.3e} lies below its round-off bound -{bound:.3e}")
             out[(out < 0.0) & (out >= -bound)] = 0.0
-        return conv[:-1], out
+        return out, *(conv[:-1] @ self.checks)
 
 
 class InheritanceKernel:
     """Offspring-trait law k(x, y, dz) with sampling and discretized rows."""
 
     def __init__(self):
-        self._tables: dict[TraitGrid, _SumRowTable | _NoiseLattice] = {}
+        self._tables: dict[TraitGrid, _SumRowTable | _NoiseLattice | _TrilinearTable] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -348,10 +348,10 @@ class InheritanceKernel:
         sample = self.sample_offspring
         return lambda x, y: sample(x, y, rng)
 
-    def _sum_path(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice | None:
-        """The cached parent-sum contraction on grid, for kernels whose rows
-        depend on (x, y) only through x + y; None runs the exact contraction."""
-        return None
+    def _contraction(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice | _TrilinearTable:
+        """The birth contraction on grid, cached per grid: its contract(wa, wb)
+        gives (birth weights, mass on degenerate rows, shed mass)."""
+        raise UnsupportedKernel(f"{type(self).__name__} has no density rows")
 
     def safe_parent_window(self, grid: TraitGrid) -> tuple[float, float]:
         """Parent-trait range on which discretized rows are essentially untruncated."""
@@ -394,7 +394,7 @@ class AdditiveNoiseKernel(InheritanceKernel):
         n = grid.n_cells
         return self.noise.cdf(0.5 * grid.dx * np.arange(1 - 2 * n, 2 * n))
 
-    def _sum_path(self, grid):
+    def _contraction(self, grid):
         lattice = self._tables.get(grid)
         if lattice is None:
             lattice = self._tables[grid] = _NoiseLattice(self._offset_cdf(grid))
@@ -451,7 +451,7 @@ class MultiplicativeNoiseKernel(InheritanceKernel):
             raw[zero, grid.cell_of(0.0)] = 1.0
         return raw
 
-    def _sum_path(self, grid):
+    def _contraction(self, grid):
         # rows for the parent sums 2 x_min + (k + 1) dx, k = 0 .. 2n - 2
         table = self._tables.get(grid)
         if table is None:
@@ -475,36 +475,77 @@ class MultiplicativeNoiseKernel(InheritanceKernel):
         return f"MultiplicativeNoiseKernel({self.noise!r})"
 
 
-class CustomDensityKernel(InheritanceKernel):
-    """Kernel given by a density function kappa(x, y, z).
+def _hats(knots: np.ndarray, points) -> np.ndarray:
+    """(points, knots) linear-interpolation weights, zero outside the knots."""
+    return np.array([np.interp(points, knots, e, left=0.0, right=0.0) for e in np.eye(knots.size)]).T
 
-    The callable receives scalar parents and a vector of z values and must
-    return non-negative densities. Sampling draws from the discretized row
-    on `sample_grid` when one is provided.
+
+class _TrilinearTable:
+    """Per-grid cache of a tabulated kernel's birth path. Trilinear
+    interpolation is linear in the table: with a (n, nx) and b (n, ny) the
+    parents' interpolation weights and g the table's z-rows in cell masses,
+    row (j, k) is sum a[j, p] b[k, q] g[p, q], and birth is g contracted with
+    a^T (wa wb^T / inside) b, O(nx n^2 + nx ny n) per call. The cache adds
+    1/inside of every parent pair, zero where degenerate."""
+
+    def __init__(self, kernel: TabulatedKernel, grid: TraitGrid):
+        xs, ys, zs = kernel.knots
+        self.a, self.b = _hats(xs, grid.centers), _hats(ys, grid.centers)
+        g = np.tensordot(kernel.cube, _hats(zs, grid.centers), axes=([2], [1])) * grid.dx
+        safe, _, degenerate = _row_rule(self.a @ g.sum(axis=2) @ self.b.T)
+        self.inv_inside = np.where(degenerate, 0.0, 1.0 / safe)
+        self.dead = np.flatnonzero(degenerate)  # flat indices of degenerate pairs
+        self.g = g.reshape(-1, grid.n_cells)
+
+    def contract(self, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """(birth weights, mass on degenerate rows, 0.0): rows shed no mass."""
+        pairs = np.outer(wa, wb)
+        out = (self.a.T @ (pairs * self.inv_inside) @ self.b).ravel() @ self.g
+        return out, pairs.ravel()[self.dead].sum(), 0.0
+
+
+class TabulatedKernel(InheritanceKernel):
+    """Kernel whose density kappa(x, y, z) is tabulated on knots xs, ys, zs.
+
+    cube[a, b, c] is the density at (xs[a], ys[b], zs[c]). Between knots
+    it is interpolated trilinearly; outside the table it is zero, so a
+    parent outside the table gives a degenerate row. Each axis needs at
+    least 2 strictly increasing knots, and the densities must be finite
+    and non-negative. Sampling draws from the discretized row on
+    `sample_grid` when one is provided.
     """
 
-    def __init__(self, density: Callable[[float, float, np.ndarray], np.ndarray],
-                 sample_grid: TraitGrid | None = None):
+    def __init__(self, xs, ys, zs, cube, sample_grid: TraitGrid | None = None):
         super().__init__()
-        self.density = density
+        self.knots = tuple(np.asarray(k, dtype=float) for k in (xs, ys, zs))
+        for axis, k in zip("xyz", self.knots):
+            if k.ndim != 1 or k.size < 2 or not np.all(np.isfinite(k)) or np.any(np.diff(k) <= 0):
+                raise ValueError(f"{axis} knots must be at least 2 finite, strictly increasing values")
+        self.cube = np.asarray(cube, dtype=float)
+        shape = tuple(k.size for k in self.knots)
+        if self.cube.shape != shape:
+            raise ValueError(f"density table has shape {self.cube.shape}, its knots need {shape}")
+        if not np.all(np.isfinite(self.cube)) or np.any(self.cube < 0):
+            raise ValueError("kernel densities must be finite and non-negative")
         self.sample_grid = sample_grid
 
     def _raw_row(self, x, y, grid):
-        vals = np.asarray(self.density(x, y, grid.centers), dtype=float)
-        if vals.shape != (grid.n_cells,):
-            raise ValueError("density function must return one value per grid cell")
-        if np.any(vals < 0):
-            raise ValueError("density function returned negative values")
-        return vals * grid.dx
+        xs, ys, zs = self.knots
+        profile = _hats(ys, [y])[0] @ np.tensordot(_hats(xs, [x])[0], self.cube, axes=1)
+        return np.interp(grid.centers, zs, profile, left=0.0, right=0.0) * grid.dx
+
+    def _contraction(self, grid):
+        table = self._tables.get(grid)
+        if table is None:
+            table = self._tables[grid] = _TrilinearTable(self, grid)
+        return table
 
     def sample_offspring(self, x, y, rng) -> float:
         if self.sample_grid is None:
             raise UnsupportedKernel("custom kernel has no sample grid; sampling unavailable")
         grid = self.sample_grid
-        masses = self.row_masses(x, y, grid)
-        cum = np.cumsum(masses)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1]))
-        idx = min(idx, grid.n_cells - 1)
+        cum = np.cumsum(self.row_masses(x, y, grid))
+        idx = min(int(np.searchsorted(cum, rng.random() * cum[-1])), grid.n_cells - 1)
         return float(grid.edges[idx] + grid.dx * rng.random())
 
 
@@ -519,37 +560,25 @@ class SamplerKernel(InheritanceKernel):
         return float(self.sampler(x, y, rng))
 
 
-def tabulated_kernel_from_csv(path, sample_grid: TraitGrid | None = None) -> CustomDensityKernel:
+def tabulated_kernel_from_csv(path, sample_grid: TraitGrid | None = None) -> TabulatedKernel:
     """Load a custom kernel from a CSV with columns x, y, z, density.
 
     The tabulation must form a full rectangular lattice; densities are
     interpolated trilinearly and treated as zero outside the table.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     data = np.genfromtxt(path, delimiter=",", names=True)
     needed = ("x", "y", "z", "density")
     if data.dtype.names is None or any(c not in data.dtype.names for c in needed):
         raise ValueError(f"kernel table must have columns {needed}")
-    xs = np.unique(data["x"])
-    ys = np.unique(data["y"])
-    zs = np.unique(data["z"])
-    if xs.size * ys.size * zs.size != data.size:
+    knots = [np.unique(data[axis]) for axis in "xyz"]
+    shape = tuple(k.size for k in knots)
+    if math.prod(shape) != data.size:
         raise ValueError("kernel table is not a full x/y/z lattice")
-    cube = np.full((xs.size, ys.size, zs.size), np.nan)
-    ix = np.searchsorted(xs, data["x"])
-    iy = np.searchsorted(ys, data["y"])
-    iz = np.searchsorted(zs, data["z"])
-    cube[ix, iy, iz] = data["density"]
+    cube = np.full(shape, np.nan)
+    cube[tuple(np.searchsorted(k, data[axis]) for k, axis in zip(knots, "xyz"))] = data["density"]
     if np.any(np.isnan(cube)):
         raise ValueError("kernel table has missing lattice points")
-    interp = RegularGridInterpolator((xs, ys, zs), cube, bounds_error=False, fill_value=0.0)
-
-    def density(x, y, z):
-        pts = np.column_stack([np.full(len(z), x), np.full(len(z), y), z])
-        return np.clip(interp(pts), 0.0, None)
-
-    return CustomDensityKernel(density, sample_grid=sample_grid)
+    return TabulatedKernel(*knots, cube, sample_grid=sample_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +589,17 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
                   grid: TraitGrid) -> np.ndarray:
     """Array-level birth operator core; no measure validation.
 
-    Kernels with a parent-sum contraction (kernel._sum_path) take it:
-    multiplicative ones against their cached row table, additive ones
-    without a table, by direct sums below _FFT_MIN_CELLS cells and by FFT
-    from there. Every other kernel takes the exact contraction,
-    _birth_weights_exact.
+    Every kernel takes its cached contraction, kernel._contraction(grid):
+    multiplicative ones their row table, additive ones direct sums below
+    _FFT_MIN_CELLS cells and the FFT from there, tabulated ones their
+    factored trilinear table. A kernel without density rows raises
+    UnsupportedKernel.
     """
-    rows = kernel._sum_path(grid)
-    if rows is None:
-        return _birth_weights_exact(kernel, wa, wb, grid)
-    conv, out = rows.contract(wa, wb)
-    total = max(conv.sum(), 1e-300)
+    out, lost, shed = kernel._contraction(grid).contract(wa, wb)
+    total = max(wa.sum() * wb.sum(), 1e-300)
     # mass on rows without in-grid mass, which contribute nothing (fine up
     # to the operator's documented 1e-9 mass tolerance), and the truncation
     # bias actually incurred, both weighted by parent-pair usage
-    lost, shed = conv @ rows.checks
     if lost > DEGENERATE_MASS_TOLERANCE * total:
         raise DegenerateRow(
             f"parent pairs carrying {lost / total:.3e} of the mass fall on "
@@ -585,36 +610,6 @@ def birth_weights(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
             "before renormalization; widen the grid",
             stacklevel=2,
         )
-    return out
-
-
-def _birth_weights_exact(kernel: InheritanceKernel, wa: np.ndarray, wb: np.ndarray,
-                         grid: TraitGrid) -> np.ndarray:
-    """Direct contraction, one kernel row per parent pair: the reference for
-    the parent-sum path. Pairs of magnitude at most 1e-12 of ||wa||_1 ||wb||_1
-    are skipped, so signed inputs (solver stages) keep their negative pairs."""
-    out = np.zeros(grid.n_cells)
-    centers = grid.centers
-    total = max(np.abs(wa).sum() * np.abs(wb).sum(), 1e-300)
-    floor = 1e-12 * total
-    dropped = 0.0
-    ja = np.nonzero(wa)[0]
-    jb = np.nonzero(wb)[0]
-    for j in ja:
-        acc = np.zeros(grid.n_cells)
-        for k in jb:
-            pair = abs(wa[j] * wb[k])
-            if pair <= floor:
-                continue
-            try:
-                acc += wb[k] * kernel.row_masses(centers[j], centers[k], grid)
-            except DegenerateRow:
-                dropped += pair
-        out += wa[j] * acc
-    if dropped > DEGENERATE_MASS_TOLERANCE * total:
-        raise DegenerateRow(
-            f"parent pairs carrying {dropped / total:.3e} of the mass have no "
-            "in-grid offspring mass")
     return out
 
 

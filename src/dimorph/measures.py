@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -60,8 +61,8 @@ class TraitGrid:
     def __post_init__(self) -> None:
         if not -np.inf < self.x_min < self.x_max < np.inf:
             raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, Integral) or self.n_cells < 2:
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
         edges = np.linspace(self.x_min, self.x_max, self.n_cells + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         edges.flags.writeable = False

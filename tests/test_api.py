@@ -1,6 +1,7 @@
 """Every exported or re-exported name of the package resolves, and each CLI
 subcommand imports only the modules it runs (no scipy at all)."""
 
+import ast
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dimorph
@@ -146,24 +148,57 @@ def test_subcommand_loads_only_its_modules(tmp_path, config):
     assert not unwanted, f"{kind} loaded {sorted(unwanted)}"
 
 
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests. Imports
+    # at any depth count, a function's own included
+    found = []
+    for path in sorted(Path(dimorph.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is only needed to read custom kernel tables from CSV
     out = _fresh("import sys, dimorph.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
 
 
+def _custom_macro(tmp_path) -> Path:
+    """A raw macro config whose `custom` kernel is a 3 x 3 x 13 CSV table."""
+    knots, zs = (-2.0, 0.0, 2.0), np.linspace(-3.0, 3.0, 13)
+    rows = ["x,y,z,density"] + [f"{x},{y},{z},{np.exp(-(z - 0.5 * (x + y)) ** 2)}"
+                                for x in knots for y in knots for z in zs]
+    (tmp_path / "kernel.csv").write_text("\n".join(rows) + "\n")
+    cfg = json.loads((CONFIGS / "macro_raw.json").read_text())
+    cfg |= {"grid": {"x_min": -2.0, "x_max": 2.0, "n_cells": 16},
+            "kernel": {"family": "custom", "table_csv": str(tmp_path / "kernel.csv")},
+            "solver": {"dt": 0.01, "t_end": 1.0, "sample_stride": 50}}
+    path = tmp_path / "macro_custom.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_totals_and_macro_solves_load_no_scipy(tmp_path):
-    # the DOP853 tableau and its continuous extension are float literals
+    # the DOP853 tableau and its continuous extension are float literals,
+    # and a `custom` kernel interpolates its table without scipy
     code = "import contextlib, io, sys\nfrom dimorph import cli\n"
-    for kind, name in (("totals", "totals"), ("macro", "macro_raw")):
+    runs = (("totals", CONFIGS / "totals.json"), ("macro", CONFIGS / "macro_raw.json"),
+            ("macro", _custom_macro(tmp_path)))
+    for kind, cfg in runs:
         code += (f"with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    assert cli.main(['{kind}', '--config', {str(CONFIGS / name) + '.json'!r},"
-                 f" '--out', {str(tmp_path / name)!r}]) == 0\n")
+                 f"    assert cli.main(['{kind}', '--config', {str(cfg)!r},"
+                 f" '--out', {str(tmp_path / cfg.stem)!r}]) == 0\n")
     code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _fresh(code).strip() == "[]"
-    assert (tmp_path / "totals" / "manifest.json").exists()
-    assert (tmp_path / "macro_raw" / "manifest.json").exists()
+    for _, cfg in runs:
+        assert (tmp_path / cfg.stem / "manifest.json").exists()
 
 
 def test_runs_below_the_fft_crossover_load_no_numpy_fft():

@@ -573,6 +573,40 @@ def test_runner_inputs_name_their_field(tmp_path, capsys, command, base, change,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, base, section, field", [
+    ("totals", TOTALS_CFG, "rates", "D_f"),
+    ("fixed-point", FP_CFG, "grid", "x_max"),
+    ("fixed-point", FP_CFG, "initial", "mean"),
+], ids=["rate", "grid-bound", "initial-condition"])
+def test_integer_beyond_float_range_names_field(tmp_path, capsys, command, base, section, field):
+    # json reads an integer of any size; float() of one past 1.8e308 overflows
+    bad = dict(base, **{section: dict(base[section], **{field: 10**400})})
+    cfg = _write(tmp_path, "bad.json", bad)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (f"config error: field {section}.{field} must be finite, got an integer too large "
+            "for a float") in capsys.readouterr().err
+
+
+def test_integer_of_too_many_digits_is_a_config_error(tmp_path, capsys):
+    # json refuses to read an integer of more than 4300 digits with a bare ValueError
+    text = json.dumps(dict(TOTALS_CFG, rates=dict(TOTALS_CFG["rates"], D_f="D_f")))
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text.replace('"D_f": "D_f"', '"D_f": ' + "9" * 5000))
+    assert cli.main(["totals", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "is not valid JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+def test_zero_mass_tabulated_initial_condition_is_a_config_error(tmp_path, capsys):
+    grid = TraitGrid(**FP_CFG["grid"])
+    csv = tmp_path / "zero.csv"
+    csv.write_text("cell_center,weight\n" + "".join(f"{c!r},0.0\n" for c in grid.centers.tolist()))
+    cfg = _write(tmp_path, "fp.json", dict(FP_CFG, initial={"shape": "tabulated", "path": str(csv)}))
+    assert cli.main(["fixed-point", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert ("config error: field initial: distribution has no mass inside the grid"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     cfg = _write(tmp_path, "lln.json", LLN_CFG)

@@ -12,14 +12,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dimorph import kernels
 from dimorph.errors import DegenerateRow, GridMismatch, UnsupportedKernel
 from dimorph.ibm import BufferedRng
-from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
-                             GaussianNoise, MultiplicativeNoiseKernel,
-                             NoiseDensity, SamplerKernel, TabulatedNoise, UniformNoise,
-                             _birth_weights_exact, _NoiseLattice, _SumRowTable,
+from dimorph.kernels import (AdditiveNoiseKernel, GaussianNoise, MultiplicativeNoiseKernel,
+                             NoiseDensity, SamplerKernel, TabulatedKernel, TabulatedNoise,
+                             UniformNoise, _NoiseLattice, _SumRowTable, _TrilinearTable,
                              birth_operator, birth_weights, check_hypotheses,
                              condition_i_contribution, tabulated_kernel_from_csv)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
                               measure_from_samples, point_mass, wasserstein1)
+from kernel_reference import birth_weights_exact, tabulate
 
 
 @pytest.fixture
@@ -151,33 +151,39 @@ def test_degenerate_row_raises():
 @pytest.mark.parametrize("share, raises", [(1e-8, True), (1e-10, False)],
                          ids=["above-tolerance", "below-tolerance"])
 def test_exact_contraction_tolerates_degenerate_parents_up_to_a_mass_share(share, raises):
-    # the density vanishes on the grid for mothers in the top cell; they carry
-    # `share` of the product mass, each pair above the contraction's 1e-12 skip
+    # the table ends below the mothers in the top cell, so their rows vanish;
+    # they carry `share` of the product mass, each pair above the exact
+    # contraction's 1e-12 skip
     def dens(x, y, z):
-        return np.exp(-0.5 * ((z - 0.5 * (x + y)) / 0.5) ** 2) * (x < 1.75)
+        return np.exp(-0.5 * ((z - 0.5 * (x + y)) / 0.5) ** 2)
 
     grid = TraitGrid(-2.0, 2.0, 16)
-    kernel = CustomDensityKernel(dens)
+    kernel = tabulate(dens, np.linspace(-2.0, 1.75, 16), np.linspace(-2.0, 2.0, 17),
+                      np.linspace(-4.0, 4.0, 65))
     wa = np.full(16, 1.0 / 15.0)
     wa[-1] = share
     wb = np.full(16, 1.0 / 16.0)
     total = wa.sum()
     if raises:
-        with pytest.raises(DegenerateRow, match="1.000e-08 of the mass"):
-            birth_weights(kernel, wa, wb, grid)
+        for birth in (birth_weights, birth_weights_exact):
+            with pytest.raises(DegenerateRow, match="1.000e-08 of the mass"):
+                birth(kernel, wa, wb, grid)
         return
     out = birth_weights(kernel, wa, wb, grid)
     # the degenerate pairs add nothing; every other row keeps unit mass
     assert out.sum() == pytest.approx(total - share, rel=1e-12)
     wa[-1] = 0.0
-    np.testing.assert_array_equal(out, _birth_weights_exact(kernel, wa, wb, grid))
+    np.testing.assert_allclose(out, birth_weights_exact(kernel, wa, wb, grid),
+                               rtol=0, atol=1e-14 * out.max())
 
 
 def test_exact_contraction_is_linear_in_signed_weights():
     # a solver stage may carry negative weights; their pairs are terms of
-    # the birth, not dust under the contraction's 1e-12 skip
+    # the birth, not dust under the exact contraction's 1e-12 skip
     grid = TraitGrid(-2.0, 2.0, 32)
-    kernel = CustomDensityKernel(lambda x, y, z: np.exp(-2.0 * (z - 0.5 * (x + y)) ** 2))
+    knots = np.linspace(-2.0, 2.0, 17)
+    kernel = tabulate(lambda x, y, z: np.exp(-2.0 * (z - 0.5 * (x + y)) ** 2), knots, knots,
+                      np.linspace(-4.0, 4.0, 81))
     a = gaussian_measure(grid, -0.3, 0.6).weights
     b = gaussian_measure(grid, 0.4, 0.5).weights
     d = np.zeros(32)
@@ -194,6 +200,9 @@ def test_sampler_kernel_has_no_rows():
         k.row_masses(0.0, 0.0, TraitGrid(0.0, 1.0, 8))
     with pytest.raises(UnsupportedKernel):
         check_hypotheses(k, TraitGrid(0.0, 1.0, 8))
+    w = np.full(8, 0.125)
+    with pytest.raises(UnsupportedKernel, match="SamplerKernel has no density rows"):
+        birth_weights(k, w, w, TraitGrid(0.0, 1.0, 8))
     assert k.sample_offspring(1.0, 3.0, None) == 2.0
 
 
@@ -228,7 +237,7 @@ def test_sampling_matches_rows_in_wasserstein(grid, add_kernel):
 
 
 def test_custom_kernel_sampling_requires_grid():
-    k = CustomDensityKernel(lambda x, y, z: np.exp(-((z - 0.5 * (x + y)) ** 2)))
+    k = TabulatedKernel([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], np.ones((2, 2, 2)))
     with pytest.raises(UnsupportedKernel):
         k.sample_offspring(0.0, 0.0, np.random.default_rng(0))
 
@@ -239,8 +248,9 @@ SAMPLED_KERNELS = {
     "additive-uniform": lambda: AdditiveNoiseKernel(UniformNoise(-0.5, 0.5)),
     "additive-tabulated": lambda: AdditiveNoiseKernel(TabulatedNoise(_KNOTS, 1.0 - np.abs(_KNOTS))),
     "multiplicative": lambda: MultiplicativeNoiseKernel(UniformNoise(0.25, 0.75)),
-    "custom": lambda: CustomDensityKernel(lambda x, y, z: np.exp(-((z - 0.5 * (x + y)) ** 2)),
-                                          sample_grid=TraitGrid(-4.0, 4.0, 64)),
+    "custom": lambda: tabulate(lambda x, y, z: np.exp(-((z - 0.5 * (x + y)) ** 2)),
+                               _KNOTS + 1.0, _KNOTS + 1.0, 4.0 * _KNOTS,
+                               sample_grid=TraitGrid(-4.0, 4.0, 64)),
     "sampler": lambda: SamplerKernel(lambda x, y, rng: x + rng.normal(0.0, 0.3) * rng.random()),
 }
 
@@ -316,7 +326,7 @@ def test_birth_operator_fast_matches_exact():
     mu = gaussian_measure(g, 1.0, 1.0)
     nu = gaussian_measure(g, -1.0, 0.7)
     fast = birth_operator(k, mu, nu).weights
-    exact = _birth_weights_exact(k, mu.weights, nu.weights, g)
+    exact = birth_weights_exact(k, mu.weights, nu.weights, g)
     # the reference mode skips pairs below 1e-12 of the product mass, so
     # agreement is absolute at that scale rather than relative in the tails
     np.testing.assert_allclose(fast, exact, rtol=1e-9, atol=1e-11)
@@ -326,7 +336,7 @@ def test_birth_operator_fast_matches_exact():
     mu = gaussian_measure(gm, 1.2, 0.3)
     nu = gaussian_measure(gm, 2.0, 0.4)
     fast = birth_operator(km, mu, nu).weights
-    exact = _birth_weights_exact(km, mu.weights, nu.weights, gm)
+    exact = birth_weights_exact(km, mu.weights, nu.weights, gm)
     np.testing.assert_allclose(fast, exact, rtol=1e-9, atol=1e-11)
 
 
@@ -341,7 +351,7 @@ class _TableKernel(AdditiveNoiseKernel):
     offsets 2j - k - 2 and 2j - k (counted from 1 - 2n).
     """
 
-    def _sum_path(self, grid):
+    def _contraction(self, grid):
         table = self._tables.get(grid)
         if table is None:
             c = self._offset_cdf(grid)
@@ -352,7 +362,7 @@ class _TableKernel(AdditiveNoiseKernel):
 
 
 def _reference_table(noise, grid):
-    return _TableKernel(noise)._sum_path(grid)
+    return _TableKernel(noise)._contraction(grid)
 
 
 _TRI = np.linspace(-1.0, 1.0, 41)
@@ -461,7 +471,7 @@ def test_fft_birth_matches_table_and_exact_contraction(n, span, noise, fft_every
     assert isinstance(spectrum, _NoiseLattice) and spectrum.g_hat is not None
     np.testing.assert_allclose(fft, _by_table(density, wa, wb, grid), rtol=0, atol=1e-15 * total)
     if n <= 64:  # the exact contraction evaluates n^2 rows
-        np.testing.assert_allclose(fft, _birth_weights_exact(kernel, wa, wb, grid),
+        np.testing.assert_allclose(fft, birth_weights_exact(kernel, wa, wb, grid),
                                    rtol=0, atol=1e-15 * total)
     # the O(n) row vectors are the table's
     table = _reference_table(density, grid)
@@ -491,7 +501,7 @@ def test_fft_birth_matches_both_references_on_drawn_weights(fft_everywhere, wa, 
     fft = birth_weights(kernel, wa, wb, grid)
     assert fft.min() >= 0.0
     np.testing.assert_allclose(fft, _by_table(noise, wa, wb, grid), rtol=0, atol=1e-15 * total)
-    np.testing.assert_allclose(fft, _birth_weights_exact(kernel, wa, wb, grid),
+    np.testing.assert_allclose(fft, birth_weights_exact(kernel, wa, wb, grid),
                                rtol=0, atol=1e-15 * total)
 
 
@@ -587,7 +597,7 @@ def _bilinear_exact(kernel, wa, wb, grid):
     for sa, a in ((1.0, np.clip(wa, 0.0, None)), (-1.0, np.clip(-wa, 0.0, None))):
         for sb, b in ((1.0, np.clip(wb, 0.0, None)), (-1.0, np.clip(-wb, 0.0, None))):
             if a.any() and b.any():
-                out += sa * sb * _birth_weights_exact(kernel, a, b, grid)
+                out += sa * sb * birth_weights_exact(kernel, a, b, grid)
     return out
 
 
@@ -608,7 +618,7 @@ def test_direct_birth_matches_table_and_exact_contraction(n, span, noise):
     assert out.min() >= 0.0  # a sum of non-negative products
     np.testing.assert_allclose(out, _by_table(density, wa, wb, grid), rtol=0, atol=1e-15 * total)
     if n <= 64:  # the exact contraction evaluates n^2 rows
-        np.testing.assert_allclose(out, _birth_weights_exact(kernel, wa, wb, grid),
+        np.testing.assert_allclose(out, birth_weights_exact(kernel, wa, wb, grid),
                                    rtol=0, atol=1e-15 * total)
     table = _reference_table(density, grid)
     np.testing.assert_array_equal(lattice.checks[:, 0], table.checks[:, 0])
@@ -732,12 +742,14 @@ def test_check_hypotheses_flags_violating_kernel():
         return np.exp(-0.5 * ((z - (x + y)) / 0.5) ** 2)
 
     g = TraitGrid(-8.0, 8.0, 128)
-    rep = check_hypotheses(CustomDensityKernel(dens), g, seed=2, parent_window=(-3.0, 3.0))
+    knots = np.linspace(-8.0, 8.0, 65)
+    kernel = tabulate(dens, knots, knots, np.linspace(-8.0, 8.0, 257))
+    rep = check_hypotheses(kernel, g, seed=2, parent_window=(-3.0, 3.0))
     assert rep.condition_ii.l_est > 1.0
     assert not rep.condition_ii.holds
     assert rep.mean_condition_max_error > 10.0 * g.dx
     with pytest.raises(ValueError, match="parent window is empty"):
-        check_hypotheses(CustomDensityKernel(dens), g, parent_window=(1.0, 1.0))
+        check_hypotheses(kernel, g, parent_window=(1.0, 1.0))
 
 
 # -- tabulated kernels ---------------------------------------------------------------
@@ -747,21 +759,64 @@ def test_tabulated_kernel_from_csv(tmp_path):
     xs = np.linspace(-2.0, 2.0, 9)
     zs = np.linspace(-4.0, 4.0, 81)
     sigma = 0.5
+    x, y, z = np.meshgrid(xs, xs, zs, indexing="ij")
+    cube = np.exp(-0.5 * ((z - 0.5 * (x + y)) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
     rows = ["x,y,z,density"]
-    for x in xs:
-        for y in xs:
-            c = 0.5 * (x + y)
-            dens = np.exp(-0.5 * ((zs - c) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
-            rows.extend(f"{x},{y},{z},{d}" for z, d in zip(zs, dens))
+    rows.extend(f"{a},{b},{c},{d}" for a, b, c, d in zip(x.flat, y.flat, z.flat, cube.flat))
     path = tmp_path / "kernel.csv"
     path.write_text("\n".join(rows) + "\n")
 
     grid = TraitGrid(-4.0, 4.0, 128)
     k = tabulated_kernel_from_csv(path, sample_grid=grid)
+    assert isinstance(k, TabulatedKernel)
     row = k.row_masses(1.0, -1.0, grid)
     assert float(grid.centers @ row) == pytest.approx(0.0, abs=0.02)
     rng = np.random.default_rng(0)
     assert -4.0 <= k.sample_offspring(1.0, -1.0, rng) <= 4.0
+    # the rows are scipy's trilinear interpolation, zero outside the table:
+    # inside, on its edges, and with either parent just off it
+    from scipy.interpolate import RegularGridInterpolator
+    interp = RegularGridInterpolator((xs, xs, zs), cube, bounds_error=False, fill_value=0.0)
+    for a, b in [(1.0, -1.0), (0.3, 1.7), (2.0, -2.0), (-1.1, 2.0), (2.01, 0.0), (0.0, -2.01)]:
+        want = interp(np.column_stack([np.full(128, a), np.full(128, b), grid.centers])) * grid.dx
+        np.testing.assert_allclose(k._raw_row(a, b, grid), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("knots, cube, message", [
+    (([0.0], [0.0, 1.0], [0.0, 1.0]), np.ones((1, 2, 2)), "x knots must be at least 2"),
+    (([0.0, 1.0], [1.0, 0.0], [0.0, 1.0]), np.ones((2, 2, 2)), "y knots must be at least 2"),
+    (([0.0, 1.0], [0.0, 1.0], [0.0, np.nan]), np.ones((2, 2, 2)), "z knots must be at least 2"),
+    (([0.0, 1.0], [0.0, 1.0], [0.0, 1.0]), np.ones((2, 2, 3)),
+     r"density table has shape \(2, 2, 3\), its knots need \(2, 2, 2\)"),
+    (([0.0, 1.0], [0.0, 1.0], [0.0, 1.0]), np.full((2, 2, 2), np.inf), "finite and non-negative"),
+    (([0.0, 1.0], [0.0, 1.0], [0.0, 1.0]), np.full((2, 2, 2), -1e-300), "finite and non-negative"),
+], ids=["one-knot", "decreasing", "nan-knot", "shape", "inf-density", "negative-density"])
+def test_tabulated_kernel_checks_its_table(knots, cube, message):
+    with pytest.raises(ValueError, match=message):
+        TabulatedKernel(*knots, cube)
+
+
+def _drawn_table(rng):
+    """Random densities on uneven knots: asymmetric in the parents, reaching
+    past the grid [-2, 2] in x and y, and with rows that run off it in z."""
+    xs = np.concatenate(([-2.1], np.sort(rng.uniform(-2.0, 2.0, 5)), [2.2]))
+    return TabulatedKernel(xs, np.linspace(-2.3, 2.1, 9), np.linspace(-3.0, 3.0, 23),
+                           rng.uniform(0.0, 1.0, (7, 9, 23)))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_tabulated_birth_matches_exact_contraction(n):
+    # weights at least 0.05 in size, so no pair falls under the exact
+    # contraction's 1e-12 skip; the signed ones are solver stages
+    rng = np.random.default_rng(n)
+    kernel = _drawn_table(rng)
+    grid = TraitGrid(-2.0, 2.0, n)
+    wa, wb = rng.uniform(0.05, 1.0, (2, n))
+    for a in (wa, wa * rng.choice([-1.0, 1.0], n)):
+        want = birth_weights_exact(kernel, a, wb, grid)
+        np.testing.assert_allclose(birth_weights(kernel, a, wb, grid), want,
+                                   rtol=0, atol=1e-14 * np.abs(want).max())
+    assert isinstance(kernel._tables[grid], _TrilinearTable)
 
 
 def test_degenerate_rows_with_dust_are_zero_in_the_table():

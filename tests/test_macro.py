@@ -7,8 +7,7 @@ import pytest
 from dimorph import macro
 from dimorph.config import parse_solver
 from dimorph.errors import ConfigError, StepRejected
-from dimorph.kernels import (_FFT_MIN_CELLS, AdditiveNoiseKernel, GaussianNoise,
-                             _birth_weights_exact, birth_weights)
+from dimorph.kernels import _FFT_MIN_CELLS, AdditiveNoiseKernel, GaussianNoise, birth_weights
 from dimorph.macro import (MacroState, SolverConfig, _GridRates, coupled_full_run,
                            integrate, integrate_normalized)
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
@@ -16,6 +15,7 @@ from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure, mean,
 from dimorph.stability import limiting_mean
 from dimorph.stepping import SolverDiagnostics, march, sample_index, sample_times
 from dimorph.totals import RateSet, TotalsState, integrate_totals, stationary_point
+from kernel_reference import birth_weights_exact
 
 GRID = TraitGrid(-8.0, 8.0, 128)
 KERNEL = AdditiveNoiseKernel(GaussianNoise(0.5))
@@ -81,7 +81,7 @@ def _model_rhs(rates, kernel, grid, m, f):
     x = grid.centers
     wf = np.array([_rate(rates, "p_f", xi) for xi in x]) * f
     wm = np.array([_rate(rates, "p_m", xi) for xi in x]) * m
-    birth = 0.5 * (1.0 / wm.sum() + 1.0 / wf.sum()) * _birth_weights_exact(kernel, wf, wm, grid)
+    birth = 0.5 * (1.0 / wm.sum() + 1.0 / wf.sum()) * birth_weights_exact(kernel, wf, wm, grid)
     out = []
     for a, w in (("m", m), ("f", f)):
         death = [_rate(rates, f"D_{a}", xi)
@@ -122,7 +122,7 @@ def test_integrate_normalized_rhs_follows_the_model_equations(monkeypatch):
     mu0, nu0 = (GridMeasure(grid, w / w.sum()) for w in (mu, nu))
     rhs = _rhs_handed_to_march(monkeypatch, integrate_normalized, mu0, nu0,
                                lambda t: 2.0 + t, KERNEL)
-    p = _birth_weights_exact(KERNEL, mu / mu.sum(), nu / nu.sum(), grid)
+    p = birth_weights_exact(KERNEL, mu / mu.sum(), nu / nu.sum(), grid)
     want = np.array([p - mu, (2.0 + 0.5) * (p - nu)])
     got = rhs(0.5, np.stack([mu, nu]))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())

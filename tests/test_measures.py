@@ -32,6 +32,19 @@ def test_grid_refuses_non_finite_bounds(x_min, x_max):
         TraitGrid(x_min, x_max, 4)
 
 
+@pytest.mark.parametrize("n_cells", [4.0, "4", True, np.float64(4.0), None],
+                         ids=["float", "str", "bool", "numpy-float", "none"])
+def test_grid_refuses_non_integral_cell_counts(n_cells):
+    with pytest.raises(ValueError, match="n_cells must be an integer >= 2"):
+        TraitGrid(0.0, 1.0, n_cells)
+
+
+def test_grid_takes_numpy_integer_cell_counts():
+    grid = TraitGrid(0.0, 1.0, np.int64(4))
+    assert grid == TraitGrid(0.0, 1.0, 4)
+    np.testing.assert_array_equal(grid.edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 def test_grid_is_hashable_and_frozen():
     a = TraitGrid(0.0, 1.0, 4)
     b = TraitGrid(0.0, 1.0, 4)

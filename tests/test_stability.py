@@ -4,14 +4,14 @@ import pytest
 from dimorph.errors import (InsufficientReplicas, MeanConditionError,
                             NoConvergence)
 from dimorph.ibm import IbmParams, simulate
-from dimorph.kernels import (AdditiveNoiseKernel, CustomDensityKernel,
-                             GaussianNoise, birth_operator)
+from dimorph.kernels import AdditiveNoiseKernel, GaussianNoise, birth_operator
 from dimorph.macro import MacroState, SolverConfig, integrate, integrate_normalized
 from dimorph.measures import (GridMeasure, TraitGrid, gaussian_measure,
                               measure_from_samples, wasserstein1)
 from dimorph.stability import (convergence_report, fixed_point, limiting_mean,
                                lln_compare)
 from dimorph.totals import RateSet
+from kernel_reference import tabulate
 
 GRID = TraitGrid(-8.0, 8.0, 256)
 KERNEL = AdditiveNoiseKernel(GaussianNoise(0.5))
@@ -61,8 +61,9 @@ def test_fixed_point_no_convergence_budget():
 
 def test_fixed_point_refuses_mean_violating_kernel():
     # offspring biased toward the first parent
-    biased = CustomDensityKernel(
-        lambda x, y, z: np.exp(-0.5 * ((z - (0.8 * x + 0.2 * y)) / 0.5) ** 2))
+    knots = np.linspace(-8.0, 8.0, 65)
+    biased = tabulate(lambda x, y, z: np.exp(-0.5 * ((z - (0.8 * x + 0.2 * y)) / 0.5) ** 2),
+                      knots, knots, np.linspace(-8.0, 8.0, 257))
     with pytest.raises(MeanConditionError):
         fixed_point(biased, gaussian_measure(GRID, 0.0, 1.0))
 
