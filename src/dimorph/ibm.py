@@ -7,15 +7,18 @@ birth is male or female with a fair coin; individuals die naturally and
 through pairwise competition rescaled by the population scale N.
 
 `simulate` runs one loop for every rate set at O(1) per candidate jump,
-with one `_SexState` of local state per sex and a single mating, birth and
-death block for both: deaths with trait-dependent rates are thinned, and a
-constant rate is its own bound. The tests hold it to Gillespie's direct
-method written from the model's definition (`tests/ibm_reference.py`):
-with constant rates the two draw the same variates in the same order and
-evaluate the same float expressions, so a seeded run gives a bit-identical
-trajectory on either; for other rates the two have the same law, not the
-same draws. `simulate` binds the offspring draw once per run, and it draws
-what `sample_offspring` draws.
+with one `_SexState` per sex and a single mating, birth and death block for
+both: deaths with trait-dependent rates are thinned, and a constant rate is
+its own bound. The values every jump reads or changes (each sex's size,
+capability sum, birth count, death bound D̄ and trait array) are loop
+locals, the only live copy during the loop; the sums and bounds are written
+back to the `_SexState`s once, when the loop ends, for `_cache_error`. The
+tests hold the loop to Gillespie's direct method written from the model's
+definition (`tests/ibm_reference.py`): with constant rates the two draw the
+same variates in the same order and evaluate the same float expressions,
+so a seeded run gives a bit-identical trajectory on either; for other rates
+the two have the same law, not the same draws. `simulate` binds the
+offspring draw once per run, and it draws what `sample_offspring` draws.
 """
 
 from __future__ import annotations
@@ -166,9 +169,10 @@ def simulate(params: IbmParams) -> IbmTrajectory:
     a population with zero total rate but surviving members simply stops
     changing.
 
-    Each sex is one `_SexState`, and one code path serves both: a mating
-    has an initiator sex `a` and a partner sex `b`, a birth the newborn's
-    sex `s`, a death the dying sex `s` and the other sex `o`. Matings arrive
+    Each sex is one `_SexState`, and one code path serves both: a birth
+    has the newborn's sex `s`, a death the dying sex `s`, whose `traits`
+    face the other sex's `others`. A mating's initiator sex is picked
+    first, then the partner. Matings arrive
     at the exact capability sums, kept incrementally, so none is rejected;
     the initiator and then the partner are each picked in proportion to
     capability (`_pick_capable`), or uniformly if no member of the sex has
@@ -197,7 +201,17 @@ def simulate(params: IbmParams) -> IbmTrajectory:
 
     Deaths are counted where they happen, not derived from the class sizes,
     so births - deaths = the change in size checks the loop; `cache_error`
-    audits the caches once, at the end of the run (`_cache_error`).
+    audits the caches and their bounds once, at the end of the run
+    (`_cache_error`).
+
+    Each sex's size, capability sum, birth count, death bound D̄ and trait
+    array live in loop locals (`nf`, `sum_f`, `births_f`, `dbar_f`,
+    `traits_f` and the male twins): the branch that picks the newborn's or
+    the dying sex updates that sex's locals, with the float expressions of a
+    field update (`sum_f += p` for `s.sum_p += p`). No callee reads a local
+    during the loop: snapshots take the sizes as the trait arrays' lengths,
+    `_pick_capable` takes its size from the capability cache, and the sums
+    and bounds are written back to the `_SexState`s after the loop.
     """
     if len(params.initial_female) + len(params.initial_male) == 0:
         raise ValueError("initial population must be nonempty")
@@ -219,17 +233,20 @@ def simulate(params: IbmParams) -> IbmTrajectory:
         nonlocal next_due
         while next_due <= up_to + 1e-12:
             snapshots.append(IbmSnapshot(next_due, measure_from_samples(grid, M.traits, 1.0 / N),
-                                         measure_from_samples(grid, F.traits, 1.0 / N), M.n, F.n))
+                                         measure_from_samples(grid, F.traits, 1.0 / N),
+                                         len(M.traits), len(F.traits)))
             next_due = next(pending, np.inf)
 
+    traits_f, traits_m = F.traits, M.traits
+    nf, nm = len(traits_f), len(traits_m)
+    sum_f, sum_m, dbar_f, dbar_m = F.sum_p, M.sum_p, F.Dbar, M.Dbar
     t = 0.0
-    rejected = clamped = deaths = 0
+    births_f = births_m = rejected = clamped = deaths = 0
     extinction_time = None
     while True:
-        nf, nm = F.n, M.n
-        mating = F.sum_p + M.sum_p if nf and nm else 0.0
-        death_f = nf * (F.Dbar + (Uff * nf + Ufm * nm) / N)
-        death_m = nm * (M.Dbar + (Umm * nm + Umf * nf) / N)
+        mating = sum_f + sum_m if nf and nm else 0.0
+        death_f = nf * (dbar_f + (Uff * nf + Ufm * nm) / N)
+        death_m = nm * (dbar_m + (Umm * nm + Umf * nf) / N)
         total = mating + (death_f + death_m)
         if total <= 0.0:
             if nf + nm == 0:
@@ -243,47 +260,64 @@ def simulate(params: IbmParams) -> IbmTrajectory:
         t = t_next
         u = random() * total
         if u < mating:
-            a, b = (F, M) if u < F.sum_p else (M, F)
-            i = _pick_capable(a, random) if a.pos else int(random() * a.n)
-            j = _pick_capable(b, random) if b.pos else int(random() * b.n)
-            mother, father = (i, j) if a is F else (j, i)
-            child = offspring(F.traits[mother], M.traits[father])
+            if u < sum_f:
+                mother = _pick_capable(F, random) if F.pos else int(random() * nf)
+                father = _pick_capable(M, random) if M.pos else int(random() * nm)
+            else:
+                father = _pick_capable(M, random) if M.pos else int(random() * nm)
+                mother = _pick_capable(F, random) if F.pos else int(random() * nf)
+            child = offspring(traits_f[mother], traits_m[father])
             if not x_min <= child <= x_max:
                 child = min(max(child, x_min), x_max)
                 clamped += 1
-            s = F if random() < 0.5 else M
-            s.traits.append(child)
-            s.n += 1
-            s.births += 1
+            if random() < 0.5:
+                s = F
+                traits_f.append(child)
+            else:
+                s = M
+                traits_m.append(child)
             if s.p is None:
-                s.sum_p += s.pbar
+                p = s.pbar
             else:
                 p = s.new_p(child)
                 s.p.append(p)
-                s.sum_p += p
                 s.pos += p > 0.0
                 s.pbar = max(s.pbar, p)
+            if s is F:
+                nf += 1
+                births_f += 1
+                sum_f += p
+            else:
+                nm += 1
+                births_m += 1
+                sum_m += p
             if s.D is not None:
                 d = s.new_D(child)
                 s.D.append(d)
-                s.Dbar = max(s.Dbar, d)
+                if s is F:
+                    if d > dbar_f:
+                        dbar_f = d
+                elif d > dbar_m:
+                    dbar_m = d
         else:
             v = u - mating
             if v < death_f:
-                s, o = F, M
+                s, n, dbar = F, nf, dbar_f
+                traits, others = traits_f, traits_m
             else:
-                s, o, v = M, F, v - death_f
-            n = s.n
+                s, n, dbar = M, nm, dbar_m
+                traits, others = traits_m, traits_f
+                v -= death_f
             victim = int(random() * n)
             if s.thin:
-                if v < n * s.Dbar:
-                    reject = s.D is not None and random() * s.Dbar >= s.D[victim]
-                elif v < n * (s.Dbar + s.Ubar_same * n / N):
+                if v < n * dbar:
+                    reject = s.D is not None and random() * dbar >= s.D[victim]
+                elif v < n * (dbar + s.Ubar_same * n / N):
                     reject = s.U_same is not None and random() * s.Ubar_same >= \
-                        s.U_same(s.traits[victim], s.traits[int(random() * n)])
+                        s.U_same(traits[victim], traits[int(random() * n)])
                 else:
                     reject = s.U_other is not None and random() * s.Ubar_other >= \
-                        s.U_other(s.traits[victim], o.traits[int(random() * o.n)])
+                        s.U_other(traits[victim], others[int(random() * len(others))])
                 if reject:
                     rejected += 1
                     continue
@@ -291,30 +325,34 @@ def simulate(params: IbmParams) -> IbmTrajectory:
                     s.D[victim] = s.D[-1]
                     s.D.pop()
             if s.p is None:
-                s.sum_p -= s.pbar
+                p = s.pbar
             else:
                 p = s.p[victim]
-                s.sum_p -= p
                 s.pos -= p > 0.0
                 s.p[victim] = s.p[-1]
                 s.p.pop()
-            s.traits[victim] = s.traits[-1]
-            s.traits.pop()
-            s.n = n - 1
+            traits[victim] = traits[-1]
+            traits.pop()
+            if s is F:
+                nf -= 1
+                sum_f -= p
+            else:
+                nm -= 1
+                sum_m -= p
             deaths += 1
     take_snapshots(t_end)
-    births = F.births + M.births
+    F.sum_p, M.sum_p, F.Dbar, M.Dbar = sum_f, sum_m, dbar_f, dbar_m
     return IbmTrajectory(
         snapshots=tuple(snapshots),
-        births_female=F.births,
-        births_male=M.births,
+        births_female=births_f,
+        births_male=births_m,
         deaths=deaths,
         clamped_births=clamped,
-        n_proposals=births + deaths + rejected,
+        n_proposals=births_f + births_m + deaths + rejected,
         extinction_time=extinction_time,
         seed=params.seed,
-        final_n_female=F.n,
-        final_n_male=M.n,
+        final_n_female=nf,
+        final_n_male=nm,
         cache_error=max(_cache_error(params.rates, "f", F), _cache_error(params.rates, "m", M)),
     )
 
@@ -333,24 +371,24 @@ def simulate_all(params, jobs: int = 1) -> list[IbmTrajectory]:
 class _SexState:
     """One sex's state in `simulate`, sex `s` against the other sex `o`:
     traits, the capability and death caches with their bounds and newborn
-    evaluators (`_trait_rate`), the capability sum, the count of positive
-    capabilities, the competition suffered from sex s and from sex o
-    (`_competition`) and the births."""
+    evaluators (`_trait_rate`), the count of positive capabilities and the
+    competition suffered from sex s and from sex o (`_competition`). The
+    capability sum `sum_p` and the death bound `Dbar` hold their values at
+    the start; the loop carries both in locals and writes them back once, at
+    the end, for `_cache_error`."""
 
-    __slots__ = ("traits", "n", "p", "pbar", "new_p", "sum_p", "pos", "D", "Dbar", "new_D",
-                 "Ubar_same", "U_same", "Ubar_other", "U_other", "thin", "births")
+    __slots__ = ("traits", "p", "pbar", "new_p", "sum_p", "pos", "D", "Dbar", "new_D",
+                 "Ubar_same", "U_same", "Ubar_other", "U_other", "thin")
 
     def __init__(self, rates: RateSet, s: str, o: str, traits: np.ndarray, grid: TraitGrid):
         self.traits = array("d", traits.tobytes())
-        self.n = len(self.traits)
         self.p, self.pbar, self.new_p = _trait_rate(rates, f"p_{s}", traits)
         self.D, self.Dbar, self.new_D = _trait_rate(rates, f"D_{s}", traits)
         self.Ubar_same, self.U_same = _competition(rates, f"U_{s}{s}", grid)
         self.Ubar_other, self.U_other = _competition(rates, f"U_{s}{o}", grid)
-        self.sum_p = self.pbar * self.n if self.p is None else sum(self.p)
+        self.sum_p = self.pbar * len(self.traits) if self.p is None else sum(self.p)
         self.pos = 0 if self.p is None else sum(1 for v in self.p if v > 0.0)
         self.thin = self.D is not None or self.U_same is not None or self.U_other is not None
-        self.births = 0
 
 
 def _pick_capable(s: _SexState, random) -> int:
@@ -361,7 +399,7 @@ def _pick_capable(s: _SexState, random) -> int:
     failures the pick is exact, from cumulative sums and one uniform. Both
     branches draw in proportion to capability, so the law is exact.
     """
-    p, pbar, n = s.p, s.pbar, s.n
+    p, pbar, n = s.p, s.pbar, len(s.p)
     i = int(random() * n)
     tries = _PICK_TRIES
     while random() * pbar >= p[i]:
@@ -377,14 +415,21 @@ def _cache_error(rates: RateSet, s: str, state: _SexState) -> float:
     """Largest error of sex s's caches against a recomputation at its traits:
     the capability sum against an exact sum, and each cached capability and
     death rate against its rate; relative with a unit floor, so float residue
-    in a small or empty sum does not dominate."""
+    in a small or empty sum does not dominate. It also takes the relative
+    excess of any cached capability over p̄ and of any cached death rate over
+    D̄, which is 0 while the bounds hold: thinning against a bound below a
+    rate accepts that rate's events too rarely."""
     traits = np.array(state.traits)
     p = rates.at(f"p_{s}", traits)
     pairs = [(state.sum_p, math.fsum(p.tolist())), (state.p, p),
              (state.D, rates.at(f"D_{s}", traits))]
-    return max(float(np.max(np.abs(np.subtract(cache, exact)) / np.maximum(np.abs(exact), 1.0),
-                            initial=0.0))
-               for cache, exact in pairs if cache is not None)
+    errors = [float(np.max(np.abs(np.subtract(cache, exact)) / np.maximum(np.abs(exact), 1.0),
+                           initial=0.0))
+              for cache, exact in pairs if cache is not None]
+    errors += [max(max(cache, default=bound) - bound, 0.0) / max(bound, 1.0)
+               for cache, bound in ((state.p, state.pbar), (state.D, state.Dbar))
+               if cache is not None]
+    return max(errors)
 
 
 def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
@@ -403,7 +448,7 @@ def _trait_rate(rates: RateSet, name: str, traits: np.ndarray):
     def newborn(x: float) -> float:
         v = float(entry(x))
         if not 0.0 <= v < np.inf:
-            need = "finite" if v == np.inf else "non-negative"
+            need = "non-negative" if v < 0.0 else "finite"
             raise ValueError(f"{name} must be {need}, got {v} at trait {x}")
         return v
     return cache, max(cache, default=0.0), newborn

@@ -116,7 +116,7 @@ class RateSet:
             i = np.unravel_index(np.argmin((v >= 0) & (v < np.inf)), shape)
             where = [float(np.broadcast_to(t, shape)[i]) for t in traits]
             place = f"trait {where[0]}" if len(where) == 1 else f"traits {tuple(where)}"
-            need = "finite" if v[i] == np.inf else "non-negative"
+            need = "non-negative" if v[i] < 0 else "finite"
             raise ValueError(f"{name} must be {need}, got {v[i]} at {place}")
         return v
 

@@ -144,6 +144,27 @@ def test_infinite_trait_rate_rejected():
                            initial_male=np.array([0.0])))
 
 
+def test_nan_rate_named_not_finite():
+    # a NaN rate is no event rate either; it is not finite, whatever its sign
+    def nan_above_0(x):
+        return np.where(x > 0.0, np.nan, 1.0)
+
+    rates = RateSet(p_f=nan_above_0, p_m=1.0, D_f=1e-3, D_m=1e-3,
+                    U_ff=2.5e-4, U_fm=2.5e-4, U_mf=2.5e-4, U_mm=2.5e-4)
+    with pytest.raises(ValueError, match=r"p_f must be finite, got nan at trait 1\.0"):
+        rates.at("p_f", np.array([-1.0, 1.0]))
+    # the array path is the one `_competition` takes over the grid square
+    competition = dataclasses.replace(rates, p_f=1.0, U_fm=lambda x, y: nan_above_0(x) + 0.0 * y)
+    with pytest.raises(ValueError, match=r"U_fm must be finite, got nan at traits \("):
+        simulate(_params(competition, [0.0], [0.0]))
+    # every newborn lands at 1, where a daughter's p_f is NaN; deaths are
+    # rare, so a daughter is born long before the population dies out
+    params = _params(rates, [-1.0] * 20, [0.0] * 20, N=20, t_end=50.0,
+                     kernel=SamplerKernel(lambda x, y, rng: 1.0))
+    with pytest.raises(ValueError, match=r"p_f must be finite, got nan at trait 1\.0"):
+        simulate(params)
+
+
 def test_step_single_male_death_only():
     # a lone male cannot mate: his death is the one jump, and it ends the run
     rates = RateSet.constant(p_f=5.0, p_m=5.0, D_f=1.0, D_m=1.0, U=0.25)
@@ -302,6 +323,28 @@ def test_cache_error_sees_a_drifted_sum_and_a_misplaced_rate():
     males.sum_p = exact
     males.D[0], males.D[1] = males.D[1], males.D[0]  # D_m is 1 at -1 and 0.5 at 0
     assert ibm._cache_error(STEEP, "m", males) == pytest.approx(0.5)
+
+
+def test_cache_error_sees_a_bound_below_a_cached_rate():
+    # thinning against a bound below a cached rate accepts that rate's events
+    # too rarely, so the audit takes the excess, relative with a unit floor
+    males = ibm._SexState(STEEP, "m", "f", np.array([-1.0, 0.0, 1.0]), GRID)
+    assert ibm._cache_error(STEEP, "m", males) == 0.0
+    assert males.Dbar == 1.0  # D_m is 1 at -1 and 1, 0.5 at 0
+    males.Dbar = 0.5
+    assert ibm._cache_error(STEEP, "m", males) == pytest.approx(0.5)
+    males.Dbar, males.pbar = 1.0, 2.0  # p_m is e at 1
+    assert ibm._cache_error(STEEP, "m", males) == pytest.approx((np.e - 2.0) / 2.0)
+
+
+def test_death_bounds_rise_with_newborns():
+    # D is least at the parents' trait 0, so each sex's death bound must rise
+    # as newborns arrive further out; a bound left behind shows in the audit
+    rates = RateSet(p_f=2.0, p_m=2.0, D_f=lambda x: 0.5 + 0.5 * x**2,
+                    D_m=lambda y: 0.5 + 0.5 * y**2, U_ff=0.25, U_fm=0.25, U_mf=0.25, U_mm=0.25)
+    traj = simulate(_params(rates, [0.0] * 50, [0.0] * 50, N=100, t_end=2.0, seed=5))
+    assert traj.births_female > 0 and traj.births_male > 0
+    assert traj.cache_error < 1e-9
 
 
 def test_newborns_clamped_to_grid():
