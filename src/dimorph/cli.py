@@ -113,7 +113,8 @@ def _snapshot_summary(times, pairs) -> list[dict]:
             for t, (m, f) in zip(times, pairs)]
 
 
-_RAW_DIAGNOSTICS = ("clipped_mass", "empty_denominator_steps", "dt_bound")
+_RAW_DIAGNOSTICS = ("clipped_mass", "clipped_roundoff_mass", "empty_denominator_steps",
+                    "dt_bound")
 
 
 def _diagnostics(diag, *fields) -> dict:
@@ -141,7 +142,8 @@ def run_macro(cfg: dict, out: Path) -> list[Path]:
         times, pairs = traj.times, list(zip(traj.mus, traj.nus))
         summary = {"A": a_const, "snapshots": _snapshot_summary(times, pairs),
                    "diagnostics": _diagnostics(traj.diagnostics, "max_mass_drift",
-                                               "clipped_mass", "dt_bound")}
+                                               "clipped_mass", "clipped_roundoff_mass",
+                                               "dt_bound")}
     elif mode == "coupled":
         run = coupled_full_run(m0, f0, rates, kernel, solver)
         times, pairs = run.times, list(zip(run.mus, run.nus))

@@ -22,24 +22,24 @@ g[2j - k + 2n - 2], one vector g of noise masses from the noise CDF at
 4n - 1 points. Birth cell j is then (s * g)[2j + 2n - 2], with s the
 parent-sum convolution over the rows' in-grid masses, and split by the
 parity of the parent sum it is two length-n by length-(2n - 1)
-convolutions. Below _FFT_MIN_CELLS = 1024 cells they run directly, in
+convolutions. Below _FFT_MIN_CELLS = 512 cells they run directly, in
 O(n^2) products of non-negative numbers for non-negative inputs, so such
-births are exactly non-negative; from 1024 cells they run by numpy.fft,
+births are exactly non-negative; from 512 cells they run by numpy.fft,
 imported on the first such call, in O(n log n). Either way the grid's
 cache is O(n), about 80 n bytes (41 kB at n = 512, 82 kB at 1024, where
 the table would take 4.2 and 16.8 MB). Multiplicative kernels take the
 O(n^2) product with their row table, cached per grid.
 
-The FFT is faster from 512 cells (README, "Performance notes"), but there
-its round-off makes the criterion-5 normalized flow clip 2.6e-17 of mass
-where the direct sums clip none, and the shipped fixed-point config and
-acceptance criterion 5 run at 512; so the crossover is the next measured
-size.
-
-FFT round-off is absolute: each output errs by at most a first-order
-bound of 8 eps log2(L) max(1/inside) (|g|_1 + 5 |g|_2) |wa|_1 |wb|_1,
-about 1e-13 of the product mass. An output in [-bound, 0) is zeroed; for
-non-negative inputs one below raises FloatingPointError.
+512 cells is the measured crossover (README, "Performance notes"). FFT
+round-off is absolute: each output errs by at most a first-order bound of
+8 eps log2(L) max(1/inside) (|g|_1 + 5 |g|_2) |wa|_1 |wb|_1, about 1e-13
+of the product mass. An output in [-bound, 0) is zeroed; for non-negative
+inputs one below raises FloatingPointError. Every contraction states this
+bound per unit |wa|_1 |wb|_1 as its `dust`: 0.0 where each output is
+summed directly from its own products, whose round-off is relative to
+them. The solvers turn it into a bound on each right-hand-side entry, and
+the stepping core counts a clipped entry within that bound's reach as
+round-off, apart from real negative mass.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _MIN_INSIDE = 1e-12
 
 # Additive kernels on grids of at least this many cells take the FFT birth
 # path instead of the direct sums (measured crossover; see the module docstring).
-_FFT_MIN_CELLS = 1024
+_FFT_MIN_CELLS = 512
 
 # The FFT path's round-off constant c in c eps log2(L), above Higham's 3.4
 # for radix-2 transforms with correctly rounded twiddles (Accuracy and
@@ -227,6 +227,8 @@ class _SumRowTable:
     """Per-grid cache of kernel rows indexed by the parent-sum lattice, from
     their raw in-grid masses."""
 
+    dust = 0.0  # absolute round-off per unit |wa|_1 |wb|_1: none, see the module docstring
+
     def __init__(self, raw: np.ndarray):
         rows, tails, degenerate = _truncate_renormalize(raw)
         self.matrix = rows  # (2n-1, n) unit-sum row masses, zero where degenerate
@@ -251,10 +253,12 @@ class _NoiseLattice:
     and g_odd[m] = g[2m - 1] (zero at m = 0). Below _FFT_MIN_CELLS the cache
     keeps g_even and g_odd without its leading zero and sums both
     convolutions directly, products of non-negative numbers for
-    non-negative inputs; from it, it keeps their spectra at one
-    power-of-two length >= 2n, at which none of the wanted outputs wraps
-    around.
+    non-negative inputs, with dust 0.0; from it, it keeps their spectra at
+    one power-of-two length >= 2n, at which none of the wanted outputs
+    wraps around, and states the FFT's round-off bound as dust.
     """
+
+    dust = 0.0  # as _SumRowTable's, on the direct path
 
     def __init__(self, c: np.ndarray):
         n = (c.size + 1) // 4
@@ -350,7 +354,9 @@ class InheritanceKernel:
 
     def _contraction(self, grid: TraitGrid) -> _SumRowTable | _NoiseLattice | _TrilinearTable:
         """The birth contraction on grid, cached per grid: its contract(wa, wb)
-        gives (birth weights, mass on degenerate rows, shed mass)."""
+        gives (birth weights, mass on degenerate rows, shed mass), and its
+        dust is the absolute round-off of each weight per unit
+        |wa|_1 |wb|_1."""
         raise UnsupportedKernel(f"{type(self).__name__} has no density rows")
 
     def safe_parent_window(self, grid: TraitGrid) -> tuple[float, float]:
@@ -487,6 +493,8 @@ class _TrilinearTable:
     row (j, k) is sum a[j, p] b[k, q] g[p, q], and birth is g contracted with
     a^T (wa wb^T / inside) b, O(nx n^2 + nx ny n) per call. The cache adds
     1/inside of every parent pair, zero where degenerate."""
+
+    dust = 0.0  # as _SumRowTable's
 
     def __init__(self, kernel: TabulatedKernel, grid: TraitGrid):
         xs, ys, zs = kernel.knots

@@ -130,31 +130,38 @@ class _GridRates:
         return _DT_SAFETY / rmax if rmax > 0 else float("inf")
 
 
+def _mating(gr: _GridRates, mw: np.ndarray, fw: np.ndarray, m_mass: float, f_mass: float):
+    """(scale, wa, wb), the birth measure (already halved for sex
+    assignment) being scale * birth_weights(kernel, wa, wb, grid), or None
+    when a mating denominator vanished."""
+    wf = gr.pf * fw
+    wm = gr.pm * mw
+    fp = wf.sum()
+    mp = wm.sum()
+    if m_mass > 0.0 and f_mass > 0.0:
+        if fp > 0.0 and mp > 0.0:
+            return 0.5 * (1.0 / mp + 1.0 / fp), wf, wm
+        if fp > 0.0:
+            # no male carries mating weight; partners are drawn uniformly
+            return 0.5, wf, mw / m_mass
+        if mp > 0.0:
+            return 0.5, fw / f_mass, wm
+    return None
+
+
 def _birth_and_death(gr: _GridRates, kernel: InheritanceKernel, grid: TraitGrid,
                      mw: np.ndarray, fw: np.ndarray):
     """Shared birth measure (already halved for sex assignment) plus the two
     per-capita death fields; flags when a mating denominator vanished."""
     m_mass = mw.sum()
     f_mass = fw.sum()
-    wf = gr.pf * fw
-    wm = gr.pm * mw
-    fp = wf.sum()
-    mp = wm.sum()
-    empty = False
-    birth = np.zeros(grid.n_cells)
-    if m_mass > 0.0 and f_mass > 0.0:
-        if fp > 0.0 and mp > 0.0:
-            birth = (0.5 * (1.0 / mp + 1.0 / fp)) * birth_weights(kernel, wf, wm, grid)
-        elif fp > 0.0:
-            # no male carries mating weight; partners are drawn uniformly
-            birth = 0.5 * birth_weights(kernel, wf, mw / m_mass, grid)
-        elif mp > 0.0:
-            birth = 0.5 * birth_weights(kernel, fw / f_mass, wm, grid)
-        else:
-            empty = True
+    mating = _mating(gr, mw, fw, m_mass, f_mass)
+    if mating is None:
+        birth = np.zeros(grid.n_cells)
     else:
-        empty = True
-    return (birth, *gr.deaths(mw, fw, m_mass, f_mass), empty)
+        scale, wa, wb = mating
+        birth = scale * birth_weights(kernel, wa, wb, grid)
+    return (birth, *gr.deaths(mw, fw, m_mass, f_mass), mating is None)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +195,18 @@ def integrate(state0: MacroState, rates: RateSet, kernel: InheritanceKernel,
         diag.empty_denominator_steps += empty_in_step
         empty_in_step = False
 
+    def roundoff(y):
+        # the birth's dust under rhs's own scaling; deaths add only
+        # relative round-off
+        mating = _mating(gr, y[0], y[1], y[0].sum(), y[1].sum())
+        if mating is None:
+            return 0.0
+        scale, wa, wb = mating
+        return kernel._contraction(grid).dust * scale * np.abs(wa).sum() * np.abs(wb).sum()
+
     states = [MacroState(GridMeasure(grid, y[0]), GridMeasure(grid, y[1]), t)
               for t, y in march(np.stack([state0.m.weights, state0.f.weights]),
-                                state0.t, rhs, config, diag, after_step)]
+                                state0.t, rhs, config, diag, after_step, roundoff=roundoff)]
     return MacroTrajectory(states, diag)
 
 
@@ -219,19 +235,30 @@ def integrate_normalized(mu0: GridMeasure, nu0: GridMeasure,
     if a0 <= 0:
         raise ValueError(f"sex-ratio constant must be positive, got {a0}")
     diag = SolverDiagnostics(dt_bound=_DT_SAFETY / max(1.0, a0))
+    # the largest |A| any stage has used, which scales nu's entries
+    a_seen = abs(a0)
 
     def rhs(t, y):
+        nonlocal a_seen
+        a = float(a_of(t))
+        a_seen = max(a_seen, abs(a))
         dy = birth_weights(kernel, y[0], y[1], grid) / (y[0].sum() * y[1].sum()) - y
-        dy[1] *= float(a_of(t))
+        dy[1] *= a
         return dy
 
     def after_step(y):
         diag.max_mass_drift = max(diag.max_mass_drift,
                                   abs(y[0].sum() - 1.0), abs(y[1].sum() - 1.0))
 
+    def roundoff(y):
+        # the birth's dust under rhs's own scaling
+        scale = max(1.0, a_seen) / abs(y[0].sum() * y[1].sum())
+        return kernel._contraction(grid).dust * scale * np.abs(y[0]).sum() * np.abs(y[1]).sum()
+
     times, mus, nus = zip(*[(t, GridMeasure(grid, y[0]), GridMeasure(grid, y[1]))
                             for t, y in march(np.stack([mu0.weights, nu0.weights]), 0.0,
-                                              rhs, config, diag, after_step)])
+                                              rhs, config, diag, after_step,
+                                              roundoff=roundoff)])
     return NormalizedTrajectory(np.array(times), list(mus), list(nus), diag)
 
 

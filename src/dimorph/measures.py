@@ -38,12 +38,11 @@ __all__ = [
 MASS_TOLERANCE = 1e-9
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
-
-
 def normal_cdf(x: np.ndarray | float) -> np.ndarray | float:
-    """Standard normal CDF, elementwise."""
-    return 0.5 * (1.0 + np.asarray(_erf(np.asarray(x) / math.sqrt(2.0)), dtype=float))
+    """Standard normal CDF, elementwise, from the standard library's math.erf."""
+    z = np.asarray(x) / math.sqrt(2.0)
+    erf = np.fromiter(map(math.erf, z.ravel().tolist()), float, count=z.size)
+    return 0.5 * (1.0 + erf.reshape(z.shape))
 
 
 @dataclass(frozen=True)

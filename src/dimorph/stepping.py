@@ -20,14 +20,15 @@ continuous extension of DOP853 (Solving ODEs I, II.6; CONTD8 in
 dop853.f), an order-7 interpolant for three more right-hand sides per
 such step. The loop refuses a dt above the caller's bound before the
 first step and zeroes negative weights after every step, reporting their
-mass, and an interpolated sample is treated the same way under its own
-counter. A NaN stage makes the error estimate NaN, so no step holding one
-is accepted. A non-finite first stage, the right-hand side at the state a
-step starts from, would fail every retry, so it raises at the first
-rejection; so does a NaN in an interpolated sample, whose three extra
-stages no error test sees. The trait-resolved, normalized and planar
-total-mass integrators differ only in their right-hand sides, their bound
-and what they do with the samples.
+mass, and the mass that a caller-stated round-off bound explains under a
+counter of its own; an interpolated sample's negative weights are zeroed
+under a third counter. A NaN stage makes the error estimate NaN, so no
+step holding one is accepted. A non-finite first stage, the right-hand
+side at the state a step starts from, would fail every retry, so it
+raises at the first rejection; so does a NaN in an interpolated sample,
+whose three extra stages no error test sees. The trait-resolved,
+normalized and planar total-mass integrators differ only in their
+right-hand sides, their bounds and what they do with the samples.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ _BHH = np.array((0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                  0.7338466882816118, 0.0, 0.0, 0.022058823529411766))
 # the eighth-order increment and both error estimates in one product
 _OUT = np.stack([_A[12], _E5, _A[12] - _BHH])
+# sum |b_i| of the eighth-order weights, 12.91: a step's first-order gain on
+# absolute round-off in its stages (see march)
+_B_ABS = float(np.abs(_A[12]).sum())
 
 # The continuous extension (dop853.f, CONTD8): stages 13-15 at the nodes
 # _C_DENSE, whose rows read stages 0-12 (stage 12 is the RHS at the step's
@@ -157,10 +161,14 @@ class SolverDiagnostics:
     """Positivity interventions, degenerate-denominator bookkeeping, the dt
     bound and the step counts. clipped_mass counts the negative mass zeroed
     in stepped states, clipped_interpolated_mass that zeroed in samples
-    read between them."""
+    read between them. Given march's roundoff, a stepped weight within the
+    step's propagated round-off bound is zeroed into clipped_roundoff_mass
+    instead, so clipped_mass holds only negative mass that round-off
+    cannot explain."""
 
     clipped_mass: float = 0.0
     clipped_interpolated_mass: float = 0.0
+    clipped_roundoff_mass: float = 0.0
     empty_denominator_steps: int = 0
     max_mass_drift: float = 0.0
     dt_bound: float = float("inf")
@@ -233,9 +241,10 @@ def _interpolate(rows: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _positive(y: np.ndarray, diag: SolverDiagnostics,
-              counter: str = "clipped_mass") -> np.ndarray:
+              counter: str = "clipped_mass", bound: float = 0.0) -> np.ndarray:
     """y itself when no weight is negative, else a copy with the negative
-    weights zeroed and their mass added to the diag field named counter.
+    weights zeroed and their mass added to the diag field named counter,
+    except that weights in [-bound, 0) go to diag.clipped_roundoff_mass.
 
     Raises NonFiniteState for a NaN or -inf weight. Both fail the sign test,
     so the clean path pays nothing for the check; a +inf weight alone
@@ -247,14 +256,20 @@ def _positive(y: np.ndarray, diag: SolverDiagnostics,
         what = "accepted state" if counter == "clipped_mass" else "interpolated sample"
         raise NonFiniteState(f"{what} has {np.count_nonzero(~np.isfinite(y))} "
                              f"non-finite weights")
-    setattr(diag, counter, getattr(diag, counter) + float(-y[y < 0].sum()))
+    neg = y[y < 0]
+    if bound > 0.0:
+        dust = neg >= -bound
+        diag.clipped_roundoff_mass += float(-neg[dust].sum())
+        neg = neg[~dust]
+    setattr(diag, counter, getattr(diag, counter) + float(-neg.sum()))
     return np.clip(y, 0.0, None)
 
 
 def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
           diag: SolverDiagnostics,
           after_step: Callable[[np.ndarray], None] | None = None,
-          step_cap: Callable[[np.ndarray], float] | None = None
+          step_cap: Callable[[np.ndarray], float] | None = None,
+          roundoff: Callable[[np.ndarray], float] | None = None
           ) -> Iterator[tuple[float, np.ndarray]]:
     """Advance y0 from t0 to t0 + round(t_end / dt) * dt.
 
@@ -276,6 +291,22 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
     is then read from the continuous extension, negative weights zeroed
     into diag.clipped_interpolated_mass; one on a step end is the stepped
     state.
+
+    roundoff, when given, bounds the absolute round-off r of every
+    right-hand-side entry at a state, beyond the relative round-off of
+    the arithmetic itself (an FFT birth's dust, for one). A step sets
+    y_new = y + h sum_i b_i k_i; if each stage k_i errs by at most r per
+    entry, y_new errs by at most h sum_i |b_i| r, with sum_i |b_i| = 12.91
+    for the eighth-order weights. That is first order in h: a stage's
+    error also moves later stages' arguments, by h a_ij e_j, and reaches
+    their right-hand sides only through the Jacobian, one more factor of
+    h. A negative weight of an accepted state within h * 12.91 *
+    roundoff(y), y the state the step starts from, is counted in
+    diag.clipped_roundoff_mass instead of diag.clipped_mass; roundoff is
+    called only for a state with a negative weight. A state changed by
+    that zeroing alone keeps the step's last stage as the next first one,
+    since the change lies within the round-off the stage already carries.
+    Without roundoff every negative weight is counted in clipped_mass.
     """
     if cfg.dt > diag.dt_bound:
         raise ValueError(f"dt = {cfg.dt} exceeds the stability bound {diag.dt_bound:.3e}")
@@ -318,12 +349,16 @@ def march(y0: np.ndarray, t0: float, rhs: Rhs, cfg: SolverConfig,
         t_old, y_old = t, y
         t = target if n == 1 else t + step
         h = step * min(5.0, fac)
-        y = _positive(y_new, diag)
+        bound = 0.0
+        if roundoff is not None and y_new.min() < 0.0:
+            bound = step * _B_ABS * roundoff(y_old)
+        y = _positive(y_new, diag, bound=bound)
         y.flags.writeable = False
         if after_step is not None:
             after_step(y)
-        # the last stage is the next first one only at the state it saw
-        k1 = k_new if y is y_new else None
+        # the last stage is the next first one only at the state it saw, or
+        # at one that differs from it by zeroed round-off alone
+        k1 = k_new if y is y_new or y_new.min() >= -bound else None
         # times[i:j] lie strictly inside the step, only when step_cap is given
         j = bisect_left(times, t, i)
         if j > i:

@@ -569,7 +569,7 @@ def test_fft_round_off_below_zero_is_zeroed_within_its_bound(fft_everywhere, mon
 def test_fft_cache_is_linear_in_n_and_never_pickled():
     # below the crossover the cache keeps g's parity halves, from it their
     # spectra, never both
-    for n in (512, kernels._FFT_MIN_CELLS):
+    for n in (kernels._FFT_MIN_CELLS // 2, kernels._FFT_MIN_CELLS):
         grid = TraitGrid(-8.0, 8.0, n)
         kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
         mu = gaussian_measure(grid, 0.0, 1.0)
@@ -657,7 +657,9 @@ def test_direct_birth_matches_both_references_on_drawn_signed_weights(wa, wb):
                                rtol=0, atol=1e-15 * scale)
 
 
-@pytest.mark.parametrize("n", [kernels._FFT_MIN_CELLS - 1, kernels._FFT_MIN_CELLS])
+# both sides of the crossover, and of 1024 cells, the crossover before 512
+@pytest.mark.parametrize("n", [kernels._FFT_MIN_CELLS // 2, kernels._FFT_MIN_CELLS - 1,
+                               kernels._FFT_MIN_CELLS, 1023, 1024])
 def test_both_sides_of_the_fft_crossover_match_the_table(n):
     grid = TraitGrid(-8.0, 8.0, n)
     noise = GaussianNoise(0.5)
@@ -670,9 +672,37 @@ def test_both_sides_of_the_fft_crossover_match_the_table(n):
     np.testing.assert_allclose(out, _by_table(noise, wa, wb, grid), rtol=0, atol=1e-15)
 
 
+def test_every_contraction_states_its_dust():
+    # the direct contractions sum each output from its own products, whose
+    # round-off is relative to them; the FFT lattice states its first-order
+    # bound 8 eps log2(L) max(1/inside) (|g|_1 + 5 |g|_2), L the power of two
+    # it transforms at
+    noise = GaussianNoise(0.5)
+    direct = [(MultiplicativeNoiseKernel(UniformNoise(0.0, 1.0)), TraitGrid(0.0, 6.0, 64),
+               _SumRowTable),
+              (SAMPLED_KERNELS["custom"](), TraitGrid(-4.0, 4.0, 64), _TrilinearTable),
+              (AdditiveNoiseKernel(noise), TraitGrid(-8.0, 8.0, kernels._FFT_MIN_CELLS // 2),
+               _NoiseLattice)]
+    for kernel, grid, kind in direct:
+        contraction = kernel._contraction(grid)
+        assert isinstance(contraction, kind) and contraction.dust == 0.0
+    n = kernels._FFT_MIN_CELLS
+    grid = TraitGrid(-8.0, 8.0, n)
+    lattice = AdditiveNoiseKernel(noise)._contraction(grid)
+    assert lattice.g_hat is not None
+    c = noise.cdf(0.5 * grid.dx * np.arange(1 - 2 * n, 2 * n))
+    g = c[2:] - c[:-2]
+    inside = 1.0 - _reference_table(noise, grid).checks[:, 1]
+    length = 2 ** math.ceil(math.log2(2 * n))
+    bound = (8.0 * np.finfo(float).eps * math.log2(length) / inside.min()
+             * (g.sum() + 5.0 * math.sqrt(g @ g)))
+    assert lattice.dust == pytest.approx(bound, rel=1e-12)
+    assert 1e-14 < lattice.dust < 1e-12
+
+
 def test_first_additive_birth_below_the_crossover_builds_no_row_table():
-    # the (2n - 1) x n row table alone would take 4.2 MB at n = 512
-    grid = TraitGrid(-8.0, 8.0, 512)
+    # the (2n - 1) x n row table alone would take 4.2 MB at n = 511
+    grid = TraitGrid(-8.0, 8.0, kernels._FFT_MIN_CELLS - 1)
     kernel = AdditiveNoiseKernel(GaussianNoise(0.5))
     mu = gaussian_measure(grid, 0.0, 1.0).weights
     tracemalloc.start()

@@ -26,9 +26,9 @@ def _rhs_handed_to_march(monkeypatch, solve, *args):
     """The right-hand side a solver passes to march, from a one-step run."""
     seen = []
 
-    def spy(y0, t0, rhs, *rest):
+    def spy(y0, t0, rhs, *rest, **keywords):
         seen.append(rhs)
-        return march(y0, t0, rhs, *rest)
+        return march(y0, t0, rhs, *rest, **keywords)
 
     monkeypatch.setattr(macro, "march", spy)
     solve(*args, SolverConfig(dt=0.01, t_end=0.01))
@@ -235,7 +235,9 @@ def _criterion_5_start(n_cells=512):
     return grid, mu0, nu0
 
 
-def test_normalized_masses_stay_unit_without_renormalization(monkeypatch):
+def _unit_mass_flow(monkeypatch, n_cells):
+    """The criterion-5 flow's diagnostics on n_cells cells, with its unit
+    masses and birth-call count checked."""
     # the criterion-5 flow, where unit mass is a saddle of the plain flow
     # (the masses grow like e^(sqrt(1.5) t) from rounding) and the RHS alone
     # now holds it; with no state change between steps the FSAL stage
@@ -249,13 +251,31 @@ def test_normalized_masses_stay_unit_without_renormalization(monkeypatch):
         return birth_weights(*args)
 
     monkeypatch.setattr(dimorph.macro, "birth_weights", counted)
-    grid, mu0, nu0 = _criterion_5_start()
+    grid, mu0, nu0 = _criterion_5_start(n_cells)
     traj = integrate_normalized(mu0, nu0, 1.5, AdditiveNoiseKernel(GaussianNoise(0.5)),
                                 SolverConfig(dt=0.01, t_end=30.0, sample_stride=100))
     diag = traj.diagnostics
     assert diag.max_mass_drift <= 1e-12
     assert (diag.clipped_mass, diag.rejected_steps) == (0.0, 0)
     assert len(calls) == 12 * diag.accepted_steps + 1
+    return diag
+
+
+def test_normalized_masses_stay_unit_without_renormalization(monkeypatch):
+    _unit_mass_flow(monkeypatch, 512)
+
+
+@pytest.mark.parametrize("n_cells", [_FFT_MIN_CELLS // 2, _FFT_MIN_CELLS])
+def test_fft_round_off_is_clipped_apart_from_negative_mass(monkeypatch, n_cells):
+    # the direct sums leave nothing to clip; the FFT's round-off tails are
+    # clipped in (nearly) every step, all of it within the stated bound, and
+    # a state that differs from the stepped one by that alone keeps its
+    # FSAL stage
+    diag = _unit_mass_flow(monkeypatch, n_cells)
+    if n_cells < _FFT_MIN_CELLS:
+        assert diag.clipped_roundoff_mass == 0.0
+    else:
+        assert 0.0 < diag.clipped_roundoff_mass < 1e-12
 
 
 def test_normalized_distance_strictly_decreases():
@@ -301,7 +321,7 @@ def _rk4_run(monkeypatch, solve, *args):
     right-hand side the solver hands it, sampled at march's sample times:
     a reference that shares no code with march. Its states are neither
     clipped nor shown to after_step."""
-    def rk4_march(y0, t0, rhs, cfg, _diag, _after_step=None):
+    def rk4_march(y0, t0, rhs, cfg, _diag, _after_step=None, roundoff=None):
         n = round(cfg.t_end / cfg.dt)
         ys = _independent_rk4(y0, t0, cfg.dt, n, rhs)
         for k in (*range(0, n, cfg.sample_stride), n):
@@ -616,6 +636,11 @@ def _moment_oracle_error(grid, mu0, nu0):
 def test_normalized_moments_follow_the_closed_moment_system():
     # the first two moments obey a closed 4-ODE, whatever the step sizes
     assert _moment_oracle_error(*_criterion_5_start()) <= 1e-9
+
+
+def test_normalized_moments_follow_the_closed_moment_system_below_the_fft_crossover():
+    # the same flow on the direct birth path
+    assert _moment_oracle_error(*_criterion_5_start(_FFT_MIN_CELLS // 2)) <= 1e-9
 
 
 def test_normalized_moments_follow_the_closed_moment_system_on_the_fft_path():

@@ -185,6 +185,40 @@ def test_negative_interpolated_weights_are_zeroed_and_counted_apart():
     assert not samples[2][1].flags.writeable
 
 
+@pytest.mark.parametrize("drain, bound, clipped, roundoff", [
+    ((-10.0, 1.0), 1e-17, 0.5, 0.0),
+    ((1.0, -1e-16), 1e-17, 0.0, 1e-17),
+    ((1.0, -2e-16), 1e-17, 2e-17, 0.0),
+    ((1.0, -1e-16), None, 1e-17, 0.0),
+], ids=["real", "within", "beyond", "no-bound"])
+def test_negative_weights_within_the_round_off_bound_are_counted_apart(drain, bound, clipped,
+                                                                     roundoff):
+    # under a constant rhs one DOP853 step is the Euler step, with an error
+    # estimate of zero: from (0.5, 0) the step of 0.1 ends at 0.1 * drain
+    # from there. With 1e-17 of round-off stated per rhs entry the step's
+    # bound is 0.1 * 12.91 * 1e-17 = 1.29e-17, so -1e-17 is round-off while
+    # -2e-17 and -0.5 are negative mass it cannot explain, as is everything
+    # when no bound is stated
+    seen = []
+
+    def stated(y):
+        seen.append(y.copy())
+        return bound
+
+    diag = SolverDiagnostics()
+    y0 = np.array([[0.5, 0.0]])
+    (_, _), (_, out) = march(y0, 0.0, lambda _t, _y: np.array([drain]),
+                             SolverConfig(dt=0.1, t_end=0.1), diag,
+                             roundoff=None if bound is None else stated)
+    assert out.min() == 0.0
+    assert diag.clipped_mass == pytest.approx(clipped, rel=1e-9, abs=0.0)
+    assert diag.clipped_roundoff_mass == pytest.approx(roundoff, rel=1e-9, abs=0.0)
+    # the bound is read once, at the state the step starts from
+    assert len(seen) == (bound is not None)
+    for y in seen:
+        np.testing.assert_array_equal(y, y0)
+
+
 def test_a_nan_in_an_interpolated_sample_raises():
     # the rhs is NaN at its 27th call only: the middle extension stage of
     # the second step, which holds the sample time 0.5. No error test reads
